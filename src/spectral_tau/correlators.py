@@ -9,11 +9,23 @@ and the N-point tables (N >= 3) from the cyclic permutation sum
     -(1/N) sum_s tr[Pi_{a_s1}(z_s1) ... Pi_{a_sN}(z_sN)] / prod_cyc (z_si - z_sj),
 
 both read off in the variables u_i = 1/z_i with the coefficient of
-prod u_i^(k_i+2) giving F^{a1..aN}_{k1..kN}.  All divisions by products of
-(u_i - u_j) are exact sparse-polynomial divisions with a zero-remainder
-requirement, so every emitted value carries a soundness certificate.
+prod u_i^(k_i+2) giving F^{a1..aN}_{k1..kN}.
 
-Internal truncation: with per-variable truncation K the quotient layers are
+The expansion runs in Python integers.  Substituting u = c*t makes every
+projector coefficient a_k c^k an integer; c is derived from the computed
+series (per prime of the denominators, the least exponent that clears them
+all; a cofactor left after trial division enters whole, as in the lcm of the
+denominators).  The cyclic classes are walked depth-first over prefixes, so
+each partial chain product is formed once, and each division by (t_i - t_j)
+is a divided difference: running sums along the anti-diagonals of the (i, j)
+exponent plane.  The t-quotient's coefficient q[k] is read back as
+F = -q[k] / c^(N + |k|) (two points: +q[k] / c^(2 + |k|)), the only Fraction
+on the path.
+
+Certificates: every scaled coefficient must be an integer (a wrong c raises
+ArithmeticError rather than emitting a value), and every division must leave
+a zero remainder up to its trusted total degree (InexactDivisionError
+otherwise).  With per-variable truncation K the quotient layers are
 certified through total degree K - N, so K = N*(kmax+1) certifies the full
 requested box of indices.
 """
@@ -21,12 +33,13 @@ requested box of indices.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .curve import MatrixPolynomial, characteristic_data
-from .multipoly import MultiPoly, multipoly_exact_divide
+from .multipoly import MultiPoly, multipoly_exact_divide, multipoly_sum
 from .projectors import MatrixTailSeries, phi_coefficients, projector_series
 
 IndexPair = tuple[int, int]  # (sheet, k)
@@ -48,14 +61,6 @@ class CorrelatorTable:
         if key not in self.entries:
             raise KeyError(f"no entry for {key}")
         return self.entries[key]
-
-    def merged_with(self, other: "CorrelatorTable") -> "CorrelatorTable":
-        if other.n_points != self.n_points:
-            raise ValueError("cannot merge tables of different arity")
-        entries = dict(self.entries)
-        entries.update(other.entries)
-        return CorrelatorTable(self.n_points, entries,
-                               min(self.trusted_order, other.trusted_order))
 
 
 class CorrelatorEngine:
@@ -108,29 +113,100 @@ class CorrelatorEngine:
 # core expansions
 # ---------------------------------------------------------------------------
 
-def _pair_numerator(mat1, mat2, subtract: Fraction) -> MultiPoly:
-    """tr[M1(u1) M2(u2)] - subtract, capped at total degree K (= len-1)."""
-    n = len(mat1)
+_TRIAL_DIVISORS_BELOW = 1000
+
+
+def _valuation(m: int, p: int) -> int:
+    v = 0
+    while m % p == 0:
+        m //= p
+        v += 1
+    return v
+
+
+def _series_scale(mats) -> int:
+    """A c with a_k * c**k integral for every coefficient a_k, k >= 1.
+
+    Each prime p of the denominators' lcm found by trial division gets the
+    least exponent that works, max over k of ceil(v_p(den a_k) / k), so c is
+    the least such integer whenever trial division factors the lcm.  A
+    cofactor without small primes enters c whole: every denominator's share
+    of it divides it, so it always suffices (the lcm fallback).
+    """
+    dens = {
+        (k, a.denominator)
+        for mat in mats for row in mat for series in row
+        for k, a in enumerate(series) if k and a.denominator > 1
+    }
+    rest = math.lcm(*(d for _, d in dens))
+    c, p = 1, 2
+    while rest > 1 and p * p <= rest and p < _TRIAL_DIVISORS_BELOW:
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            c *= p ** max(-(-_valuation(d, p) // k) for k, d in dens)
+        p += 1
+    return c * rest
+
+
+def _integer_slot(mat, c: int, nvars: int, var: int):
+    """Matrix of sum_k a_k c^k t_var^k with integer coefficients.
+
+    Raises ArithmeticError when some a_k c^k is not an integer, so a wrong
+    scale can never leak a Fraction into the integer kernel.
+    """
+    out = []
+    for row in mat:
+        out_row = []
+        for series in row:
+            coeffs = []
+            for k, a in enumerate(series):
+                scale = c ** k
+                if scale % a.denominator:
+                    raise ArithmeticError(
+                        f"u = {c}*t leaves the u^{k} coefficient {a} non-integral")
+                coeffs.append(a.numerator * (scale // a.denominator))
+            out_row.append(MultiPoly.from_univariate(nvars, var, coeffs))
+        out.append(out_row)
+    return out
+
+
+def _matmul(a, b, cap: int):
+    n = len(a)
+    nvars = a[0][0].nvars
+    return [
+        [
+            multipoly_sum(nvars, (a[i][k].mul(b[k][j], max_total_degree=cap)
+                                  for k in range(n) if a[i][k].terms and b[k][j].terms))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def _trace_of_product(a, b, cap: int) -> MultiPoly:
+    n = len(a)
+    return multipoly_sum(a[0][0].nvars, (a[i][k].mul(b[k][i], max_total_degree=cap)
+                                         for i in range(n) for k in range(n)
+                                         if a[i][k].terms and b[k][i].terms))
+
+
+def _pair_table_values(mat1, mat2, subtract: int, kmax: int) -> dict:
+    """(tr[M1(u1) M2(u2)] - subtract) / (u2 - u1)^2 in the box k1, k2 <= kmax.
+
+    Runs in t = u / c; the quotient's t-coefficients q[k] give
+    F = q[k] / c^(2 + |k|).
+    """
     K = len(mat1[0][0]) - 1
-    num = MultiPoly.zero(2)
-    for i in range(n):
-        for j in range(n):
-            f = MultiPoly.from_univariate(2, 0, mat1[i][j])
-            g = MultiPoly.from_univariate(2, 1, mat2[j][i])
-            num = num + f.mul(g, max_total_degree=K)
+    c = _series_scale((mat1, mat2))
+    num = _trace_of_product(_integer_slot(mat1, c, 2, 0), _integer_slot(mat2, c, 2, 1), K)
     if subtract:
         num = num - MultiPoly.constant(2, subtract)
-    return num
-
-
-def _pair_table_values(mat1, mat2, subtract: Fraction, kmax: int) -> dict:
-    K = len(mat1[0][0]) - 1
-    num = _pair_numerator(mat1, mat2, subtract)
     d = MultiPoly.pair_difference(2, 1, 0)
     q = multipoly_exact_divide(num, d, K)
     q = multipoly_exact_divide(q, d, K - 1)
     return {
-        (k1, k2): q.coeff((k1, k2))
+        (k1, k2): Fraction(q.coeff((k1, k2)), c ** (2 + k1 + k2))
         for k1 in range(kmax + 1)
         for k2 in range(kmax + 1)
     }
@@ -151,12 +227,12 @@ def _cycle_sign_and_missing(perm: Sequence[int], npts: int):
         if y > x:
             sign = -sign
         in_cycle.add(frozenset((x, y)))
-    missing = [
+    missing = tuple(
         (p, q)
         for p in range(npts)
         for q in range(p + 1, npts)
         if frozenset((p, q)) not in in_cycle
-    ]
+    )
     return sign, missing
 
 
@@ -168,65 +244,53 @@ def _npoint_values(slot_mats, kmax: int) -> dict:
     npts = len(slot_mats)
     if npts < 3:
         raise ValueError("n-point expansion needs at least 3 slots")
-    n = len(slot_mats[0])
     K = npts * (kmax + 1)
-    cap_tr = K
     n_missing = npts * (npts - 1) // 2 - npts
     cap_dividend = K + n_missing
+    if any(len(mat[0][0]) < K + 1 for mat in slot_mats):
+        raise ValueError("slot matrices carry fewer trusted orders than required")
+    mats = [[[series[: K + 1] for series in row] for row in mat] for mat in slot_mats]
+    c = _series_scale(mats)
+    slots = [_integer_slot(mat, c, npts, var) for var, mat in enumerate(mats)]
 
-    mp_slots = []
-    for slot, mat in enumerate(slot_mats):
-        if len(mat[0][0]) < K + 1:
-            raise ValueError("slot matrices carry fewer trusted orders than required")
-        mp_slots.append(
-            [
-                [MultiPoly.from_univariate(npts, slot, mat[i][j][: K + 1]) for j in range(n)]
-                for i in range(n)
-            ]
-        )
+    # One representative per cyclic class (slot 0 first); trace and
+    # denominator are invariant under cyclic shifts, which cancels the 1/N
+    # prefactor.  Classes are walked depth-first over their prefixes, so each
+    # partial chain product is formed once, and signed traces are grouped by
+    # the Vandermonde pairs their cycle misses.
+    by_missing: dict[tuple, MultiPoly] = {}
 
-    def chain_trace(order: Sequence[int]) -> MultiPoly:
-        acc = mp_slots[order[0]]
-        for idx in order[1:]:
-            nxt = mp_slots[idx]
-            out = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    s = MultiPoly.zero(npts)
-                    for k in range(n):
-                        if acc[i][k].is_zero() or nxt[k][j].is_zero():
-                            continue
-                        s = s + acc[i][k].mul(nxt[k][j], max_total_degree=cap_tr)
-                    row.append(s)
-                out.append(row)
-            acc = out
-        tr = MultiPoly.zero(npts)
-        for i in range(n):
-            tr = tr + acc[i][i]
-        return tr
+    def visit(prefix: tuple, acc) -> None:
+        rest = [s for s in range(npts) if s not in prefix]
+        if len(rest) == 1:
+            tr = _trace_of_product(acc, slots[rest[0]], K)
+            sign, missing = _cycle_sign_and_missing(prefix + (rest[0],), npts)
+            tr = tr if sign > 0 else -tr
+            if missing in by_missing:
+                tr = by_missing[missing] + tr
+            by_missing[missing] = tr
+            return
+        for s in rest:
+            visit(prefix + (s,), _matmul(acc, slots[s], K))
 
-    dividend = MultiPoly.zero(npts)
-    # one representative per cyclic class (slot 0 first); trace and denominator
-    # are invariant under cyclic shifts, which cancels the 1/N prefactor
-    for rest in itertools.permutations(range(1, npts)):
-        perm = (0,) + rest
-        sign, missing = _cycle_sign_and_missing(perm, npts)
-        term = chain_trace(perm)
-        for (p, q) in missing:
-            term = term.mul(MultiPoly.pair_difference(npts, p, q), max_total_degree=cap_dividend)
-        dividend = dividend + (term if sign > 0 else -term)
-
-    q = dividend
+    visit((0,), slots[0])
+    # groups are multiplied out and added one at a time, which keeps few
+    # large polynomials alive at once
+    q = MultiPoly.zero(npts)
+    while by_missing:
+        missing, term = by_missing.popitem()
+        for (p, r) in missing:
+            term = term.mul(MultiPoly.pair_difference(npts, p, r), max_total_degree=cap_dividend)
+        q = q + term
     trusted = cap_dividend
     for p in range(npts):
         for r in range(p + 1, npts):
             q = multipoly_exact_divide(q, MultiPoly.pair_difference(npts, p, r), trusted)
             trusted -= 1
-    out = {}
-    for ks in itertools.product(range(kmax + 1), repeat=npts):
-        out[ks] = -q.coeff(ks)
-    return out
+    return {
+        ks: Fraction(-q.coeff(ks), c ** (npts + sum(ks)))
+        for ks in itertools.product(range(kmax + 1), repeat=npts)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +304,7 @@ def correlator_pair(w: MatrixPolynomial, a1: int, a2: int, kmax: int,
     K = 2 * (kmax + 1)
     m1 = engine.slot_matrix(a1, K)
     m2 = engine.slot_matrix(a2, K)
-    vals = _pair_table_values(m1, m2, Fraction(1 if a1 == a2 else 0), kmax)
+    vals = _pair_table_values(m1, m2, 1 if a1 == a2 else 0, kmax)
     entries = {
         ((a1, k1), (a2, k2)): v for (k1, k2), v in vals.items()
     }
@@ -334,7 +398,7 @@ def hyperelliptic_combination(w: MatrixPolynomial, n_points: int, kmax: int,
     if n_points == 2:
         K = 2 * (kmax + 1)
         d = engine.difference_matrix(K)
-        return _pair_table_values(d, d, Fraction(2), kmax)
+        return _pair_table_values(d, d, 2, kmax)
     K = n_points * (kmax + 1)
     d = engine.difference_matrix(K)
     return _npoint_values([d] * n_points, kmax)

@@ -1,4 +1,8 @@
+import json
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from spectral_tau import (
     CorrelatorEngine,
@@ -8,9 +12,14 @@ from spectral_tau import (
     free_energy,
     hyperelliptic_combination,
 )
-from spectral_tau.correlators import hyperelliptic_combination_from_tables
+from spectral_tau import correlators
+from spectral_tau.correlators import _series_scale, hyperelliptic_combination_from_tables
 from spectral_tau.polynomials import Poly
-from spectral_tau.serialize import correlator_table_from_json, correlator_table_to_json
+from spectral_tau.serialize import (
+    correlator_table_from_json,
+    correlator_table_to_json,
+    parse_matrix_polynomial,
+)
 
 from conftest import hyper_coeff, random_hyperelliptic, random_matrix_polynomial
 
@@ -25,6 +34,11 @@ def diag_w(n=3, m=2):
         mats.append([[Fraction(rng.randint(-3, 3)) if i == j else Fraction(0)
                       for j in range(n)] for i in range(n)])
     return MatrixPolynomial.from_power_matrices(n, m, mats)
+
+
+def doc_w(name):
+    path = Path(__file__).resolve().parent.parent / "docs" / "examples" / name
+    return parse_matrix_polynomial(json.loads(path.read_text()))
 
 
 class TestPairTable:
@@ -159,6 +173,49 @@ class TestHyperellipticCombination:
             - 2 * b3 * c1 + b1 ** 2 * c1 ** 2 + 6 * a1 * b1 * c2 - 4 * b2 * c2 - 2 * b1 * c3
         )
         assert comb2[(1, 1)] == f11
+
+
+class TestIntegerEngine:
+    @pytest.mark.parametrize("name, expected", [
+        ("three-sheet-m1.json", 1),
+        ("hyperelliptic-g1.json", 2),
+        ("hyperelliptic-g2.json", 2),
+    ])
+    def test_derived_scale(self, name, expected):
+        w = doc_w(name)
+        eng = CorrelatorEngine(w)
+        mats = [eng.slot_matrix(a, 12) for a in range(1, w.n + 1)]
+        if w.n == 2:
+            mats.append(eng.difference_matrix(12))
+        assert _series_scale(mats) == expected
+
+    def test_wrong_scale_raises(self, monkeypatch):
+        w = doc_w("hyperelliptic-g2.json")
+        eng = CorrelatorEngine(w)
+        monkeypatch.setattr(correlators, "_series_scale", lambda mats: 1)
+        with pytest.raises(ArithmeticError):
+            hyperelliptic_combination(w, 3, 1, eng)
+        with pytest.raises(ArithmeticError):
+            correlator_pair(w, 1, 2, 1, eng)
+
+    def test_five_point_matches_per_sheet_sum_random_g2(self):
+        w, *_ = random_hyperelliptic(103, 2)
+        eng = CorrelatorEngine(w)
+        fast = hyperelliptic_combination(w, 5, 0, eng)
+        assert fast == hyperelliptic_combination_from_tables(w, 5, 0, eng)
+        assert fast[(0, 0, 0, 0, 0)] != 0
+
+    @pytest.mark.parametrize("make_w, sheets, kmax", [
+        (lambda: doc_w("three-sheet-m1.json"), (1, 2, 3, 1, 2, 3), 1),
+        (lambda: random_matrix_polynomial(3, 3, 1), (1, 2, 3, 1), 1),
+    ], ids=["three-sheet-m1-N6", "random-n3m1-N4"])
+    def test_slot_swap_invariance(self, make_w, sheets, kmax):
+        w = make_w()
+        eng = CorrelatorEngine(w)
+        table = correlator_n(w, sheets, kmax, eng)
+        swapped = correlator_n(w, (sheets[1], sheets[0]) + sheets[2:], kmax, eng)
+        for key, v in table.entries.items():
+            assert swapped.value((key[1], key[0]) + key[2:]) == v
 
 
 class TestFreeEnergy:
