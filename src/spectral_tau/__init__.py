@@ -51,20 +51,13 @@ from .periods import (
 )
 from .polynomials import Poly
 from .projectors import (
-    BranchExpansion,
     PhiData,
     branch_series,
     phi_coefficients,
     projector_series,
 )
 from .rationals import Rational, format_rational, parse_rational
-from .series import (
-    MatrixTailSeries,
-    TailSeries,
-    TruncationError,
-    series_inv_sqrt,
-    series_invert,
-)
+from .series import TruncationError, USeries
 from .multipoly import MultiPoly, multipoly_exact_divide
 from .theta import log_theta_derivatives, theta
 from .verify import VerificationReport, verify_main_theorem
@@ -72,7 +65,6 @@ from .verify import VerificationReport, verify_main_theorem
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchExpansion",
     "CorrelatorEngine",
     "CorrelatorTable",
     "DivisorPoint",
@@ -81,16 +73,15 @@ __all__ = [
     "JacobianPoint",
     "JetPoint",
     "MatrixPolynomial",
-    "MatrixTailSeries",
     "MultiPoly",
     "PhiData",
     "Poly",
     "Rational",
     "ResolventCoeffs",
     "SpectralCurveData",
-    "TailSeries",
     "ThetaContext",
     "TruncationError",
+    "USeries",
     "VData",
     "VerificationReport",
     "abel_u0",
@@ -115,8 +106,6 @@ __all__ = [
     "pole_divisor",
     "projector_series",
     "resolvent_coefficients",
-    "series_inv_sqrt",
-    "series_invert",
     "tau_second_derivative",
     "theta",
     "v_vectors",

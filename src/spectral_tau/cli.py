@@ -40,10 +40,8 @@ class JobSpec:
     output_path: str | None = None
     kmax: int = 2
     max_n: int = 2
-    order: int = 3
     tol: float = 1e-9
     indices: str | None = None
-    seed: int = 0
     extra: dict = field(default_factory=dict)
 
 
@@ -211,12 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="write the JSON report here")
         p.add_argument("--kmax", type=int, default=2)
         p.add_argument("--max-n", type=int, default=2, dest="max_n")
-        p.add_argument("--order", type=int, default=3)
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--indices", default=None,
                        help='index pairs "a1,k1;a2,k2;..." for a single correlator')
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized diagnostics (reserved)")
     return parser
 
 
@@ -228,10 +223,8 @@ def main(argv=None) -> int:
         output_path=args.output,
         kmax=args.kmax,
         max_n=args.max_n,
-        order=args.order,
         tol=args.tol,
         indices=args.indices,
-        seed=args.seed,
     )
     status, report = run(job)
     _emit(report, job.output_path)

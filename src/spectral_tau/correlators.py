@@ -40,7 +40,7 @@ from typing import Mapping, Sequence
 
 from .curve import MatrixPolynomial, characteristic_data
 from .multipoly import MultiPoly, multipoly_exact_divide, multipoly_sum
-from .projectors import MatrixTailSeries, phi_coefficients, projector_series
+from .projectors import phi_coefficients, projector_series
 
 IndexPair = tuple[int, int]  # (sheet, k)
 
@@ -73,10 +73,11 @@ class CorrelatorEngine:
         if fatal:
             raise ValueError(f"invalid input: {fatal[0].detail or fatal[0].name}")
         self._phi = None
-        self._projectors: dict[int, MatrixTailSeries] = {}
+        self._projectors: dict[int, tuple] = {}
         self._proj_order = -1
 
-    def projector(self, sheet: int, order: int) -> MatrixTailSeries:
+    def projector(self, sheet: int, order: int) -> tuple:
+        """Pi_sheet as an n x n grid of series trusted through at least u^order."""
         if order > self._proj_order:
             if self._phi is None:
                 self._phi = phi_coefficients(self.curve, self.w)
@@ -88,13 +89,15 @@ class CorrelatorEngine:
         return self._projectors[sheet]
 
     def slot_matrix(self, sheet: int, order: int):
-        """Projector as an n x n grid of u-coefficient lists (length order+1)."""
-        pi = self.projector(sheet, order)
-        n = pi.n
-        return [
-            [[pi.entry(i, j).coefficient(-k) for k in range(order + 1)] for j in range(n)]
-            for i in range(n)
-        ]
+        """Pi_sheet as an n x n grid of coefficient lists of u^0..u^order.
+
+        Each list is exactly order + 1 long, also when the cached projectors
+        were computed at a higher order; the coefficients are read through
+        the series' checked accessor, so a read past a window raises
+        TruncationError instead of returning a zero.
+        """
+        return [[s.coefficients(0, order + 1) for s in row]
+                for row in self.projector(sheet, order)]
 
     def difference_matrix(self, order: int):
         """Pi_1 - Pi_2 for n = 2 (the hyperelliptic difference convention)."""
@@ -102,11 +105,8 @@ class CorrelatorEngine:
             raise ValueError("difference matrix is a 2-sheet construction")
         p1 = self.projector(1, order)
         p2 = self.projector(2, order)
-        d = p1 - p2
-        return [
-            [[d.entry(i, j).coefficient(-k) for k in range(order + 1)] for j in range(2)]
-            for i in range(2)
-        ]
+        return [[(s1 - s2).coefficients(0, order + 1) for s1, s2 in zip(r1, r2)]
+                for r1, r2 in zip(p1, p2)]
 
 
 # ---------------------------------------------------------------------------

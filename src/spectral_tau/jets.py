@@ -176,7 +176,7 @@ def jet_from_projectors(w: MatrixPolynomial, projectors=None) -> JetPoint:
     n = w.n
     if projectors is None:
         projectors = all_projectors(w, 3)
-    coeff = lambda a, order: projectors[a - 1].matrix_at(-order)
+    coeff = lambda a, k: tuple(tuple(s[k] for s in row) for row in projectors[a - 1])
 
     y: dict[tuple[int, int], Fraction] = {}
     for i in range(1, n + 1):

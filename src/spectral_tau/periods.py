@@ -26,7 +26,7 @@ import numpy as np
 
 from .curve import MatrixPolynomial, characteristic_data
 from .polynomials import Poly, is_squarefree
-from .series import TailSeries, series_inv_sqrt
+from .series import USeries
 
 
 class PeriodError(Exception):
@@ -690,10 +690,9 @@ def v_vectors(curve: HyperellipticCurve, ctx: ThetaContext, kmax: int) -> VData:
     """V^(k)_i = alpha_{i1} r_k + ... + alpha_{ig} r_{k-g+1}, r from the exact series."""
     q = curve.q_poly
     deg = q.degree()
-    rev = [q.coeff(deg - k) for k in range(deg + 1)]  # 1, q_1, ..., q_{2g+2}
-    s = TailSeries(0, rev, None)
-    inv_sqrt = series_inv_sqrt(s, order=kmax + curve.g + 1)
-    r = tuple(inv_sqrt.coefficient(-k) for k in range(kmax + curve.g + 2))
+    length = kmax + curve.g + 2
+    s = USeries(0, [q.coeff(deg - k) for k in range(length)])  # 1 + q_1 u + q_2 u^2 + ...
+    r = tuple(s.inv_sqrt().coefficients(0, length))
     vectors = []
     for k in range(kmax + 1):
         v = np.zeros(curve.g, dtype=complex)

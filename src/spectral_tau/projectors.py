@@ -1,13 +1,13 @@
 """Branch expansions at infinity and spectral-projector series.
 
-For each sheet a the branch w_a(z) = b0_a z^m + lower terms solves
-R(z, w_a(z)) = 0.  Internally everything is rescaled by the right power of z
-and rewritten in u = 1/z, so the computation lives in the exact quotient ring
-Q[[u]] / u^(K+1): v(u) = w_a(z)/z^m solves the rescaled curve equation, found
-by Newton iteration with quadratic convergence (the rescaled R_w at u=0 is
-prod_{b!=a}(b0_a - b0_b), invertible when the leading entries are distinct).
-The projector series Pi_a = Phi(z, w_a)/R_w(z, w_a) then comes out with an
-exactly known trusted window of K tail terms.
+Everything here is a :class:`~spectral_tau.series.USeries` in u = 1/z.  For
+each sheet a the branch w_a(z) = b0_a z^m + lower terms is a series of
+valuation -m solving R(z, w_a) = 0, found by Newton iteration with quadratic
+convergence: R_w at the branch starts with prod_{b!=a}(b0_a - b0_b)
+u^(-m(n-1)), invertible when the leading entries are distinct, and the
+window rule keeps every iterate at the requested length.  The projector
+Pi_a = Phi(z, w_a)/R_w(z, w_a) then comes out as an n x n grid of series,
+each trusted through u^K.
 """
 
 from __future__ import annotations
@@ -17,70 +17,12 @@ from fractions import Fraction
 
 from .curve import MatrixPolynomial, SpectralCurveData, characteristic_data
 from .polynomials import Poly
-from .series import MatrixTailSeries, TailSeries
+from .series import USeries
 
 
 class BranchError(Exception):
     pass
 
-
-# ---------------------------------------------------------------------------
-# dense truncated power series in u (plain lists of Fraction, fixed length K+1)
-# ---------------------------------------------------------------------------
-
-def _jet(coeffs, K: int) -> list[Fraction]:
-    out = [Fraction(c) for c in coeffs[: K + 1]]
-    out += [Fraction(0)] * (K + 1 - len(out))
-    return out
-
-
-def _jet_add(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-
-def _jet_sub(a, b):
-    return [x - y for x, y in zip(a, b)]
-
-
-def _jet_mul(a, b):
-    K = len(a) - 1
-    out = [Fraction(0)] * (K + 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j in range(0, K + 1 - i):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-    return out
-
-
-def _jet_scale(a, c):
-    c = Fraction(c)
-    return [c * x for x in a]
-
-
-def _jet_inv(a):
-    K = len(a) - 1
-    if a[0] == 0:
-        raise BranchError("jet inversion needs a unit constant term")
-    out = [Fraction(0)] * (K + 1)
-    out[0] = 1 / a[0]
-    for k in range(1, K + 1):
-        acc = Fraction(0)
-        for j in range(1, k + 1):
-            if a[j]:
-                acc += a[j] * out[k - j]
-        out[k] = -acc / a[0]
-    return out
-
-
-def _reversed_poly_jet(p: Poly, top_degree: int, K: int) -> list[Fraction]:
-    """u^top_degree * p(1/u) as a jet: coefficient of u^k is p.coeff(top_degree - k)."""
-    return _jet([p.coeff(top_degree - k) for k in range(K + 1)], K)
-
-
-# ---------------------------------------------------------------------------
-# public data types
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PhiData:
@@ -88,14 +30,6 @@ class PhiData:
 
     n: int
     b: tuple  # tuple of n PolyMatrix (tuples of tuples of Poly)
-
-
-@dataclass(frozen=True)
-class BranchExpansion:
-    sheet: int
-    w: TailSeries
-    r_w: TailSeries
-    projector: MatrixTailSeries
 
 
 def phi_coefficients(curve: SpectralCurveData, w: MatrixPolynomial) -> PhiData:
@@ -119,40 +53,40 @@ def phi_coefficients(curve: SpectralCurveData, w: MatrixPolynomial) -> PhiData:
     return PhiData(n=n, b=tuple(mats))
 
 
-def _rescaled_char_jets(curve: SpectralCurveData, K: int) -> list[list[Fraction]]:
-    """Jets of a-hat_i(u) = u^(m*i) a_i(1/u) for i = 0..n (a_0 = 1)."""
-    out = [_jet([1], K)]
-    for i in range(1, curve.n + 1):
-        out.append(_reversed_poly_jet(curve.a(i), curve.m * i, K))
-    return out
+def _horner(terms, w: USeries) -> USeries:
+    """terms[0] w^d + terms[1] w^(d-1) + ... + terms[d]."""
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = acc * w + t
+    return acc
 
 
-def _branch_jet(curve: SpectralCurveData, leading: Fraction, K: int) -> list[Fraction]:
-    """Solve the rescaled curve equation for v(u) = w(z)/z^m, v(0) = leading."""
-    ahat = _rescaled_char_jets(curve, K)
-    n = curve.n
+def _char_terms(curve: SpectralCurveData, length: int) -> list[USeries]:
+    """a_0 = 1, a_1(z), ..., a_n(z) as series of the given length."""
+    return [USeries.from_poly(curve.a(i), length) for i in range(curve.n + 1)]
 
-    def s_of(v):
-        acc = _jet([1], K)
-        for i in range(1, n + 1):
-            acc = _jet_add(_jet_mul(acc, v), ahat[i])
-        return acc
 
-    def s_v_of(v):
-        acc = _jet([n], K)
-        for i in range(1, n):
-            acc = _jet_add(_jet_mul(acc, v), _jet_scale(ahat[i], n - i))
-        return acc
+def _derivative_terms(terms: list[USeries]) -> list[USeries]:
+    """Horner terms of R_w from those of R: (n - i) a_i for i < n."""
+    n = len(terms) - 1
+    return [(n - i) * t for i, t in enumerate(terms[:n])]
 
-    v = _jet([leading], K)
-    for _ in range(max(1, K).bit_length() + 3):
-        r = s_of(v)
-        if all(c == 0 for c in r):
-            return v
-        v = _jet_sub(v, _jet_mul(r, _jet_inv(s_v_of(v))))
-    r = s_of(v)
-    if all(c == 0 for c in r):
-        return v
+
+def _branch(curve: SpectralCurveData, leading: Fraction, order: int) -> USeries:
+    """Solve R(z, w) = 0 for w = leading z^m + ..., trusted through u^(order - m).
+
+    The zeros padding the first iterate are a guess, not trusted values;
+    what certifies the result is R(z, w) = 0 on the whole window, since R_w
+    is invertible there and the root is therefore unique.
+    """
+    terms = _char_terms(curve, order + 1)
+    d_terms = _derivative_terms(terms)
+    w = USeries(-curve.m, [leading] + [0] * order)
+    for _ in range(max(1, order).bit_length() + 4):
+        r = _horner(terms, w)
+        if r.is_zero():
+            return w
+        w = w - r * _horner(d_terms, w).inverse()
     raise BranchError("Newton iteration for the branch series failed to converge")
 
 
@@ -165,8 +99,8 @@ def sheet_leading_entries(w: MatrixPolynomial) -> tuple:
 
 
 def branch_series(curve: SpectralCurveData, sheet: int, order: int,
-                  leading: Fraction | None = None) -> TailSeries:
-    """Branch w_sheet(z) as a tail series trusted down to z^(m - order).
+                  leading: Fraction | None = None) -> USeries:
+    """Branch w_sheet(z) as a series of valuation -m trusted through z^(m - order).
 
     When ``leading`` is not given the sheet label refers to the ascending
     order of the leading-equation roots; pipelines built from a concrete W
@@ -177,8 +111,7 @@ def branch_series(curve: SpectralCurveData, sheet: int, order: int,
         if not 1 <= sheet <= len(roots):
             raise BranchError(f"sheet index {sheet} out of range")
         leading = roots[sheet - 1]
-    v = _branch_jet(curve, Fraction(leading), order)
-    return TailSeries(curve.m, v, curve.m - order)
+    return _branch(curve, Fraction(leading), order)
 
 
 def _leading_equation_roots(curve: SpectralCurveData) -> list[Fraction]:
@@ -230,11 +163,12 @@ def _find_rational_root(p: Poly) -> Fraction | None:
 
 def projector_series(w: MatrixPolynomial, sheet: int, order: int,
                      curve: SpectralCurveData | None = None,
-                     phi: PhiData | None = None) -> MatrixTailSeries:
-    """Pi_sheet(z) = Phi(z, w_sheet)/R_w(z, w_sheet), trusted through z^(-order).
+                     phi: PhiData | None = None) -> tuple:
+    """Pi_sheet(z) = Phi(z, w_sheet)/R_w(z, w_sheet) as an n x n grid of series.
 
-    All coefficients are exact rationals; the constant term is asserted to be
-    the basis idempotent E_sheet.
+    Every entry is trusted through u^order exactly, so reading u^(order + 1)
+    raises.  All coefficients are exact rationals; the constant term is
+    asserted to be the basis idempotent E_sheet.
     """
     if curve is None:
         curve = characteristic_data(w, with_diagnostics=True)
@@ -243,77 +177,33 @@ def projector_series(w: MatrixPolynomial, sheet: int, order: int,
         raise BranchError(f"invalid input: {fatal[0].detail or fatal[0].name}")
     if phi is None:
         phi = phi_coefficients(curve, w)
-    n, m, K = w.n, w.m, order
+    n, length = w.n, order + 1
     entries = sheet_leading_entries(w)
     if not 1 <= sheet <= n:
         raise BranchError(f"sheet index {sheet} out of range 1..{n}")
-    v = _branch_jet(curve, entries[sheet - 1], K)
-    ahat = _rescaled_char_jets(curve, K)
-    # T(u) = rescaled R_w = sum_i (n-i) ahat_i v^{n-1-i}
-    t = _jet([n], K)
-    for i in range(1, n):
-        t = _jet_add(_jet_mul(t, v), _jet_scale(ahat[i], n - i))
-    t_inv = _jet_inv(t)
-    # Phi-hat entries: sum_i (u^(m*i) b_i(1/u)) * v^(n-1-i), all mod u^(K+1)
-    vpow = [_jet([1], K)]
-    for _ in range(n - 1):
-        vpow.append(_jet_mul(vpow[-1], v))
-    pi_entries = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            acc = _jet([0], K)
-            for i in range(n):
-                bij = _reversed_poly_jet(phi.b[i][r][c], m * i, K)
-                acc = _jet_add(acc, _jet_mul(bij, vpow[n - 1 - i]))
-            row.append(_jet_mul(acc, t_inv))
-        pi_entries.append(row)
-    mats = []
-    for k in range(K + 1):
-        mats.append(tuple(tuple(pi_entries[r][c][k] for c in range(n)) for r in range(n)))
-    pi = MatrixTailSeries(n, 0, mats, -K)
-    top = pi.matrix_at(0)
-    ok = all(
-        top[i][j] == (1 if (i == j == sheet - 1) else 0) for i in range(n) for j in range(n)
+    wa = _branch(curve, entries[sheet - 1], order)
+    t_inv = _horner(_derivative_terms(_char_terms(curve, length)), wa).inverse()
+    # Phi's Horner form starts from b_0 = 1, whose entries (ones and zeros)
+    # enter with valuation 0, so every Phi entry has valuation -m(n-1) and
+    # every Pi entry the window u^0 .. u^order exactly
+    pi = tuple(
+        tuple(_horner([USeries.from_poly(b[r][c], length) for b in phi.b], wa) * t_inv
+              for c in range(n))
+        for r in range(n)
     )
-    if not ok:
+    if any(pi[i][j][0] != (1 if i == j == sheet - 1 else 0) for i in range(n) for j in range(n)):
         raise BranchError(f"projector series for sheet {sheet} does not start at its idempotent")
     return pi
 
 
 def all_projectors(w: MatrixPolynomial, order: int,
-                   curve: SpectralCurveData | None = None) -> list[MatrixTailSeries]:
+                   curve: SpectralCurveData | None = None) -> list[tuple]:
     if curve is None:
         curve = characteristic_data(w, with_diagnostics=True)
     phi = phi_coefficients(curve, w)
     return [projector_series(w, a, order, curve=curve, phi=phi) for a in range(1, w.n + 1)]
 
 
-def branch_expansion(w: MatrixPolynomial, sheet: int, order: int) -> BranchExpansion:
-    """Bundle the branch, its curve derivative and the projector for one sheet."""
-    curve = characteristic_data(w, with_diagnostics=True)
-    entries = sheet_leading_entries(w)
-    wa = branch_series(curve, sheet, order + 2 * w.m * w.n, leading=entries[sheet - 1])
-    floor = (w.n - 1) * w.m - (order + 2 * w.m * w.n)
-    rw = _eval_rw_tail(curve, wa, floor)
-    pi = projector_series(w, sheet, order, curve=curve)
-    return BranchExpansion(sheet=sheet, w=wa, r_w=rw, projector=pi)
-
-
-def _eval_rw_tail(curve: SpectralCurveData, wa: TailSeries, floor: int) -> TailSeries:
-    n = curve.n
-    acc = TailSeries.constant(n)
-    for i in range(1, n):
-        acc = (acc * wa + TailSeries.from_poly(curve.a(i)) * (n - i)).truncate(floor)
-    return acc
-
-
-def branch_residual(curve: SpectralCurveData, branch: TailSeries) -> TailSeries:
-    """R(z, branch) as a tail series; identically zero within trust for a valid branch."""
-    acc = TailSeries.constant(1)
-    floor = branch.low + (curve.n - 1) * curve.m if branch.low is not None else None
-    for i in range(1, curve.n + 1):
-        acc = acc * branch + TailSeries.from_poly(curve.a(i))
-        if floor is not None:
-            acc = acc.truncate(floor)
-    return acc
+def branch_residual(curve: SpectralCurveData, branch: USeries) -> USeries:
+    """R(z, branch) as a series; zero within its window for a valid branch."""
+    return _horner(_char_terms(curve, len(branch.coeffs)), branch)

@@ -1,7 +1,8 @@
 """Exact rational scalars and their canonical string form.
 
-Every exact value in this package is a ``fractions.Fraction``: always reduced,
-positive denominator, no rounding anywhere.  The wire format is ``"p/q"``
+Every exact value in this package is a ``fractions.Fraction`` (always
+reduced, positive denominator) or a Python ``int``; there is no rounding
+anywhere.  The wire format is ``"p/q"``
 (or ``"p"`` when the denominator is 1), and parsing/formatting round-trips
 bit-exactly.
 """

@@ -8,7 +8,7 @@ byte-identical reports.
 
 from __future__ import annotations
 
-from .correlators import CorrelatorTable, FreeEnergyPolynomial
+from .correlators import CorrelatorTable
 from .curve import InvalidMatrixPolynomial, MatrixPolynomial
 from .jets import JetPoint
 from .rationals import format_rational, parse_rational
@@ -59,14 +59,6 @@ def parse_matrix_polynomial(data: dict) -> MatrixPolynomial:
         raise ParseError(str(exc)) from exc
 
 
-def matrix_polynomial_to_json(w: MatrixPolynomial) -> dict:
-    coeffs = []
-    for k in range(w.m, -1, -1):
-        mat = w.coefficient_of_power(k)
-        coeffs.append([[format_rational(x) for x in row] for row in mat])
-    return {"n": w.n, "m": w.m, "coefficients": coeffs}
-
-
 def correlator_table_to_json(table: CorrelatorTable) -> dict:
     entries = []
     for key in sorted(table.entries):
@@ -84,16 +76,6 @@ def correlator_table_from_json(data: dict) -> CorrelatorTable:
         key = tuple((int(a), int(k)) for a, k in zip(item["a"], item["k"]))
         entries[key] = parse_rational(item["value"])
     return CorrelatorTable(int(data["N"]), entries, int(data["trusted_order"]))
-
-
-def free_energy_to_json(fe: FreeEnergyPolynomial) -> dict:
-    terms = []
-    for mono in sorted(fe.coefficients):
-        terms.append({
-            "labels": [[a, k] for a, k in mono],
-            "coefficient": format_rational(fe.coefficients[mono]),
-        })
-    return {"max_n": fe.max_n, "kmax": fe.kmax, "terms": terms}
 
 
 def divisor_points_to_json(points) -> list:

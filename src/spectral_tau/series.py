@@ -1,484 +1,161 @@
-"""Truncated Laurent tail series in 1/z with exact rational coefficients.
+"""Truncated power series in u = 1/z with exact rational coefficients.
 
-A :class:`TailSeries` stores coefficients for descending powers of z starting
-at ``lead``.  ``low`` is the lowest *trusted* exponent: coefficients below it
-are unknown, never silently zero, and reading one raises
-:class:`TruncationError`.  ``low=None`` marks an exact Laurent polynomial
-(every unstored coefficient is a true zero).
+A :class:`USeries` holds the coefficients of u^val, ..., u^(end - 1), where
+``end = val + len(coeffs)``.  Its length is its trust certificate: a
+coefficient below ``val`` is a true zero, and a coefficient at or past
+``end`` is unknown, so reading it raises :class:`TruncationError`.  A
+polynomial p(z) enters through :meth:`USeries.from_poly` with valuation
+-deg p, so W(z), the characteristic coefficients a_i(z) and the branches
+w_a ~ b0_a z^m are all series of this one type.
 
-Arithmetic propagates the trusted window pessimistically, so a value's ``low``
-is always a sound certificate of which coefficients are exact.
+Window rule: a sum or difference is trusted up to the smaller of the two
+ends; a product a*b up to min(a.end + b.val, b.end + a.val), that is, from
+a.val + b.val for the smaller of the two lengths; :meth:`inverse` and
+:meth:`inv_sqrt` keep the input's length.  So every result's window is a
+sound certificate of which coefficients are exact.
+
+There is no exact mode.  An exact polynomial would need an unbounded window,
+and every operation would then have to special-case it (an inverse of an
+exact non-monomial series has no natural length at all).  Giving each
+polynomial an explicit length when it becomes a series keeps one rule for
+every value.
+
+Coefficients are Python ints and Fractions and are used as they are; only
+division (in :meth:`inverse` and :meth:`inv_sqrt`) makes new Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from operator import add, sub
+from typing import Iterable
 
 from .polynomials import Poly
 
 
 class TruncationError(Exception):
-    """Raised when a coefficient below the trusted range is read."""
+    """Raised when a coefficient at or past a series' trusted window is read."""
 
 
 class NotInvertibleError(Exception):
     """Raised when a series has no invertible leading coefficient."""
 
 
-def _min2(a: int | None, b: int | None) -> int | None:
-    # None stands for "exact to -infinity"; max() of trust floors, None wins only
-    # when both are None.
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return max(a, b)
+class USeries:
+    __slots__ = ("val", "coeffs")
 
-
-class TailSeries:
-    __slots__ = ("lead", "coeffs", "low")
-
-    def __init__(self, lead: int, coeffs: Iterable[Fraction | int], low: int | None):
-        cs = tuple(Fraction(c) for c in coeffs)
-        if low is not None:
-            if lead - low + 1 != len(cs):
-                raise ValueError("coefficient count does not match exponent window")
-        self.lead = lead
-        self.coeffs = cs
-        self.low = low
-
-    # -- constructors -----------------------------------------------------
-    @staticmethod
-    def zero(low: int | None = None, lead: int = 0) -> "TailSeries":
-        if low is None:
-            return TailSeries(0, (), None)
-        return TailSeries(lead, (Fraction(0),) * (lead - low + 1), low)
+    def __init__(self, val: int, coeffs: Iterable[int | Fraction]):
+        self.val = val
+        self.coeffs = tuple(coeffs)
 
     @staticmethod
-    def constant(c, low: int | None = None) -> "TailSeries":
-        s = TailSeries(0, (Fraction(c),), None)
-        return s if low is None else s.truncate(low)
+    def from_poly(p: Poly, length: int) -> "USeries":
+        """p(1/u) with ``length`` coefficients from u^(-deg p) on."""
+        d = max(p.degree(), 0)
+        return USeries(-d, [p.coeff(d - k) for k in range(length)])
 
-    @staticmethod
-    def monomial(exponent: int, coeff=1, low: int | None = None) -> "TailSeries":
-        s = TailSeries(exponent, (Fraction(coeff),), None)
-        return s if low is None else s.truncate(low)
+    @property
+    def end(self) -> int:
+        """First exponent past the trusted window."""
+        return self.val + len(self.coeffs)
 
-    @staticmethod
-    def from_poly(p: Poly, low: int | None = None) -> "TailSeries":
-        if p.is_zero():
-            return TailSeries.zero(low)
-        d = p.degree()
-        s = TailSeries(d, tuple(reversed(p.coeffs)), None)
-        return s if low is None else s.truncate(low)
+    def _check(self, k: int) -> None:
+        if k >= self.end:
+            raise TruncationError(
+                f"coefficient of u^{k} is past the trusted window (end={self.end})")
 
-    # -- inspection --------------------------------------------------------
-    def stored_floor(self) -> int:
-        """Lowest exponent with a stored coefficient."""
-        return self.lead - len(self.coeffs) + 1
+    def __getitem__(self, k: int):
+        if k < self.val:
+            return 0
+        self._check(k)
+        return self.coeffs[k - self.val]
 
-    def coefficient(self, exponent: int) -> Fraction:
-        if exponent > self.lead:
-            return Fraction(0)
-        idx = self.lead - exponent
-        if idx < len(self.coeffs):
-            return self.coeffs[idx]
-        if self.low is None:
-            return Fraction(0)
-        raise TruncationError(
-            f"coefficient of z^{exponent} is below the trusted range (low={self.low})"
-        )
+    def coefficients(self, start: int, stop: int) -> list:
+        """Coefficients of u^start .. u^(stop - 1); raises past the window."""
+        self._check(stop - 1)
+        pad = max(min(self.val, stop) - start, 0)
+        return [0] * pad + list(self.coeffs[max(start - self.val, 0):stop - self.val])
 
-    def is_zero_within_trust(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def normalized(self) -> "TailSeries":
-        """Drop leading zero coefficients (lead decreases, trust unchanged)."""
-        k = 0
-        while k < len(self.coeffs) and self.coeffs[k] == 0:
-            k += 1
-        if k == 0:
-            return self
-        return TailSeries(self.lead - k, self.coeffs[k:], self.low)
-
-    def truncate(self, new_low: int) -> "TailSeries":
-        """Forget coefficients below new_low (raises the trust floor)."""
-        if self.low is not None and self.low >= new_low:
-            return self
-        lead = max(self.lead, new_low)
-        coeffs = [self.coefficient(e) for e in range(lead, new_low - 1, -1)]
-        return TailSeries(lead, tuple(coeffs), new_low)
+    def is_zero(self) -> bool:
+        """True when every trusted coefficient vanishes."""
+        return not any(self.coeffs)
 
     # -- ring operations ---------------------------------------------------
-    def __add__(self, other) -> "TailSeries":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        low = _min2(self.low, other.low)
-        lead = max(self.lead, other.lead)
-        if low is None:
-            floor = min(self.stored_floor(), other.stored_floor())
-        else:
-            floor = low
-        if lead < floor:
-            lead = floor
-        coeffs = [self.coefficient(e) + other.coefficient(e) for e in range(lead, floor - 1, -1)]
-        return TailSeries(lead, tuple(coeffs), low)
+    def _combine(self, other: "USeries", op) -> "USeries":
+        val, end = min(self.val, other.val), min(self.end, other.end)
+        return USeries(val, map(op, self.coefficients(val, end), other.coefficients(val, end)))
 
-    __radd__ = __add__
+    def __add__(self, other: "USeries") -> "USeries":
+        return self._combine(other, add)
 
-    def __neg__(self) -> "TailSeries":
-        return TailSeries(self.lead, tuple(-c for c in self.coeffs), self.low)
+    def __sub__(self, other: "USeries") -> "USeries":
+        return self._combine(other, sub)
 
-    def __sub__(self, other) -> "TailSeries":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "TailSeries":
-        return _coerce(other) - self
-
-    def __mul__(self, other) -> "TailSeries":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.low is None and other.low is None:
-            low = None
-            floor = self.stored_floor() + other.stored_floor()
-        else:
-            lows = []
-            if self.low is not None:
-                lows.append(self.low + other.lead)
-            if other.low is not None:
-                lows.append(other.low + self.lead)
-            low = max(lows)
-            floor = low
-        lead = self.lead + other.lead
-        if lead < floor:
-            return TailSeries.zero(low, lead=floor)
-        out = [Fraction(0)] * (lead - floor + 1)
-        for i, ca in enumerate(self.coeffs):
-            if ca == 0:
-                continue
-            ea = self.lead - i
-            for j, cb in enumerate(other.coeffs):
-                if cb == 0:
-                    continue
-                e = ea + other.lead - j
-                if e < floor:
-                    break
-                out[lead - e] += ca * cb
-        return TailSeries(lead, tuple(out), low)
+    def __mul__(self, other) -> "USeries":
+        if isinstance(other, (int, Fraction)):
+            return USeries(self.val, [other * c for c in self.coeffs])
+        a, b = self.coeffs, other.coeffs
+        n = min(len(a), len(b))
+        out = [0] * n
+        for i in range(n):
+            ai = a[i]
+            if ai:
+                for j in range(n - i):
+                    bj = b[j]
+                    if bj:
+                        out[i + j] += ai * bj
+        return USeries(self.val + other.val, out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "TailSeries":
-        if n < 0:
-            raise ValueError("negative power; use series_invert")
-        result = TailSeries.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+    def _normalized(self) -> "USeries":
+        """Drop leading zeros: the valuation rises, the end stays."""
+        for k, c in enumerate(self.coeffs):
+            if c:
+                return USeries(self.val + k, self.coeffs[k:])
+        raise NotInvertibleError("series vanishes on its trusted window")
+
+    def inverse(self) -> "USeries":
+        """1/s, of valuation -val and the same length as s without leading zeros."""
+        s = self._normalized()
+        a = s.coeffs
+        inv0 = 1 / Fraction(a[0])
+        out = [inv0]
+        for k in range(1, len(a)):
+            acc = 0
+            for j in range(1, k + 1):
+                if a[j]:
+                    acc += a[j] * out[k - j]
+            out.append(-acc * inv0)
+        return USeries(-s.val, out)
+
+    def inv_sqrt(self) -> "USeries":
+        """s^(-1/2) for s = 1 + O(u), of the same length.
+
+        The constant term must be exactly 1: general square roots would leave
+        the rationals.  Uses s y' = -(1/2) s' y, which gives
+        y_k = sum_{j=1..k} (j - 2k) s_j y_(k-j) / (2k).
+        """
+        s = self._normalized()
+        if s.val != 0 or s.coeffs[0] != 1:
+            raise NotInvertibleError("inverse square root requires constant term 1")
+        a = s.coeffs
+        y = [Fraction(1)]
+        for k in range(1, len(a)):
+            acc = 0
+            for j in range(1, k + 1):
+                if a[j]:
+                    acc += (j - 2 * k) * a[j] * y[k - j]
+            y.append(Fraction(acc) / (2 * k))
+        return USeries(0, y)
 
     def __eq__(self, other) -> bool:
         """Equality of trusted content on the common trusted window."""
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, USeries):
             return NotImplemented
-        low = _min2(self.low, other.low)
-        lead = max(self.lead, other.lead)
-        if low is None:
-            floor = min(self.stored_floor(), other.stored_floor())
-        else:
-            floor = low
-        return all(
-            self.coefficient(e) == other.coefficient(e) for e in range(lead, floor - 1, -1)
-        )
+        return (self - other).is_zero()
 
-    def __hash__(self):
-        raise TypeError("TailSeries is unhashable (window-relative equality)")
+    __hash__ = None
 
     def __repr__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coeffs[:8]):
-            if c:
-                e = self.lead - i
-                parts.append(f"{c}*z^{e}")
-        body = " + ".join(parts) if parts else "0"
-        tail = f" + O(z^{self.low - 1})" if self.low is not None else ""
-        return f"TailSeries({body}{tail})"
-
-
-def _coerce(x):
-    if isinstance(x, TailSeries):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return TailSeries.constant(x)
-    if isinstance(x, Poly):
-        return TailSeries.from_poly(x)
-    return NotImplemented
-
-
-def series_invert(s: TailSeries, order: int | None = None) -> TailSeries:
-    """Multiplicative inverse of a tail series.
-
-    ``order``: number of tail terms below the leading one to produce when
-    ``s`` is exact (an exact non-monomial series has an infinite inverse, so
-    the caller must bound it).  For a truncated input the inverse inherits the
-    input's trusted window size and ``order`` is not needed.
-    """
-    s = s.normalized()
-    if not s.coeffs or s.coeffs[0] == 0:
-        raise NotInvertibleError("not invertible as a Laurent series (zero leading coefficient)")
-    if s.low is None:
-        if order is None:
-            if len(s.coeffs) == 1:
-                return TailSeries(-s.lead, (1 / s.coeffs[0],), None)
-            raise ValueError("order is required to invert an exact non-monomial series")
-        nterms = order + 1
-    else:
-        nterms = s.lead - s.low + 1
-    lead_out = -s.lead
-    c0 = s.coeffs[0]
-    out = [Fraction(0)] * nterms
-    out[0] = 1 / c0
-    for k in range(1, nterms):
-        acc = Fraction(0)
-        for j in range(1, k + 1):
-            sj = s.coeffs[j] if j < len(s.coeffs) else Fraction(0)
-            if sj:
-                acc += sj * out[k - j]
-        out[k] = -acc / c0
-    low_out = None if (s.low is None and len(s.coeffs) == 1) else lead_out - nterms + 1
-    return TailSeries(lead_out, tuple(out), low_out)
-
-
-def series_inv_sqrt(s: TailSeries, order: int | None = None) -> TailSeries:
-    """Inverse square root of ``1 + O(1/z)``; coefficients stay rational.
-
-    The leading coefficient must be exactly 1 at exponent 0: general square
-    roots would leave the rationals.
-    """
-    s = s.normalized()
-    if s.lead != 0 or not s.coeffs or s.coeffs[0] != 1:
-        raise NotInvertibleError("inverse square root requires leading term 1*z^0")
-    if s.low is None:
-        if order is None:
-            raise ValueError("order is required for an exact input")
-        nterms = order + 1
-    else:
-        nterms = -s.low + 1
-    # y_{k} from (y^2 * s)_k = delta_{k0}: expand and solve term by term.
-    y = [Fraction(0)] * nterms
-    y[0] = Fraction(1)
-    for k in range(1, nterms):
-        # coefficient of u^k in y^2*s using entries of y up to k-1 plus 2*y0*y[k]*s0
-        acc = Fraction(0)
-        for i in range(0, k + 1):
-            for j in range(0, k - i + 1):
-                if i == k or j == k:
-                    continue
-                m = k - i - j
-                sm = s.coeffs[m] if m < len(s.coeffs) else Fraction(0)
-                if sm:
-                    acc += y[i] * y[j] * sm
-        y[k] = -acc / 2
-    low_out = -(nterms - 1)
-    return TailSeries(0, tuple(y), low_out)
-
-
-class MatrixTailSeries:
-    """Square matrix of tail series with a shared trusted window.
-
-    Stored as per-exponent matrices (tuples of tuples of Fraction), descending
-    from ``lead``; the truncation discipline matches :class:`TailSeries`.
-    """
-
-    __slots__ = ("n", "lead", "coeffs", "low")
-
-    def __init__(self, n: int, lead: int, coeffs: Sequence, low: int | None):
-        mats = tuple(
-            tuple(tuple(Fraction(x) for x in row) for row in mat) for mat in coeffs
-        )
-        if low is not None and lead - low + 1 != len(mats):
-            raise ValueError("matrix count does not match exponent window")
-        for mat in mats:
-            if len(mat) != n or any(len(row) != n for row in mat):
-                raise ValueError("matrix size mismatch")
-        self.n = n
-        self.lead = lead
-        self.coeffs = mats
-        self.low = low
-
-    @staticmethod
-    def _zero_mat(n: int):
-        return tuple((Fraction(0),) * n for _ in range(n))
-
-    @staticmethod
-    def from_scalar_matrix(mat, low: int | None = None) -> "MatrixTailSeries":
-        n = len(mat)
-        s = MatrixTailSeries(n, 0, (mat,), None)
-        return s if low is None else s.truncate(low)
-
-    @staticmethod
-    def from_poly_matrix(mat: Sequence[Sequence[Poly]], low: int | None = None) -> "MatrixTailSeries":
-        n = len(mat)
-        deg = max((p.degree() for row in mat for p in row), default=0)
-        deg = max(deg, 0)
-        mats = []
-        for e in range(deg, -1, -1):
-            mats.append(tuple(tuple(mat[i][j].coeff(e) for j in range(n)) for i in range(n)))
-        s = MatrixTailSeries(n, deg, mats, None)
-        return s if low is None else s.truncate(low)
-
-    def stored_floor(self) -> int:
-        return self.lead - len(self.coeffs) + 1
-
-    def matrix_at(self, exponent: int):
-        if exponent > self.lead:
-            return self._zero_mat(self.n)
-        idx = self.lead - exponent
-        if idx < len(self.coeffs):
-            return self.coeffs[idx]
-        if self.low is None:
-            return self._zero_mat(self.n)
-        raise TruncationError(
-            f"matrix coefficient of z^{exponent} is below the trusted range (low={self.low})"
-        )
-
-    def entry(self, i: int, j: int) -> TailSeries:
-        return TailSeries(self.lead, tuple(m[i][j] for m in self.coeffs), self.low)
-
-    def truncate(self, new_low: int) -> "MatrixTailSeries":
-        if self.low is not None and self.low >= new_low:
-            return self
-        lead = max(self.lead, new_low)
-        mats = [self.matrix_at(e) for e in range(lead, new_low - 1, -1)]
-        return MatrixTailSeries(self.n, lead, mats, new_low)
-
-    def __add__(self, other: "MatrixTailSeries") -> "MatrixTailSeries":
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        low = _min2(self.low, other.low)
-        lead = max(self.lead, other.lead)
-        floor = low if low is not None else min(self.stored_floor(), other.stored_floor())
-        lead = max(lead, floor)
-        n = self.n
-        mats = []
-        for e in range(lead, floor - 1, -1):
-            a, b = self.matrix_at(e), other.matrix_at(e)
-            mats.append(tuple(tuple(a[i][j] + b[i][j] for j in range(n)) for i in range(n)))
-        return MatrixTailSeries(n, lead, mats, low)
-
-    def __neg__(self) -> "MatrixTailSeries":
-        mats = [tuple(tuple(-x for x in row) for row in m) for m in self.coeffs]
-        return MatrixTailSeries(self.n, self.lead, mats, self.low)
-
-    def __sub__(self, other: "MatrixTailSeries") -> "MatrixTailSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "MatrixTailSeries") -> "MatrixTailSeries":
-        if not isinstance(other, MatrixTailSeries):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        n = self.n
-        if self.low is None and other.low is None:
-            low = None
-            floor = self.stored_floor() + other.stored_floor()
-        else:
-            lows = []
-            if self.low is not None:
-                lows.append(self.low + other.lead)
-            if other.low is not None:
-                lows.append(other.low + self.lead)
-            low = max(lows)
-            floor = low
-        lead = self.lead + other.lead
-        if lead < floor:
-            return MatrixTailSeries(n, floor, (self._zero_mat(n),), low)
-        span = lead - floor + 1
-        out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(span)]
-        for ia, ma in enumerate(self.coeffs):
-            ea = self.lead - ia
-            if ea + other.lead < floor:
-                break
-            for ib, mb in enumerate(other.coeffs):
-                e = ea + other.lead - ib
-                if e < floor:
-                    break
-                tgt = out[lead - e]
-                for i in range(n):
-                    rowa = ma[i]
-                    ti = tgt[i]
-                    for k in range(n):
-                        aik = rowa[k]
-                        if aik:
-                            rowb = mb[k]
-                            for j in range(n):
-                                if rowb[j]:
-                                    ti[j] += aik * rowb[j]
-        mats = [tuple(tuple(row) for row in m) for m in out]
-        return MatrixTailSeries(n, lead, mats, low)
-
-    def scale(self, s: TailSeries) -> "MatrixTailSeries":
-        """Multiply every entry by the scalar tail series ``s``."""
-        n = self.n
-        if self.low is None and s.low is None:
-            low = None
-            floor = self.stored_floor() + s.stored_floor()
-        else:
-            lows = []
-            if self.low is not None:
-                lows.append(self.low + s.lead)
-            if s.low is not None:
-                lows.append(s.low + self.lead)
-            low = max(lows)
-            floor = low
-        lead = self.lead + s.lead
-        if lead < floor:
-            return MatrixTailSeries(n, floor, (self._zero_mat(n),), low)
-        span = lead - floor + 1
-        out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(span)]
-        for ia, ma in enumerate(self.coeffs):
-            ea = self.lead - ia
-            for ib, cb in enumerate(s.coeffs):
-                if cb == 0:
-                    continue
-                e = ea + s.lead - ib
-                if e < floor:
-                    break
-                tgt = out[lead - e]
-                for i in range(n):
-                    for j in range(n):
-                        if ma[i][j]:
-                            tgt[i][j] += ma[i][j] * cb
-        mats = [tuple(tuple(row) for row in m) for m in out]
-        return MatrixTailSeries(n, lead, mats, low)
-
-    def trace(self) -> TailSeries:
-        n = self.n
-        return TailSeries(
-            self.lead,
-            tuple(sum((m[i][i] for i in range(n)), Fraction(0)) for m in self.coeffs),
-            self.low,
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MatrixTailSeries) or self.n != other.n:
-            return NotImplemented
-        return all(
-            self.entry(i, j) == other.entry(i, j) for i in range(self.n) for j in range(self.n)
-        )
-
-    def __hash__(self):
-        raise TypeError("MatrixTailSeries is unhashable")
-
-    def __repr__(self) -> str:
-        return f"MatrixTailSeries(n={self.n}, lead={self.lead}, low={self.low})"
+        return f"USeries(val={self.val}, coeffs={list(self.coeffs)!r})"

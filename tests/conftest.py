@@ -1,14 +1,17 @@
-"""Shared instance generators for the test suite (all seeded, deterministic)."""
+"""Seeded instance generators and series-grid helpers shared by the test suite."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 
 from spectral_tau import MatrixPolynomial, characteristic_data
 from spectral_tau.polynomials import Poly
+from spectral_tau.series import USeries
 
 
 def small_fraction(rng, num=4, den=3):
@@ -65,3 +68,36 @@ def worked_instance():
     b = Poly([1, 1])
     c = Poly([0, 2])
     return MatrixPolynomial.from_entries([[a, b], [c, -a]]), a, b, c
+
+
+# -- n x n grids of USeries (projectors, W(z)) ---------------------------------
+
+def grid_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def grid_mul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(reduce(add, (a[i][k] * b[k][j] for k in range(n))) for j in range(n))
+        for i in range(n)
+    )
+
+
+def grid_scale(a, s):
+    """Every entry times the series s."""
+    return tuple(tuple(x * s for x in row) for row in a)
+
+
+def grid_trace(a):
+    return reduce(add, (a[i][i] for i in range(len(a))))
+
+
+def coeff_matrix(a, k):
+    """The u^k coefficient matrix of a grid, read through the checked accessor."""
+    return tuple(tuple(x[k] for x in row) for row in a)
+
+
+def poly_grid(mat, length):
+    """A matrix of z-polynomials as a grid of series of the given length."""
+    return tuple(tuple(USeries.from_poly(p, length) for p in row) for row in mat)

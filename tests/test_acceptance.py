@@ -31,9 +31,18 @@ from spectral_tau import (
 )
 from spectral_tau.polynomials import Poly
 from spectral_tau.projectors import all_projectors, branch_series
-from spectral_tau.series import MatrixTailSeries
 
-from conftest import hyper_coeff, random_hyperelliptic, random_matrix_polynomial
+from conftest import (
+    coeff_matrix,
+    grid_add,
+    grid_mul,
+    grid_scale,
+    grid_trace,
+    hyper_coeff,
+    poly_grid,
+    random_hyperelliptic,
+    random_matrix_polynomial,
+)
 
 
 def _report(name, elapsed, detail=""):
@@ -184,29 +193,29 @@ def test_acceptance_3_projector_identities():
         total = None
         recon = None
         for a, pi in enumerate(pis, start=1):
-            sq = pi * pi
-            for e in range(0, -order - 1, -1):
-                assert sq.matrix_at(e) == pi.matrix_at(e)
-            tr = pi.trace()
-            assert tr.coefficient(0) == 1
-            assert all(tr.coefficient(-k) == 0 for k in range(1, order + 1))
-            total = pi if total is None else total + pi
+            sq = grid_mul(pi, pi)
+            for k in range(order + 1):
+                assert coeff_matrix(sq, k) == coeff_matrix(pi, k)
+            tr = grid_trace(pi)
+            assert tr[0] == 1
+            assert all(tr[k] == 0 for k in range(1, order + 1))
+            total = pi if total is None else grid_add(total, pi)
             br = branch_series(curve, a, order + 2 * m * n,
                                leading=w.leading_diagonal()[a - 1])
-            term = pi.scale(br)
-            recon = term if recon is None else recon + term
+            term = grid_scale(pi, br)
+            recon = term if recon is None else grid_add(recon, term)
         for a in range(n):
             for b in range(a + 1, n):
-                prod = pis[a] * pis[b]
-                for e in range(0, -order - 1, -1):
-                    assert all(x == 0 for row in prod.matrix_at(e) for x in row)
+                prod = grid_mul(pis[a], pis[b])
+                for k in range(order + 1):
+                    assert all(x == 0 for row in coeff_matrix(prod, k) for x in row)
         ident = tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
-        assert total.matrix_at(0) == ident
-        for e in range(-1, -order - 1, -1):
-            assert all(x == 0 for row in total.matrix_at(e) for x in row)
-        wm = MatrixTailSeries.from_poly_matrix(w.matrix)
-        for e in range(m, m - order - 1, -1):
-            assert recon.matrix_at(e) == wm.matrix_at(e)
+        assert coeff_matrix(total, 0) == ident
+        for k in range(1, order + 1):
+            assert all(x == 0 for row in coeff_matrix(total, k) for x in row)
+        wm = poly_grid(w.matrix, order + 1)
+        for k in range(-m, order - m + 1):
+            assert coeff_matrix(recon, k) == coeff_matrix(wm, k)
         count += 1
     elapsed = time.time() - t0
     assert elapsed < 60

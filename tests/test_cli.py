@@ -126,3 +126,12 @@ class TestDocsExamples:
             )
             assert proc.returncode == 0, f"{cmd!r} failed: {proc.stderr}"
             json.loads(proc.stdout)
+
+
+class TestScripts:
+    def test_run_examples(self):
+        script = DOCS.parent / "scripts" / "run_examples.py"
+        proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "done"

@@ -189,6 +189,21 @@ class TestIntegerEngine:
             mats.append(eng.difference_matrix(12))
         assert _series_scale(mats) == expected
 
+    @pytest.mark.parametrize("name", ["hyperelliptic-g2.json", "three-sheet-m1.json"])
+    def test_warm_engine_matches_fresh(self, name):
+        # projectors cached at a higher order must be read back exactly K+1 long
+        w = doc_w(name)
+        warm = CorrelatorEngine(w)
+        warm.projector(1, 12)
+        K = 5
+        mats = [(warm.slot_matrix(a, K), CorrelatorEngine(w).slot_matrix(a, K))
+                for a in range(1, w.n + 1)]
+        if w.n == 2:
+            mats.append((warm.difference_matrix(K), CorrelatorEngine(w).difference_matrix(K)))
+        for got, want in mats:
+            assert got == want
+            assert all(len(s) == K + 1 for row in got for s in row)
+
     def test_wrong_scale_raises(self, monkeypatch):
         w = doc_w("hyperelliptic-g2.json")
         eng = CorrelatorEngine(w)

@@ -16,7 +16,7 @@ from spectral_tau.polynomials import Poly
 from spectral_tau.projectors import all_projectors
 from spectral_tau.serialize import jet_from_json, jet_to_json
 
-from conftest import random_matrix_polynomial
+from conftest import coeff_matrix, random_matrix_polynomial
 
 
 def zero_jet(n):
@@ -80,9 +80,9 @@ class TestResolventCoefficients:
             for a in (1, 2, 3):
                 rc = resolvent_coefficients(jet, a)
                 pi = projectors[a - 1]
-                assert rc.b1 == pi.matrix_at(-1)
-                assert rc.b2 == pi.matrix_at(-2)
-                assert rc.b3 == pi.matrix_at(-3)
+                assert rc.b1 == coeff_matrix(pi, 1)
+                assert rc.b2 == coeff_matrix(pi, 2)
+                assert rc.b3 == coeff_matrix(pi, 3)
 
 
 class TestJetExtraction:

@@ -11,9 +11,17 @@ from spectral_tau import (
 )
 from spectral_tau.polynomials import Poly
 from spectral_tau.projectors import BranchError, all_projectors, branch_residual
-from spectral_tau.series import MatrixTailSeries, TailSeries, series_inv_sqrt, series_invert
+from spectral_tau.series import TruncationError, USeries
 
-from conftest import random_matrix_polynomial
+from conftest import (
+    coeff_matrix,
+    grid_add,
+    grid_mul,
+    grid_scale,
+    grid_trace,
+    poly_grid,
+    random_matrix_polynomial,
+)
 
 
 def diag_w():
@@ -54,8 +62,7 @@ class TestBranch:
         w = MatrixPolynomial.from_entries([[z2, Poly.zero()], [Poly.zero(), -z2]])
         curve = characteristic_data(w, with_diagnostics=False)
         br = branch_series(curve, 2, 6)  # ascending root order: sheet 2 is +1
-        assert br.coefficient(2) == 1
-        assert all(br.coefficient(2 - k) == 0 for k in range(1, 7))
+        assert br.coefficients(-2, 5) == [1, 0, 0, 0, 0, 0, 0]
 
     def test_binomial_oracle(self):
         # R = w^2 - z^4 - z: w = z^2 sqrt(1 + z^-3)
@@ -63,11 +70,9 @@ class TestBranch:
         w = MatrixPolynomial.from_entries([[z2, Poly([0, 1])], [Poly([1]), -z2]])
         curve = characteristic_data(w, with_diagnostics=False)
         br = branch_series(curve, 2, 8)
-        s = TailSeries(0, [Fraction(1), 0, 0, Fraction(1)] + [Fraction(0)] * 5, -8)
-        sqrt_s = series_invert(series_inv_sqrt(s))
-        expected = TailSeries.monomial(2) * sqrt_s
-        for k in range(9):
-            assert br.coefficient(2 - k) == expected.coefficient(2 - k)
+        s = USeries(0, [1, 0, 0, 1] + [0] * 5)
+        sqrt_s = s.inv_sqrt().inverse()
+        assert br.coefficients(-2, 7) == sqrt_s.coefficients(0, 9)
 
     def test_vieta(self):
         for seed in (0, 1):
@@ -77,14 +82,17 @@ class TestBranch:
             for a in range(1, 4):
                 br = branch_series(curve, a, 6, leading=w.leading_diagonal()[a - 1])
                 total = br if total is None else total + br
-            minus_a1 = TailSeries.from_poly(-curve.a(1))
-            assert total == minus_a1
+            minus_a1 = USeries.from_poly(-curve.a(1), 7)
+            assert total.coefficients(-2, 5) == minus_a1.coefficients(-2, 5)
 
     def test_residual_vanishes(self):
         w = random_matrix_polynomial(2, 4, 1)
         curve = characteristic_data(w, with_diagnostics=False)
         br = branch_series(curve, 1, 10, leading=w.leading_diagonal()[0])
-        assert branch_residual(curve, br).is_zero_within_trust()
+        residual = branch_residual(curve, br)
+        # R ~ z^(nm) = u^-4, with as many trusted terms as the branch
+        assert (residual.val, residual.end) == (-4, -4 + 11)
+        assert residual.is_zero()
 
     def test_collision_rejected(self):
         z = Poly([0, 1])
@@ -98,16 +106,25 @@ class TestProjector:
     def test_diagonal_exact(self):
         pis = all_projectors(diag_w(), 5)
         for a, pi in enumerate(pis):
-            for e in range(0, -6, -1):
-                mat = pi.matrix_at(e)
+            for k in range(6):
+                mat = coeff_matrix(pi, k)
                 for i in range(2):
                     for j in range(2):
-                        want = 1 if (e == 0 and i == j == a) else 0
+                        want = 1 if (k == 0 and i == j == a) else 0
                         assert mat[i][j] == want
+
+    def test_read_past_order_raises(self):
+        for w in (symmetric_w(), random_matrix_polynomial(31, 3, 1)):
+            for pi in all_projectors(w, 4):
+                for row in pi:
+                    for s in row:
+                        assert s.end == 5
+                        with pytest.raises(TruncationError):
+                            s[5]
 
     def test_symmetric_first_order(self):
         pi = projector_series(symmetric_w(), 1, 3)
-        first = pi.matrix_at(-1)
+        first = coeff_matrix(pi, 1)
         assert first == ((0, Fraction(1, 2)), (Fraction(1, 2), 0))
 
     def test_half_identity_form(self):
@@ -117,14 +134,13 @@ class TestProjector:
         order = 6
         pi = projector_series(w, 1, order)
         br = branch_series(curve, 1, order + 2 * w.m, leading=Fraction(1))
-        inv_w = series_invert(br)
-        wm = MatrixTailSeries.from_poly_matrix(w.matrix)
+        inv_w = br.inverse()
         half = Fraction(1, 2)
-        expected = wm.scale(inv_w * half)
-        ident = MatrixTailSeries.from_scalar_matrix(((half, 0), (0, half)))
-        expected = expected + ident
-        for e in range(0, -order - 1, -1):
-            assert pi.matrix_at(e) == expected.matrix_at(e)
+        expected = grid_scale(poly_grid(w.matrix, order + 1), inv_w * half)
+        half_id = ((Poly([half]), Poly.zero()), (Poly.zero(), Poly([half])))
+        expected = grid_add(expected, poly_grid(half_id, order + 1))
+        for k in range(order + 1):
+            assert coeff_matrix(pi, k) == coeff_matrix(expected, k)
 
     def test_identities_small_sweep(self):
         order = 8
@@ -132,33 +148,28 @@ class TestProjector:
             w = random_matrix_polynomial(seed + 20, n, m)
             curve = characteristic_data(w, with_diagnostics=False)
             pis = all_projectors(w, order, curve)
-            ident = MatrixTailSeries.from_scalar_matrix(
-                tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
-            )
+            ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
             total = None
             recon = None
             for a, pi in enumerate(pis, start=1):
-                sq = pi * pi
-                for e in range(0, -order - 1, -1):
-                    assert sq.matrix_at(e) == pi.matrix_at(e)
-                assert pi.trace().coefficient(0) == 1
-                for e in range(-1, -order - 1, -1):
-                    assert pi.trace().coefficient(e) == 0
-                total = pi if total is None else total + pi
+                sq = grid_mul(pi, pi)
+                for k in range(order + 1):
+                    assert coeff_matrix(sq, k) == coeff_matrix(pi, k)
+                assert grid_trace(pi).coefficients(0, order + 1) == [1] + [0] * order
+                total = pi if total is None else grid_add(total, pi)
                 br = branch_series(curve, a, order + 2 * m * n,
                                    leading=w.leading_diagonal()[a - 1])
-                term = pi.scale(br)
-                recon = term if recon is None else recon + term
-            for e in range(0, -order - 1, -1):
-                assert total.matrix_at(e) == ident.matrix_at(e) if e == 0 else True
+                term = grid_scale(pi, br)
+                recon = term if recon is None else grid_add(recon, term)
+            assert coeff_matrix(total, 0) == ident
             for a in range(n):
                 for b in range(a + 1, n):
-                    prod = pis[a] * pis[b]
-                    for e in range(0, -order - 1, -1):
-                        assert all(x == 0 for row in prod.matrix_at(e) for x in row)
-            wm = MatrixTailSeries.from_poly_matrix(w.matrix)
-            for e in range(m, -(order - m) - 1, -1):
-                assert recon.matrix_at(e) == wm.matrix_at(e)
+                    prod = grid_mul(pis[a], pis[b])
+                    for k in range(order + 1):
+                        assert all(x == 0 for row in coeff_matrix(prod, k) for x in row)
+            wm = poly_grid(w.matrix, order + 1)
+            for k in range(-m, order - m + 1):
+                assert coeff_matrix(recon, k) == coeff_matrix(wm, k)
 
     def test_conjugation_covariance(self):
         w = random_matrix_polynomial(31, 3, 1)
@@ -166,9 +177,9 @@ class TestProjector:
         w2 = w.conjugate_diagonal(d)
         pi = projector_series(w, 2, 4)
         pi2 = projector_series(w2, 2, 4)
-        for e in range(0, -5, -1):
-            m1 = pi.matrix_at(e)
-            m2 = pi2.matrix_at(e)
+        for k in range(5):
+            m1 = coeff_matrix(pi, k)
+            m2 = coeff_matrix(pi2, k)
             for i in range(3):
                 for j in range(3):
                     assert m2[i][j] == m1[i][j] * d[j] / d[i]

@@ -6,23 +6,17 @@ from hypothesis import strategies as st
 
 from spectral_tau.polynomials import Poly
 from spectral_tau.rationals import format_rational, parse_rational
-from spectral_tau.series import (
-    MatrixTailSeries,
-    NotInvertibleError,
-    TailSeries,
-    TruncationError,
-    series_inv_sqrt,
-    series_invert,
-)
+from spectral_tau.series import NotInvertibleError, TruncationError, USeries
+
+from conftest import grid_mul, grid_trace
 
 fractions = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
 
-def tail(lead, coeffs, low=None):
+def ser(val, coeffs, length):
+    """coeffs from u^val on, zero-padded to ``length`` trusted coefficients."""
     cs = [Fraction(c) for c in coeffs]
-    if low is not None:
-        cs += [Fraction(0)] * (lead - low + 1 - len(cs))
-    return TailSeries(lead, cs, low)
+    return USeries(val, cs + [Fraction(0)] * (length - len(cs)))
 
 
 class TestRationalStrings:
@@ -44,115 +38,122 @@ class TestRationalStrings:
 
 class TestInvert:
     def test_geometric_series(self):
-        s = tail(0, [1, 1], -3)  # 1 + 1/z known through z^-3
-        inv = series_invert(s)
-        assert [inv.coefficient(-k) for k in range(4)] == [1, -1, 1, -1]
+        s = ser(0, [1, 1], 4)  # 1 + u known through u^3
+        inv = s.inverse()
+        assert inv.coefficients(0, 4) == [1, -1, 1, -1]
 
     def test_monomial(self):
-        inv = series_invert(TailSeries.monomial(2))
-        assert inv.lead == -2 and inv.coefficient(-2) == 1 and inv.low is None
+        inv = USeries(2, [1]).inverse()
+        assert inv.val == -2 and inv[-2] == 1 and inv.end == -1
 
     def test_squared_binomial(self):
-        s = tail(0, [1, 2, 1], -2)  # (1 + 1/z)^2
-        inv = series_invert(s)
-        assert [inv.coefficient(-k) for k in range(3)] == [1, -2, 3]
-        assert (inv * s).coefficient(0) == 1
-        assert (inv * s).coefficient(-1) == 0
+        s = ser(0, [1, 2, 1], 3)  # (1 + u)^2
+        inv = s.inverse()
+        assert inv.coefficients(0, 3) == [1, -2, 3]
+        assert (inv * s)[0] == 1
+        assert (inv * s)[1] == 0
 
     def test_zero_within_trust_rejected(self):
         with pytest.raises(NotInvertibleError):
-            series_invert(tail(0, [0, 0], -1))
+            ser(0, [0, 0], 2).inverse()
 
     def test_shifted_lead_is_fine(self):
-        # stored lead coefficient zero but a trusted nonzero term below: invertible
-        inv = series_invert(tail(0, [0, 1], -1))
-        assert inv.lead == 1 and inv.coefficient(1) == 1
+        # stored lead coefficient zero but a trusted nonzero term after it: invertible
+        inv = ser(0, [0, 1], 2).inverse()
+        assert inv.val == -1 and inv[-1] == 1
 
     @given(st.lists(fractions, min_size=1, max_size=6), fractions.filter(lambda x: x != 0))
     @settings(max_examples=40, deadline=None)
     def test_involution(self, tail_coeffs, lead):
-        s = tail(1, [lead] + tail_coeffs, -len(tail_coeffs))
-        twice = series_invert(series_invert(s))
+        s = ser(-1, [lead] + tail_coeffs, len(tail_coeffs) + 1)
+        twice = s.inverse().inverse()
+        assert (twice.val, twice.end) == (s.val, s.end)
         assert twice == s
 
     @given(st.lists(fractions, min_size=1, max_size=6), fractions.filter(lambda x: x != 0))
     @settings(max_examples=40, deadline=None)
     def test_inverse_identity(self, tail_coeffs, lead):
-        s = tail(0, [lead] + tail_coeffs, -len(tail_coeffs))
-        prod = s * series_invert(s)
-        assert prod.coefficient(0) == 1
-        for k in range(1, len(tail_coeffs) + 1):
-            assert prod.coefficient(-k) == 0
+        s = ser(0, [lead] + tail_coeffs, len(tail_coeffs) + 1)
+        prod = s * s.inverse()
+        assert prod.coefficients(0, len(tail_coeffs) + 1) == [1] + [0] * len(tail_coeffs)
 
 
 class TestInvSqrt:
     def test_identity(self):
-        assert series_inv_sqrt(TailSeries.constant(1), order=4).coefficient(0) == 1
+        assert ser(0, [1], 5).inv_sqrt().coefficients(0, 5) == [1, 0, 0, 0, 0]
 
     def test_binomial(self):
         q = Fraction(3, 2)
-        s = tail(0, [1, q], -4)
-        r = series_inv_sqrt(s)
-        assert r.coefficient(-1) == -q / 2
-        assert r.coefficient(-2) == 3 * q * q / 8
+        r = ser(0, [1, q], 5).inv_sqrt()
+        assert r[1] == -q / 2
+        assert r[2] == 3 * q * q / 8
 
     def test_quartic_tail(self):
-        s = tail(0, [1, 0, 0, 0, 1], -4)  # 1 + z^-4
-        r = series_inv_sqrt(s)
-        assert [r.coefficient(-k) for k in range(5)] == [1, 0, 0, 0, Fraction(-1, 2)]
+        r = ser(0, [1, 0, 0, 0, 1], 5).inv_sqrt()  # 1 + u^4
+        assert r.coefficients(0, 5) == [1, 0, 0, 0, Fraction(-1, 2)]
 
     def test_nonunit_lead_rejected(self):
         with pytest.raises(NotInvertibleError):
-            series_inv_sqrt(tail(0, [2, 1], -1))
+            ser(0, [2, 1], 2).inv_sqrt()
 
     @given(st.lists(fractions, min_size=1, max_size=6))
     @settings(max_examples=40, deadline=None)
     def test_square_identity(self, tail_coeffs):
-        s = tail(0, [Fraction(1)] + tail_coeffs, -len(tail_coeffs))
-        r = series_inv_sqrt(s)
+        s = ser(0, [1] + tail_coeffs, len(tail_coeffs) + 1)
+        r = s.inv_sqrt()
         prod = r * r * s
-        assert prod.coefficient(0) == 1
-        for k in range(1, len(tail_coeffs) + 1):
-            assert prod.coefficient(-k) == 0
+        assert prod.coefficients(0, len(tail_coeffs) + 1) == [1] + [0] * len(tail_coeffs)
 
 
 class TestTruncationDiscipline:
     def test_reading_past_window_raises(self):
-        s = tail(0, [1, 2], -1)
-        assert s.coefficient(5) == 0
+        s = ser(0, [1, 2], 2)
+        assert s[-5] == 0
         with pytest.raises(TruncationError):
-            s.coefficient(-2)
+            s[2]
+        with pytest.raises(TruncationError):
+            s.coefficients(0, 3)
 
-    def test_exact_series_reads_zero(self):
-        s = TailSeries.from_poly(Poly([1, 0, 2]))
-        assert s.coefficient(-100) == 0
+    def test_from_poly_window(self):
+        # 2 z^2 + 1 with four coefficients: u^-2 .. u^1
+        s = USeries.from_poly(Poly([1, 0, 2]), 4)
+        assert s.coefficients(-3, 2) == [0, 2, 0, 1, 0]
+        with pytest.raises(TruncationError):
+            s[2]
 
     def test_product_trust_window(self):
-        s = tail(0, [1, 1], -1)
-        t = tail(0, [1, 1, 1], -2)
+        s = ser(0, [1, 1], 2)
+        t = ser(0, [1, 1, 1], 3)
         prod = s * t
-        assert prod.low == -1
+        assert prod.end == 2
         with pytest.raises(TruncationError):
-            prod.coefficient(-2)
+            prod[2]
+        # min(val_a + len_a + val_b, val_b + len_b + val_a) with shifted valuations
+        a, b = ser(1, [1, 1], 2), ser(-1, [1, 1, 1], 3)
+        assert ((a * b).val, (a * b).end) == (0, 2)
+        assert ((a + b).val, (a + b).end) == (-1, 2)
+        assert ((b - a).val, (b - a).end) == (-1, 2)
 
     def test_all_values_are_fractions(self):
-        s = tail(1, [Fraction(2, 3), 5], 0) * tail(0, [Fraction(7, 2)], 0)
+        s = ser(-1, [Fraction(2, 3), 5], 2) * ser(0, [Fraction(7, 2), 1], 2)
         assert all(isinstance(c, Fraction) for c in s.coeffs)
+        # division never leaves the rationals, even from int coefficients
+        assert all(isinstance(c, Fraction) for c in USeries(0, [2, 1, 3]).inverse().coeffs)
+        assert all(isinstance(c, Fraction) for c in USeries(0, [1, 3, 1]).inv_sqrt().coeffs)
 
 
 class TestMatrixSeries:
     def test_trace_and_entry(self):
-        mats = [((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))),
-                ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))]
-        m = MatrixTailSeries(2, 0, mats, -1)
-        assert m.trace().coefficient(0) == 1
-        assert m.entry(0, 1).coefficient(-1) == 1
+        m = ((ser(0, [1, 0], 2), ser(0, [0, 1], 2)),
+             (ser(0, [0, 1], 2), ser(0, [0, 0], 2)))
+        assert grid_trace(m)[0] == 1
+        assert m[0][1][1] == 1
 
     def test_matrix_product_window(self):
-        mats = [((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))] * 3
-        m = MatrixTailSeries(2, 0, mats, -2)
-        p = m * m
-        assert p.low == -2
-        assert p.matrix_at(0)[0][0] == 1
+        one, zero = ser(0, [1, 1, 1], 3), ser(0, [], 3)
+        m = ((one, zero), (zero, one))
+        p = grid_mul(m, m)
+        assert p[0][0].end == 3
+        assert p[0][0][0] == 1
         with pytest.raises(TruncationError):
-            p.matrix_at(-3)
+            p[0][1][3]
