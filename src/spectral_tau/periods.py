@@ -10,6 +10,14 @@ last cut.  One global branch is anchored at a real point beyond all branch
 points, where w = +sqrt(Q) > 0; every path pins its starting value by
 numerical continuation from the anchor, so sheet bookkeeping is uniform.
 
+The Abel map is based at the branch point e1 = cuts[0][0].  Only u0 modulo the
+lattice Lambda matters, and u0 = alpha sum_j A_e1(Q_j) - varpi (mod Lambda)
+(abel_u0 has the proof: sigma fixes e1 and negates eta, so A_e1(sigma Q) =
+-A_e1(Q), A(P_minus) = 2 A(e1) for the map A based at P_plus, and all A(e1)
+terms cancel).  Each A_e1(Q) is the half-period H(e) = A_e1(e), in Lambda/2,
+of the branch point e nearest to Q plus one straight leg in e's chart
+z = e + zeta^2.
+
 Everything here is floating-point; exactness guarantees live upstream.  The
 basis is validated a posteriori: the normalized period matrix must be
 symmetric with negative-definite real part (after at most a global flip of
@@ -380,15 +388,16 @@ class _ZetaIntegrator:
         return total, h
 
     def integrate(self, zeta_from, zeta_to, h_at_from):
+        """(integral, h at zeta_to, coarse-minus-fine error)."""
         prev = None
         for splits in range(self.s.max_doublings):
             coarse, _ = self._once(zeta_from, zeta_to, h_at_from, self.s.gl_order, splits)
-            fine, _ = self._once(zeta_from, zeta_to, h_at_from, self.s.gl_order_fine, splits)
+            fine, h_end = self._once(zeta_from, zeta_to, h_at_from, self.s.gl_order_fine, splits)
             err = float(np.max(np.abs(coarse - fine)))
             if err < self.s.target:
-                return fine, err
-            prev = (fine, err)
-        if prev is not None and prev[1] < self.s.hard_limit:
+                return fine, h_end, err
+            prev = (fine, h_end, err)
+        if prev is not None and prev[2] < self.s.hard_limit:
             return prev
         raise QuadratureError("quadrature on a branch-point leg failed to converge")
 
@@ -413,19 +422,15 @@ class _Router:
     """Piecewise-linear paths avoiding branch-point disks and, optionally, cuts."""
 
     def __init__(self, curve: HyperellipticCurve, cuts, clearance: float, avoid_cuts: bool = True,
-                 bias: float = 1.0, ignore_points: tuple = (), extra_segments: tuple = ()):
+                 extra_segments: tuple = ()):
         self.curve = curve
         self.cuts = cuts
         self.clearance = clearance
         self.avoid_cuts = avoid_cuts
-        self.bias = bias
-        self.ignore_points = ignore_points
         self.extra_segments = extra_segments
 
     def _blocking(self, a: complex, b: complex):
         for p in self.curve.branch_points:
-            if any(abs(p - q) < 1e-12 for q in self.ignore_points):
-                continue
             if _seg_point_dist(a, b, p) < self.clearance * 0.6:
                 return ("point", p)
         if self.avoid_cuts:
@@ -441,8 +446,6 @@ class _Router:
         nodes: list[complex] = []
         radii = [2.0 * self.clearance, 3.5 * self.clearance, 6.0 * self.clearance]
         for p in self.curve.branch_points:
-            if any(abs(p - q) < 1e-12 for q in self.ignore_points):
-                continue
             for kappa in radii:
                 nodes.extend([p + kappa, p - kappa, p + 1j * kappa, p - 1j * kappa])
         segments = list(self.cuts) if self.avoid_cuts else []
@@ -501,10 +504,6 @@ class _Router:
         while path[-1] != 0:
             path.append(prev[path[-1]])
         return [nodes[i] for i in reversed(path)]
-
-    @staticmethod
-    def _join(p1: list[complex], p2: list[complex]) -> list[complex]:
-        return p1 + p2[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +594,8 @@ def _period_matrix_at_clearance(curve: HyperellipticCurve, settings: QuadratureS
         zeta_q = np.sqrt(complex(mc - q))
         zp = _ZetaIntegrator(curve, p, settings)
         zq = _ZetaIntegrator(curve, q, settings)
-        leg_p, _ = zp.integrate(zeta_p, 0.0, w_mc / zeta_p)   # int from mc down to p
-        leg_q, _ = zq.integrate(zeta_q, 0.0, w_mc / zeta_q)
+        leg_p, _, _ = zp.integrate(zeta_p, 0.0, w_mc / zeta_p)   # int from mc down to p
+        leg_q, _, _ = zq.integrate(zeta_q, 0.0, w_mc / zeta_q)
         int_p_mc = -leg_p     # int_p^mc
         int_mc_q = leg_q      # int_mc^q = -int_q^mc = -(-leg_q)
         a_mat[:, j] = -2 * (int_p_mc + int_mc_q)
@@ -626,19 +625,14 @@ def _period_matrix_at_clearance(curve: HyperellipticCurve, settings: QuadratureS
         xb = mc - 2 * clearance * nvec
         ya = station + 2 * clearance * nlast
         yb = station - 2 * clearance * nlast
-        points = None
-        for bias in (1.0, -1.0):
-            loop_router = _Router(curve, cuts, clearance, avoid_cuts=True, bias=bias,
-                                  extra_segments=tuple(built_segments))
-            try:
-                fwd = loop_router.route(xa, ya)
-                back = loop_router.route(yb, xb)
-            except PathError:
-                continue
-            points = [mc] + fwd + [station] + back + [mc]
-            break
-        if points is None:
-            raise PeriodError("b-cycle routing failed; basis construction failed")
+        loop_router = _Router(curve, cuts, clearance, avoid_cuts=True,
+                              extra_segments=tuple(built_segments))
+        try:
+            fwd = loop_router.route(xa, ya)
+            back = loop_router.route(yb, xb)
+        except PathError as exc:
+            raise PeriodError("b-cycle routing failed; basis construction failed") from exc
+        points = [mc] + fwd + [station] + back + [mc]
         val, w_end, _ = integ.polyline(points, mid_w[j])
         if abs(w_end - mid_w[j]) > 1e-7 * max(1.0, abs(mid_w[j])):
             raise PeriodError(
@@ -713,163 +707,52 @@ class JacobianPoint:
     theta_value: complex
 
 
-def jacobian_point(curve: HyperellipticCurve, ctx: ThetaContext, divisor_points,
-                   bias: float = 1.0) -> JacobianPoint:
+def jacobian_point(curve: HyperellipticCurve, ctx: ThetaContext, divisor_points) -> JacobianPoint:
     """abel_u0 reduced into the fundamental region, with the nonspeciality check."""
     from .theta import reduce_mod_lattice, theta
 
-    u0 = reduce_mod_lattice(abel_u0(curve, ctx, divisor_points, bias=bias), ctx.b_matrix)
+    u0 = reduce_mod_lattice(abel_u0(curve, ctx, divisor_points), ctx.b_matrix)
     value = theta(u0, ctx)
     if abs(value) <= 1e-10:
         raise PeriodError("theta vanishes at the divisor point; divisor is special")
     return JacobianPoint(u0=u0, theta_value=complex(value))
 
 
-def _infinity_leg(curve: HyperellipticCurve, t_end: float,
-                  settings: QuadratureSettings) -> tuple[np.ndarray, complex]:
-    """Integral of eta from P_plus (t = 0) to z = 1/t_end on the real axis.
+def _zeta_leg(curve: HyperellipticCurve, settings: QuadratureSettings, e: complex,
+              z: complex, w: complex | None = None) -> tuple[np.ndarray, complex]:
+    """Integral of eta from the branch point e to the point over z, and w there.
 
-    In the chart t = 1/z the unnormalized differentials become
-    eta_i = -t^(i-1) dt / (2 s(t)) with s = sqrt(t^(2g+2) Q(1/t)), s(0) = +1.
-    Returns the integral vector and w at the endpoint.
+    The straight segment from e to z is a straight leg in the chart
+    z = e + zeta^2; the caller keeps it clear of the other branch points.  The
+    leg ends on the sheet of ``w`` (on either sheet when ``w`` is None):
+    zeta -> -zeta negates both the integral and w = zeta h(zeta).
     """
-    g = curve.g
-    q = curve.q_poly
-    deg = q.degree()
-    rev = [complex(q.coeff(deg - k)) for k in range(deg + 1)]
-
-    def qhat(t):
-        acc = 0j
-        for c in reversed(rev):
-            acc = acc * t + c
-        return acc
-
-    # branch points map to t = 1/e; one at the origin maps out to t = infinity
-    sing = np.array([1 / b for b in curve.branch_points if abs(b) > 1e-12])
-
-    def subdiv(a, b, depth=0):
-        if len(sing) == 0:
-            return [b]
-        mid = (a + b) / 2
-        d = min(np.min(np.abs(sing - a)), np.min(np.abs(sing - mid)), np.min(np.abs(sing - b)))
-        if abs(b - a) <= 0.25 * d or depth > 40:
-            return [b]
-        return subdiv(a, mid, depth + 1) + subdiv(mid, b, depth + 1)
-
-    def once(order, extra):
-        total = np.zeros(g, dtype=complex)
-        s_val = 1.0 + 0j
-        prev = 0.0
-        for piece in subdiv(0.0, t_end):
-            sub = 2 ** extra
-            for k in range(sub):
-                a = prev + (piece - prev) * k / sub
-                b = prev + (piece - prev) * (k + 1) / sub
-                nodes, weights = _gl(order)
-                ts = a + (nodes + 1) / 2 * (b - a)
-                svals = _track_sqrt([qhat(t) for t in ts], s_val)
-                vals = np.stack(
-                    [-(ts ** (i - 1)) / (2 * np.array(svals)) for i in range(1, g + 1)]
-                )
-                total += vals @ weights * (b - a) / 2
-                s_val = svals[-1]
-                r = np.sqrt(qhat(b))
-                s_val = r if abs(r - s_val) <= abs(r + s_val) else -r
-            prev = piece
-        return total, s_val
-
-    best = None
-    for extra in range(settings.max_doublings):
-        coarse, _ = once(settings.gl_order, extra)
-        fine, s_end = once(settings.gl_order_fine, extra)
-        err = float(np.max(np.abs(coarse - fine)))
-        if err < settings.target:
-            w_end = s_end / (t_end ** (g + 1))
-            return fine, complex(w_end)
-        best = (fine, s_end, err)
-    if best and best[2] < settings.hard_limit:
-        return best[0], complex(best[1] / (t_end ** (g + 1)))
-    raise QuadratureError("quadrature on the infinity leg failed to converge")
+    zi = _ZetaIntegrator(curve, e, settings)
+    zeta = np.sqrt(complex(z - e))
+    val, h, _ = zi.integrate(0.0, zeta, np.sqrt(zi._g_at(0j)))
+    w_end = complex(zeta * h)
+    if w is not None and abs(w_end - w) > abs(w_end + w):
+        val, w_end = -val, -w_end
+    return val, w_end
 
 
-def _abel_to_regular_point(curve: HyperellipticCurve, ctx: ThetaContext,
-                           z_target: complex, bias: float = 1.0):
-    """Integral of eta from P_plus to z_target along a tracked path.
+def _half_period(curve: HyperellipticCurve, ctx: ThetaContext, e: complex) -> np.ndarray:
+    """H(e): the integral of eta from e1 = cuts[0][0] to the branch point e.
 
-    Returns (vector, w_end): the branch at the endpoint is whatever the
-    continuation produced.  Only branch points are avoided when routing:
-    crossing a cut changes the path class by full periods, which the theta
-    identities do not see.
+    The path is a zeta leg out of e1, a routed polyline between the points at
+    distance ``clearance`` from e1 and from e (outside the router's
+    0.6 * clearance disks, as clearance <= sep/8), and e's zeta leg in on the
+    tracked sheet.  Either sheet out of e1 gives H(e) up to periods.
     """
-    settings = ctx.settings
-    t_end = 1.0 / ctx.anchor.real
-    total, w_here = _infinity_leg(curve, t_end, settings)
-    if abs(w_here - ctx.anchor_w) > 1e-6 * max(1.0, abs(ctx.anchor_w)):
-        raise PeriodError("infinity leg does not reach the anchor on the + sheet")
-    near_target = tuple(b for b in curve.branch_points if abs(b - z_target) < 2 * ctx.clearance)
-    router = _Router(curve, ctx.cuts, ctx.clearance, avoid_cuts=False, bias=bias,
-                     ignore_points=near_target)
-    integ = _PathIntegrator(curve, settings)
-    path = router.route(ctx.anchor, z_target)
-    val, w_end, _ = integ.polyline(path, w_here)
-    return total + val, w_end
-
-
-def abel_from_plus_infinity(curve: HyperellipticCurve, ctx: ThetaContext,
-                            z_target: complex, w_target: complex,
-                            bias: float = 1.0) -> np.ndarray:
-    """Integral vector of the unnormalized eta from P_plus to (z_target, w_target).
-
-    The path runs down the real axis from infinity to the anchor, then along a
-    routed polyline to the target; if continuation lands on the opposite sheet
-    a flip leg around the nearest branch point corrects it.  A target at a
-    ramification point (w = 0) needs no sheet choice at all.
-    """
-    settings = ctx.settings
-    nearest = min(curve.branch_points, key=lambda b: abs(b - z_target))
-    if abs(nearest - z_target) < 1e-7 * curve.scale():
-        return _abel_to_branch_point(curve, ctx, nearest, bias=bias)
-    integ = _PathIntegrator(curve, settings)
-    total, w_end = _abel_to_regular_point(curve, ctx, z_target, bias)
-    if abs(w_end - w_target) > abs(w_end + w_target):
-        # wrong sheet: flip around the nearest branch point
-        e = min(curve.branch_points, key=lambda b: abs(b - z_target))
-        others = [abs(b - e) for b in curve.branch_points if abs(b - e) > 1e-12]
-        rho = min(ctx.clearance, abs(z_target - e) / 2, min(others) / 3)
-        direction = (z_target - e) / abs(z_target - e)
-        x = e + rho * direction
-        flip_router = _Router(curve, ctx.cuts, ctx.clearance, avoid_cuts=False,
-                              bias=bias, ignore_points=(e,))
-        path_in = flip_router.route(z_target, x)
-        val_in, w_x, _ = integ.polyline(path_in, w_end)
-        total = total + val_in
-        zeta0 = np.sqrt(complex(x - e))
-        zi = _ZetaIntegrator(curve, e, settings)
-        flip_val, _ = zi.integrate(zeta0, -zeta0, w_x / zeta0)
-        total = total + flip_val
-        val_out, w_back, _ = integ.polyline(list(reversed(path_in)), -w_x)
-        total = total + val_out
-        w_end = w_back
-    if abs(w_end - w_target) > 1e-6 * max(1.0, abs(w_target)):
-        raise PeriodError(
-            f"Abel path did not land on the requested sheet (got {w_end:.6g}, want {w_target:.6g})"
-        )
-    return total
-
-
-def _abel_to_branch_point(curve: HyperellipticCurve, ctx: ThetaContext,
-                          e: complex, bias: float = 1.0) -> np.ndarray:
-    """Integral of eta from P_plus to the branch point e (any path; the
-    ambiguity is full periods plus nothing else since (e, 0) is a single point)."""
-    others = [abs(b - e) for b in curve.branch_points if abs(b - e) > 1e-12]
-    rho = min(ctx.clearance, min(others) / 3)
-    direction = (ctx.anchor - e) / abs(ctx.anchor - e)
-    x = e + rho * direction
-    vec, w_x = _abel_to_regular_point(curve, ctx, x, bias)
-    zeta0 = np.sqrt(complex(x - e))
-    zi = _ZetaIntegrator(curve, e, ctx.settings)
-    leg, _ = zi.integrate(zeta0, 0.0, w_x / zeta0)   # integral from x down to e
-    return vec + leg
+    e1 = ctx.cuts[0][0]
+    if e == e1:
+        return np.zeros(curve.g, dtype=complex)
+    step = ctx.clearance * (e - e1) / abs(e - e1)
+    out_leg, w_out = _zeta_leg(curve, ctx.settings, e1, e1 + step)
+    path = _Router(curve, ctx.cuts, ctx.clearance, avoid_cuts=False).route(e1 + step, e - step)
+    middle, w_in, _ = _PathIntegrator(curve, ctx.settings).polyline(path, w_out)
+    in_leg, _ = _zeta_leg(curve, ctx.settings, e, e - step, w_in)
+    return out_leg + middle - in_leg
 
 
 def half_period_pattern(g: int) -> np.ndarray:
@@ -877,33 +760,49 @@ def half_period_pattern(g: int) -> np.ndarray:
     return np.array([1 if (i % 2 == 0) else 0 for i in range(g)], dtype=float)
 
 
-def abel_u0(curve: HyperellipticCurve, ctx: ThetaContext, divisor_points,
-            bias: float = 1.0) -> np.ndarray:
+def abel_u0(curve: HyperellipticCurve, ctx: ThetaContext, divisor_points) -> np.ndarray:
     """The Jacobian point of the eigenvector line bundle, up to a half-period.
 
     The degree-zero combination behind it is (divisor) - (poles of z) - (Riemann
-    divisor); with the Abel map based at P_plus and the Riemann divisor referred
-    to a branch point, where its vector of constants is a half-period, this is
+    divisor); with the Abel map A based at P_plus and the Riemann divisor
+    referred to the branch point e1 = cuts[0][0], where its vector of
+    constants is a half-period, this is
 
-        u0 = sum_j A(Q_j) - A(P_minus) - (g-1) A(e_1) - varpi,
+        u0 = alpha (sum_j A(Q_j) - A(P_minus) - (g-1) A(e1)) - varpi,
 
     with varpi the printed half-period pattern standing in for the (basis
     dependent) constants; the verification scan over all half-periods absorbs
-    the difference.  A(P_minus) is evaluated as A(x) + A(sigma x) for the
-    anchor point x, using the sign flip of the differentials under the
-    hyperelliptic involution.
+    the difference.  Modulo the lattice Lambda this equals
+
+        u0 = alpha sum_j A_e1(Q_j) - varpi,
+
+    with A_e1 the Abel map based at e1, which is what is computed:
+      1. sigma fixes e1 and negates eta, so A_e1(sigma Q) = -A_e1(Q);
+      2. hence A(P_minus) = A(e1) - A_e1(P_plus) = 2 A(e1);
+      3. so with A(Q_j) = A(e1) + A_e1(Q_j) every A(e1) term cancels.
+    Each A_e1(Q_j) is H(e) + L_e(Q_j) for the branch point e nearest to Q_j:
+    the half-period H(e) = A_e1(e) (alpha H(e) lies in Lambda/2), computed
+    once per e, plus one straight leg from e in its zeta chart.
     """
     g = curve.g
     if len(divisor_points) != g + 1:
         raise PeriodError(f"need g+1 = {g + 1} divisor points, got {len(divisor_points)}")
     total = np.zeros(g, dtype=complex)
+    halves: dict = {}
     for pt in divisor_points:
-        total += abel_from_plus_infinity(curve, ctx, complex(pt.z), complex(pt.w), bias=bias)
-    total -= abel_from_plus_infinity(curve, ctx, ctx.anchor, ctx.anchor_w, bias=bias)
-    total -= abel_from_plus_infinity(curve, ctx, ctx.anchor, -ctx.anchor_w, bias=bias)
-    if g >= 2:
-        base_branch = _abel_to_branch_point(curve, ctx, ctx.cuts[0][0], bias=bias)
-        total -= (g - 1) * base_branch
+        z, w = complex(pt.z), complex(pt.w)
+        e = min(curve.branch_points, key=lambda b: abs(b - z))
+        if e not in halves:
+            halves[e] = _half_period(curve, ctx, e)
+        total += halves[e]
+        if abs(z - e) < 1e-7 * curve.scale():
+            continue  # the branch point itself: one point, no sheet to choose
+        leg, w_end = _zeta_leg(curve, ctx.settings, e, z, w)
+        if abs(w_end - w) > 1e-6 * max(1.0, abs(w)):
+            raise PeriodError(
+                f"Abel leg did not land on the requested sheet (got {w_end:.6g}, want {w:.6g})"
+            )
+        total += leg
     u = ctx.alpha @ total
     varpi = 1j * np.pi * half_period_pattern(g) + ctx.b_matrix @ np.ones(g) / 2
     return u - varpi

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from functools import reduce
 from operator import add
+from pathlib import Path
 
 import pytest
 
 from spectral_tau import MatrixPolynomial, characteristic_data
 from spectral_tau.polynomials import Poly
+from spectral_tau.serialize import parse_matrix_polynomial
 from spectral_tau.series import USeries
 
 
@@ -54,6 +57,12 @@ def random_hyperelliptic(seed, g, require_smooth=True):
         if require_smooth and not all(d.passed for d in curve.diagnostics):
             continue
         return w, a, b, c
+
+
+def doc_w(name):
+    """The matrix polynomial of an input file in docs/examples."""
+    path = Path(__file__).resolve().parent.parent / "docs" / "examples" / name
+    return parse_matrix_polynomial(json.loads(path.read_text()))
 
 
 def hyper_coeff(p: Poly, g: int, k: int) -> Fraction:

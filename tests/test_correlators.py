@@ -1,6 +1,4 @@
-import json
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -15,13 +13,9 @@ from spectral_tau import (
 from spectral_tau import correlators
 from spectral_tau.correlators import _series_scale, hyperelliptic_combination_from_tables
 from spectral_tau.polynomials import Poly
-from spectral_tau.serialize import (
-    correlator_table_from_json,
-    correlator_table_to_json,
-    parse_matrix_polynomial,
-)
+from spectral_tau.serialize import correlator_table_from_json, correlator_table_to_json
 
-from conftest import hyper_coeff, random_hyperelliptic, random_matrix_polynomial
+from conftest import doc_w, hyper_coeff, random_hyperelliptic, random_matrix_polynomial
 
 
 def diag_w(n=3, m=2):
@@ -34,11 +28,6 @@ def diag_w(n=3, m=2):
         mats.append([[Fraction(rng.randint(-3, 3)) if i == j else Fraction(0)
                       for j in range(n)] for i in range(n)])
     return MatrixPolynomial.from_power_matrices(n, m, mats)
-
-
-def doc_w(name):
-    path = Path(__file__).resolve().parent.parent / "docs" / "examples" / name
-    return parse_matrix_polynomial(json.loads(path.read_text()))
 
 
 class TestPairTable:

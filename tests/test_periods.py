@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from spectral_tau import abel_u0, period_matrix, pole_divisor, v_vectors
+from spectral_tau import abel_u0, jacobian_point, period_matrix, pole_divisor, v_vectors
 from spectral_tau.periods import (
     HyperellipticCurve,
     PeriodError,
+    _half_period,
     v_consistency_defect,
 )
 from spectral_tau.polynomials import Poly
-from spectral_tau.theta import reduce_mod_lattice
 
-from conftest import random_hyperelliptic
+from conftest import doc_w, random_hyperelliptic
 
 
 def agm(a, b):
@@ -105,24 +105,44 @@ class TestVVectors:
         assert v_consistency_defect(curve, ctx, vd, 2) < 1e-8
 
 
-class TestAbelMap:
-    def test_u0_path_independence(self, worked_instance):
-        w, *_ = worked_instance
+def lattice_defect(v, ctx):
+    """Distance from v to the nearest point of 2 pi i Z^g + B Z^g."""
+    n = np.round(np.linalg.solve(ctx.b_matrix.real, v.real))
+    r = v - ctx.b_matrix @ n
+    return float(np.max(np.abs(r - 2j * np.pi * np.round(r.imag / (2 * np.pi)))))
+
+
+@pytest.fixture(scope="module")
+def docs_contexts():
+    out = {}
+    for name in ("hyperelliptic-g1.json", "hyperelliptic-g2.json"):
+        w = doc_w(name)
         curve = HyperellipticCurve.from_matrix_polynomial(w)
-        ctx = period_matrix(curve)
-        pts = pole_divisor(w)
-        u1 = abel_u0(curve, ctx, pts, bias=1.0)
-        u2 = abel_u0(curve, ctx, pts, bias=-1.0)
-        r1 = reduce_mod_lattice(u1, ctx.b_matrix)
-        r2 = reduce_mod_lattice(u2, ctx.b_matrix)
-        diff = reduce_mod_lattice(r1 - r2, ctx.b_matrix)
-        # agreement on the Jacobian: the reduced difference is a lattice point
-        ok = min(
-            np.max(np.abs(diff - 2j * np.pi * np.array([m]) - ctx.b_matrix @ np.array([n])))
-            for m in (0.0, 1.0, -1.0)
-            for n in (0.0, 1.0, -1.0)
-        )
-        assert ok < 1e-8
+        out[name] = (w, curve, period_matrix(curve))
+    return out
+
+
+class TestAbelMap:
+    # reduced u0 as computed by the Abel map based at P_plus (through the
+    # t = 1/z chart and routed paths): basing it at a branch point must give
+    # the same point of the Jacobian
+    @pytest.mark.parametrize("name, expected", [
+        ("hyperelliptic-g1.json", [1.0927034411798324 - 1.0512477515227392j]),
+        ("hyperelliptic-g2.json", [2.1223099902233553 - 0.13279631425784844j,
+                                   2.0763790547301664 + 0.011116497213816245j]),
+    ])
+    def test_reduced_u0_matches_plus_infinity_base(self, name, expected, docs_contexts):
+        w, curve, ctx = docs_contexts[name]
+        u0 = jacobian_point(curve, ctx, pole_divisor(w)).u0
+        assert np.max(np.abs(u0 - np.array(expected))) < 1e-9
+
+    def test_branch_point_offsets_are_half_periods(self, docs_contexts):
+        _, curve, ctx = docs_contexts["hyperelliptic-g2.json"]
+        for e in curve.branch_points:
+            u = ctx.alpha @ _half_period(curve, ctx, e)
+            assert lattice_defect(2 * u, ctx) < 1e-9
+            # the Abel map is injective on the curve: only e1 itself maps into the lattice
+            assert (lattice_defect(u, ctx) < 1e-9) == (e == ctx.cuts[0][0])
 
     def test_wrong_point_count_rejected(self, worked_instance):
         w, *_ = worked_instance
