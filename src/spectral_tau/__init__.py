@@ -6,110 +6,50 @@ rational arithmetic, the pole divisor of the normalized eigenvector, the jet
 of the associated wave fields, and (for 2x2 traceless input) numerically
 verifies that the rationals match the theta-function logarithmic derivatives
 of the spectral curve.
+
+The names in ``__all__`` are resolved lazily (PEP 562): ``spectral_tau.X``
+imports the submodule that defines X on first use and returns that module's
+attribute, so the exact side never imports numpy.  Nothing is cached here,
+so a name always is the submodule's current attribute.  The submodules are
+attributes too: ``spectral_tau.theta`` is the theta submodule, and the theta
+function itself is ``spectral_tau.theta.theta``.
 """
 
-from .correlators import (
-    CorrelatorEngine,
-    CorrelatorTable,
-    FreeEnergyPolynomial,
-    correlator_n,
-    correlator_pair,
-    free_energy,
-    hyperelliptic_combination,
-)
-from .curve import (
-    MatrixPolynomial,
-    SpectralCurveData,
-    characteristic_data,
-    genus,
-    validate,
-)
-from .divisor import (
-    DivisorPoint,
-    cofactor_row_sums,
-    d_polynomial,
-    hyperelliptic_divisor,
-    pole_divisor,
-)
-from .jets import (
-    JetPoint,
-    ResolventCoeffs,
-    jet_from_projectors,
-    resolvent_coefficients,
-    tau_second_derivative,
-    validate_jet,
-)
-from .periods import (
-    HyperellipticCurve,
-    JacobianPoint,
-    ThetaContext,
-    VData,
-    abel_u0,
-    jacobian_point,
-    period_matrix,
-    v_vectors,
-)
-from .polynomials import Poly
-from .projectors import (
-    PhiData,
-    branch_series,
-    phi_coefficients,
-    projector_series,
-)
-from .rationals import Rational, format_rational, parse_rational
-from .series import TruncationError, USeries
-from .multipoly import MultiPoly, multipoly_exact_divide
-from .theta import log_theta_derivatives, theta
-from .verify import VerificationReport, verify_main_theorem
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CorrelatorEngine",
-    "CorrelatorTable",
-    "DivisorPoint",
-    "FreeEnergyPolynomial",
-    "HyperellipticCurve",
-    "JacobianPoint",
-    "JetPoint",
-    "MatrixPolynomial",
-    "MultiPoly",
-    "PhiData",
-    "Poly",
-    "Rational",
-    "ResolventCoeffs",
-    "SpectralCurveData",
-    "ThetaContext",
-    "TruncationError",
-    "USeries",
-    "VData",
-    "VerificationReport",
-    "abel_u0",
-    "branch_series",
-    "characteristic_data",
-    "cofactor_row_sums",
-    "correlator_n",
-    "correlator_pair",
-    "d_polynomial",
-    "format_rational",
-    "free_energy",
-    "genus",
-    "hyperelliptic_combination",
-    "hyperelliptic_divisor",
-    "jacobian_point",
-    "jet_from_projectors",
-    "log_theta_derivatives",
-    "multipoly_exact_divide",
-    "parse_rational",
-    "period_matrix",
-    "phi_coefficients",
-    "pole_divisor",
-    "projector_series",
-    "resolvent_coefficients",
-    "tau_second_derivative",
-    "theta",
-    "v_vectors",
-    "validate",
-    "validate_jet",
-    "verify_main_theorem",
-]
+_EXPORTS = {
+    "correlators": ("CorrelatorEngine", "CorrelatorTable", "FreeEnergyPolynomial",
+                    "correlator_n", "correlator_pair", "free_energy",
+                    "hyperelliptic_combination"),
+    "curve": ("MatrixPolynomial", "SpectralCurveData", "characteristic_data", "genus",
+              "validate"),
+    "divisor": ("DivisorPoint", "cofactor_row_sums", "d_polynomial", "hyperelliptic_divisor",
+                "pole_divisor"),
+    "jets": ("JetPoint", "ResolventCoeffs", "jet_from_projectors", "resolvent_coefficients",
+             "tau_second_derivative", "validate_jet"),
+    "multipoly": ("MultiPoly", "multipoly_exact_divide"),
+    "periods": ("HyperellipticCurve", "JacobianPoint", "ThetaContext", "VData", "abel_u0",
+                "jacobian_point", "period_matrix", "v_vectors"),
+    "polynomials": ("Poly",),
+    "projectors": ("PhiData", "branch_series", "phi_coefficients", "projector_series"),
+    "rationals": ("Rational", "format_rational", "parse_rational"),
+    "series": ("TruncationError", "USeries"),
+    "theta": ("log_theta_derivatives",),
+    "verify": ("VerificationReport", "verify_main_theorem"),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # a submodule, as after the old eager import
+        return importlib.import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+

@@ -2,8 +2,13 @@
 
 Subcommands: curve-info, correlators, divisor, jet, verify-theta.  Input is
 the matrix-polynomial JSON schema; output is a deterministic JSON report on
-stdout or --output.  Exit status: 0 success, 1 verification failure, 2 input
-error.
+stdout or --output.  Exit status: 0 success, 1 verification failure or a
+failed numerical stage (divisor, periods, theta), 2 input error.
+
+Each handler imports the modules it runs, so the exact subcommands
+(curve-info, correlators, jet) start without numpy and the numerical
+modules; a handler turns the errors of its numerical stages into
+:class:`StageError`, which :func:`run` maps to exit status 1.
 """
 
 from __future__ import annotations
@@ -14,11 +19,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .correlators import CorrelatorEngine, correlator_n, correlator_pair
 from .curve import characteristic_data
-from .divisor import DivisorError, d_polynomial, expected_d_degree, pole_divisor
-from .jets import jet_from_projectors, validate_jet
-from .periods import PeriodError
 from .rationals import format_rational
 from .serialize import (
     ParseError,
@@ -27,10 +28,13 @@ from .serialize import (
     jet_to_json,
     parse_matrix_polynomial,
 )
-from .theta import ThetaError
 
 KMAX_CAP = 16
 MAXN_CAP = 6
+
+
+class StageError(Exception):
+    """A numerical stage (divisor, periods, theta) failed: exit status 1."""
 
 
 @dataclass
@@ -83,6 +87,10 @@ def _cmd_curve_info(job: JobSpec) -> dict:
 
 
 def _cmd_correlators(job: JobSpec) -> dict:
+    import itertools
+
+    from .correlators import CorrelatorEngine, correlator_n, correlator_pair
+
     w = _load_input(job)
     if job.kmax > KMAX_CAP or job.max_n > MAXN_CAP:
         raise ParseError(f"caps: kmax <= {KMAX_CAP}, max-n <= {MAXN_CAP}")
@@ -101,8 +109,6 @@ def _cmd_correlators(job: JobSpec) -> dict:
             "indices": [[a, k] for a, k in pairs],
             "value": format_rational(table.value(pairs)),
         }
-    import itertools
-
     for a1 in range(1, w.n + 1):
         for a2 in range(a1, w.n + 1):
             tables.append(correlator_table_to_json(correlator_pair(w, a1, a2, job.kmax, engine)))
@@ -113,9 +119,14 @@ def _cmd_correlators(job: JobSpec) -> dict:
 
 
 def _cmd_divisor(job: JobSpec) -> dict:
+    from .divisor import DivisorError, d_polynomial, expected_d_degree, pole_divisor
+
     w = _load_input(job)
-    points = pole_divisor(w, tol=job.tol)
-    dpoly = d_polynomial(w)
+    try:
+        points = pole_divisor(w, tol=job.tol)
+        dpoly = d_polynomial(w)
+    except DivisorError as exc:
+        raise StageError(str(exc)) from exc
     return {
         "d_polynomial": [format_rational(c) for c in dpoly.coeffs],
         "d_degree": dpoly.degree(),
@@ -125,6 +136,8 @@ def _cmd_divisor(job: JobSpec) -> dict:
 
 
 def _cmd_jet(job: JobSpec) -> dict:
+    from .jets import jet_from_projectors, validate_jet
+
     w = _load_input(job)
     jet = jet_from_projectors(w)
     residues = validate_jet(jet)
@@ -139,11 +152,17 @@ def _cmd_jet(job: JobSpec) -> dict:
 
 
 def _cmd_verify_theta(job: JobSpec) -> dict:
+    from .divisor import DivisorError
+    from .periods import PeriodError
+    from .theta import ThetaError
     from .verify import verify_main_theorem
 
     w = _load_input(job)
     kmax = job.extra.get("kmax_by_n") or job.kmax
-    report = verify_main_theorem(w, kmax=kmax, tol=max(job.tol, 1e-12))
+    try:
+        report = verify_main_theorem(w, kmax=kmax, tol=max(job.tol, 1e-12))
+    except (DivisorError, PeriodError, ThetaError) as exc:
+        raise StageError(str(exc)) from exc
     return report.to_json_dict()
 
 
@@ -169,7 +188,7 @@ def run(job: JobSpec) -> tuple[int, dict]:
         report = _COMMANDS[job.command](job)
     except (ParseError, FileNotFoundError, json.JSONDecodeError, ValueError, KeyError) as exc:
         return 2, {"errors": [str(exc)]}
-    except (DivisorError, PeriodError, ThetaError) as exc:
+    except StageError as exc:
         return 1, {"errors": [str(exc)]}
     if job.command == "verify-theta" and not report.get("success", False):
         return 1, report

@@ -4,10 +4,10 @@ Everything here is a :class:`~spectral_tau.series.USeries` in u = 1/z.  For
 each sheet a the branch w_a(z) = b0_a z^m + lower terms is a series of
 valuation -m solving R(z, w_a) = 0, found by Newton iteration with quadratic
 convergence: R_w at the branch starts with prod_{b!=a}(b0_a - b0_b)
-u^(-m(n-1)), invertible when the leading entries are distinct, and the
-window rule keeps every iterate at the requested length.  The projector
-Pi_a = Phi(z, w_a)/R_w(z, w_a) then comes out as an n x n grid of series,
-each trusted through u^K.
+u^(-m(n-1)), invertible when the leading entries are distinct, so each step
+doubles the number of correct coefficients and runs at twice the length of
+the previous one.  The projector Pi_a = Phi(z, w_a)/R_w(z, w_a) then comes
+out as an n x n grid of series, each trusted through u^K.
 """
 
 from __future__ import annotations
@@ -75,19 +75,22 @@ def _derivative_terms(terms: list[USeries]) -> list[USeries]:
 def _branch(curve: SpectralCurveData, leading: Fraction, order: int) -> USeries:
     """Solve R(z, w) = 0 for w = leading z^m + ..., trusted through u^(order - m).
 
-    The zeros padding the first iterate are a guess, not trusted values;
-    what certifies the result is R(z, w) = 0 on the whole window, since R_w
-    is invertible there and the root is therefore unique.
+    Each Newton step doubles the number of correct coefficients, so the
+    steps run at lengths 2, 4, ... up to order + 1, starting from the exact
+    leading term.  The zeros padding each iterate are a guess, not trusted
+    values; what certifies the result is R(z, w) = 0 on the whole window,
+    checked at the end, since R_w is invertible there and the root is
+    therefore unique.
     """
-    terms = _char_terms(curve, order + 1)
-    d_terms = _derivative_terms(terms)
-    w = USeries(-curve.m, [leading] + [0] * order)
-    for _ in range(max(1, order).bit_length() + 4):
-        r = _horner(terms, w)
-        if r.is_zero():
-            return w
-        w = w - r * _horner(d_terms, w).inverse()
-    raise BranchError("Newton iteration for the branch series failed to converge")
+    w = USeries(-curve.m, [leading])
+    while len(w.coeffs) < order + 1:
+        length = min(2 * len(w.coeffs), order + 1)
+        terms = _char_terms(curve, length)
+        w = USeries(w.val, w.coeffs + (0,) * (length - len(w.coeffs)))
+        w = w - _horner(terms, w) * _horner(_derivative_terms(terms), w).inverse()
+    if not branch_residual(curve, w).is_zero():
+        raise BranchError("Newton iteration for the branch series failed to converge")
+    return w
 
 
 def sheet_leading_entries(w: MatrixPolynomial) -> tuple:

@@ -8,10 +8,14 @@ byte-identical reports.
 
 from __future__ import annotations
 
-from .correlators import CorrelatorTable
+from typing import TYPE_CHECKING
+
 from .curve import InvalidMatrixPolynomial, MatrixPolynomial
-from .jets import JetPoint
 from .rationals import format_rational, parse_rational
+
+if TYPE_CHECKING:  # the two *_from_json constructors import them when called
+    from .correlators import CorrelatorTable
+    from .jets import JetPoint
 
 
 class ParseError(ValueError):
@@ -71,6 +75,8 @@ def correlator_table_to_json(table: CorrelatorTable) -> dict:
 
 
 def correlator_table_from_json(data: dict) -> CorrelatorTable:
+    from .correlators import CorrelatorTable
+
     entries = {}
     for item in data["entries"]:
         key = tuple((int(a), int(k)) for a, k in zip(item["a"], item["k"]))
@@ -109,6 +115,8 @@ def jet_to_json(jet: JetPoint) -> dict:
 
 
 def jet_from_json(data: dict) -> JetPoint:
+    from .jets import JetPoint
+
     y = {(int(e["i"]), int(e["j"])): parse_rational(e["value"]) for e in data["y"]}
     d1 = {(int(e["i"]), int(e["j"]), int(e["b"])): parse_rational(e["value"]) for e in data["d1"]}
     d2 = {

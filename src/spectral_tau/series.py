@@ -20,14 +20,18 @@ exact non-monomial series has no natural length at all).  Giving each
 polynomial an explicit length when it becomes a series keeps one rule for
 every value.
 
-Coefficients are Python ints and Fractions and are used as they are; only
-division (in :meth:`inverse` and :meth:`inv_sqrt`) makes new Fractions.
+Coefficients are Python ints and Fractions.  A product scales each operand
+to integer numerators over the lcm of its denominators, convolves in ints and
+makes one Fraction per output coefficient; a product of two int series stays
+int.  Otherwise only division (in :meth:`inverse` and :meth:`inv_sqrt`) makes
+new Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, sub
+from math import lcm
+from operator import add, mul, sub
 from typing import Iterable
 
 from .polynomials import Poly
@@ -39,6 +43,19 @@ class TruncationError(Exception):
 
 class NotInvertibleError(Exception):
     """Raised when a series has no invertible leading coefficient."""
+
+
+def _numerators(coeffs) -> tuple[list[int], int]:
+    """Integers c_k and d with coeffs[k] == c_k / d, d the lcm of the denominators."""
+    d = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _convolve(a, b) -> list:
+    """First len(a) coefficients of the product of two equally long sequences."""
+    rb = b[::-1]
+    n = len(a)
+    return [sum(map(mul, a[:k + 1], rb[n - 1 - k:])) for k in range(n)]
 
 
 class USeries:
@@ -94,17 +111,14 @@ class USeries:
     def __mul__(self, other) -> "USeries":
         if isinstance(other, (int, Fraction)):
             return USeries(self.val, [other * c for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        n = min(len(a), len(b))
-        out = [0] * n
-        for i in range(n):
-            ai = a[i]
-            if ai:
-                for j in range(n - i):
-                    bj = b[j]
-                    if bj:
-                        out[i + j] += ai * bj
-        return USeries(self.val + other.val, out)
+        n = min(len(self.coeffs), len(other.coeffs))
+        a, b = self.coeffs[:n], other.coeffs[:n]
+        val = self.val + other.val
+        if all(type(c) is int for c in a + b):
+            return USeries(val, _convolve(a, b))
+        (na, da), (nb, db) = _numerators(a), _numerators(b)
+        d = da * db
+        return USeries(val, [Fraction(c, d) for c in _convolve(na, nb)])
 
     __rmul__ = __mul__
 

@@ -1,7 +1,10 @@
 import json
+import os
 import re
 import subprocess
 import sys
+import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,9 +12,28 @@ import pytest
 from spectral_tau.cli import JobSpec, run
 from spectral_tau.serialize import ParseError, parse_matrix_polynomial
 
+from conftest import random_matrix_polynomial
+
 DOCS = Path(__file__).resolve().parent.parent / "docs"
+SRC = DOCS.parent / "src"
 G1 = DOCS / "examples" / "hyperelliptic-g1.json"
 THREE = DOCS / "examples" / "three-sheet-m1.json"
+
+
+def write_instance(w, path):
+    """Write w in the CLI input schema (coefficients of z^m first)."""
+    coeffs = [[[str(Fraction(x)) for x in row] for row in w.coefficient_of_power(k)]
+              for k in range(w.m, -1, -1)]
+    path.write_text(json.dumps({"n": w.n, "m": w.m, "coefficients": coeffs}))
+    return path
+
+
+def run_python(code):
+    """Run code in a fresh interpreter that imports spectral_tau from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          capture_output=True, text=True, env=env, timeout=300)
 
 
 class TestParsing:
@@ -91,6 +113,72 @@ class TestRun:
         assert status == 0
         assert report["success"] is True
         assert report["shift_used"] is not None
+
+
+class TestStageErrors:
+    """Failed numerical stages exit with status 1 and an errors report."""
+
+    def test_divisor_error(self, tmp_path):
+        # conftest n=4 m=2 seed 101: a divisor point fails the residual check
+        path = write_instance(random_matrix_polynomial(101, 4, 2), tmp_path / "w.json")
+        status, report = run(JobSpec("divisor", str(path)))
+        assert status == 1
+        assert list(report) == ["errors"]
+        assert "residuals" in report["errors"][0]
+
+    @pytest.mark.parametrize("module, target, error", [
+        ("periods", "period_matrix", "PeriodError"),
+        ("theta", "log_theta_derivatives", "ThetaError"),
+    ])
+    def test_verify_theta_stage_error(self, monkeypatch, module, target, error):
+        import importlib
+
+        import spectral_tau.verify
+
+        exc_type = getattr(importlib.import_module(f"spectral_tau.{module}"), error)
+
+        def fail(*args, **kwargs):
+            raise exc_type(f"injected {error}")
+
+        monkeypatch.setattr(spectral_tau.verify, target, fail)
+        job = JobSpec("verify-theta", str(G1), kmax=1, tol=1e-6)
+        job.extra["kmax_by_n"] = {3: 1, 4: 0}
+        assert run(job) == (1, {"errors": [f"injected {error}"]})
+
+
+class TestImports:
+    def test_exact_commands_skip_numerical_modules(self):
+        """curve-info, jet and correlators import neither numpy nor the numerical modules."""
+        proc = run_python(f"""
+            import contextlib, io, sys
+
+            import spectral_tau.cli as cli
+
+            HEAVY = ("numpy", "spectral_tau.periods", "spectral_tau.theta",
+                     "spectral_tau.verify", "spectral_tau.divisor")
+
+            def call(*argv):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(list(argv)) == 0, argv
+
+            def check(when):
+                loaded = [m for m in HEAVY if m in sys.modules]
+                assert not loaded, (when, loaded)
+
+            check("import spectral_tau.cli")
+            for argv in (["curve-info", "--input", {str(G1)!r}],
+                         ["jet", "--input", {str(THREE)!r}],
+                         ["correlators", "--input", {str(THREE)!r}, "--kmax", "1", "--max-n", "3"],
+                         ["correlators", "--input", {str(THREE)!r}, "--indices", "1,0;2,0"]):
+                call(*argv)
+                check(argv[0])
+            call("divisor", "--input", {str(G1)!r})
+            call("verify-theta", "--input", {str(G1)!r}, "--kmax", "1")
+            assert "numpy" in sys.modules
+            print("ok")
+        """)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "ok"
 
 
 class TestDeterminism:

@@ -134,6 +134,24 @@ class TestTruncationDiscipline:
         assert ((a + b).val, (a + b).end) == (-1, 2)
         assert ((b - a).val, (b - a).end) == (-1, 2)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-4, 4), st.lists(st.one_of(st.integers(-99, 99), fractions), max_size=12),
+           st.integers(-4, 4), st.lists(st.one_of(st.integers(-99, 99), fractions), max_size=12))
+    def test_product_matches_naive_convolution(self, val_a, coeffs_a, val_b, coeffs_b):
+        a, b = USeries(val_a, coeffs_a), USeries(val_b, coeffs_b)
+        n = min(len(coeffs_a), len(coeffs_b))
+        naive = [sum((Fraction(coeffs_a[i]) * Fraction(coeffs_b[k - i]) for i in range(k + 1)),
+                     Fraction(0)) for k in range(n)]
+        prod = a * b
+        assert (prod.val, prod.end) == (val_a + val_b, val_a + val_b + n)
+        assert prod.coefficients(prod.val, prod.end) == naive
+        with pytest.raises(TruncationError):
+            prod[prod.end]
+        # int x int stays int; a Fraction in either operand makes every coefficient one
+        operands = coeffs_a[:n] + coeffs_b[:n]
+        kind = int if all(type(c) is int for c in operands) else Fraction
+        assert all(type(c) is kind for c in prod.coeffs)
+
     def test_all_values_are_fractions(self):
         s = ser(-1, [Fraction(2, 3), 5], 2) * ser(0, [Fraction(7, 2), 1], 2)
         assert all(isinstance(c, Fraction) for c in s.coeffs)
