@@ -15,12 +15,13 @@ The expansion runs in Python integers.  Substituting u = c*t makes every
 projector coefficient a_k c^k an integer; c is derived from the computed
 series (per prime of the denominators, the least exponent that clears them
 all; a cofactor left after trial division enters whole, as in the lcm of the
-denominators).  The cyclic classes are walked depth-first over prefixes, so
-each partial chain product is formed once, and each division by (t_i - t_j)
-is a divided difference: running sums along the anti-diagonals of the (i, j)
-exponent plane.  The t-quotient's coefficient q[k] is read back as
-F = -q[k] / c^(N + |k|) (two points: +q[k] / c^(2 + |k|)), the only Fraction
-on the path.
+denominators), by the engine once per sheet and projector order, and a table
+uses the lcm of its sheets' scales.  The cyclic classes are walked
+depth-first over prefixes, so each partial chain product is formed once, and
+each division by (t_i - t_j) is a divided difference: running sums along the
+anti-diagonals of the (i, j) exponent plane.  The t-quotient's coefficient
+q[k] is read back as F = -q[k] / c^(N + |k|) (two points: +q[k] / c^(2 + |k|)),
+the only Fraction on the path.
 
 Certificates: every scaled coefficient must be an integer (a wrong c raises
 ArithmeticError rather than emitting a value), and every division must leave
@@ -75,6 +76,7 @@ class CorrelatorEngine:
         self._phi = None
         self._projectors: dict[int, tuple] = {}
         self._proj_order = -1
+        self._scales: dict = {}
 
     def projector(self, sheet: int, order: int) -> tuple:
         """Pi_sheet as an n x n grid of series trusted through at least u^order."""
@@ -86,7 +88,22 @@ class CorrelatorEngine:
                 a: projector_series(self.w, a, order, curve=self.curve, phi=self._phi)
                 for a in range(1, self.w.n + 1)
             }
+            self._scales = {}
         return self._projectors[sheet]
+
+    def scale(self, *sheets: int) -> int:
+        """A series scale c (see ``_series_scale``) for the projectors of ``sheets``.
+
+        Sheet 0 stands for the difference Pi_1 - Pi_2.  Each sheet's scale is
+        derived once per projector order, on the whole cached window; the
+        least scale of several sheets is the lcm of theirs.
+        """
+        for a in sheets:
+            if a not in self._scales:
+                order = self._proj_order
+                mat = self.difference_matrix(order) if a == 0 else self.slot_matrix(a, order)
+                self._scales[a] = _series_scale([mat])
+        return math.lcm(*(self._scales[a] for a in sheets))
 
     def slot_matrix(self, sheet: int, order: int):
         """Pi_sheet as an n x n grid of coefficient lists of u^0..u^order.
@@ -191,14 +208,13 @@ def _trace_of_product(a, b, cap: int) -> MultiPoly:
                                          if a[i][k].terms and b[k][i].terms))
 
 
-def _pair_table_values(mat1, mat2, subtract: int, kmax: int) -> dict:
+def _pair_table_values(mat1, mat2, subtract: int, kmax: int, c: int) -> dict:
     """(tr[M1(u1) M2(u2)] - subtract) / (u2 - u1)^2 in the box k1, k2 <= kmax.
 
     Runs in t = u / c; the quotient's t-coefficients q[k] give
     F = q[k] / c^(2 + |k|).
     """
     K = len(mat1[0][0]) - 1
-    c = _series_scale((mat1, mat2))
     num = _trace_of_product(_integer_slot(mat1, c, 2, 0), _integer_slot(mat2, c, 2, 1), K)
     if subtract:
         num = num - MultiPoly.constant(2, subtract)
@@ -236,8 +252,8 @@ def _cycle_sign_and_missing(perm: Sequence[int], npts: int):
     return sign, missing
 
 
-def _npoint_values(slot_mats, kmax: int) -> dict:
-    """F-values for fixed per-slot matrices; slot i expands in u_i.
+def _npoint_values(slot_mats, kmax: int, c: int) -> dict:
+    """F-values for fixed per-slot matrices, scaled by c; slot i expands in u_i.
 
     Returns {(k_1..k_N): Fraction} for the full box k_i <= kmax.
     """
@@ -250,7 +266,6 @@ def _npoint_values(slot_mats, kmax: int) -> dict:
     if any(len(mat[0][0]) < K + 1 for mat in slot_mats):
         raise ValueError("slot matrices carry fewer trusted orders than required")
     mats = [[[series[: K + 1] for series in row] for row in mat] for mat in slot_mats]
-    c = _series_scale(mats)
     slots = [_integer_slot(mat, c, npts, var) for var, mat in enumerate(mats)]
 
     # One representative per cyclic class (slot 0 first); trace and
@@ -304,7 +319,7 @@ def correlator_pair(w: MatrixPolynomial, a1: int, a2: int, kmax: int,
     K = 2 * (kmax + 1)
     m1 = engine.slot_matrix(a1, K)
     m2 = engine.slot_matrix(a2, K)
-    vals = _pair_table_values(m1, m2, 1 if a1 == a2 else 0, kmax)
+    vals = _pair_table_values(m1, m2, 1 if a1 == a2 else 0, kmax, engine.scale(a1, a2))
     entries = {
         ((a1, k1), (a2, k2)): v for (k1, k2), v in vals.items()
     }
@@ -321,7 +336,7 @@ def correlator_n(w: MatrixPolynomial, sheets: Sequence[int], kmax: int,
     npts = len(sheets)
     K = npts * (kmax + 1)
     slot_mats = [engine.slot_matrix(a, K) for a in sheets]
-    vals = _npoint_values(slot_mats, kmax)
+    vals = _npoint_values(slot_mats, kmax, engine.scale(*sheets))
     entries = {
         tuple((sheets[i], ks[i]) for i in range(npts)): v for ks, v in vals.items()
     }
@@ -398,10 +413,10 @@ def hyperelliptic_combination(w: MatrixPolynomial, n_points: int, kmax: int,
     if n_points == 2:
         K = 2 * (kmax + 1)
         d = engine.difference_matrix(K)
-        return _pair_table_values(d, d, 2, kmax)
+        return _pair_table_values(d, d, 2, kmax, engine.scale(0))
     K = n_points * (kmax + 1)
     d = engine.difference_matrix(K)
-    return _npoint_values([d] * n_points, kmax)
+    return _npoint_values([d] * n_points, kmax, engine.scale(0))
 
 
 def hyperelliptic_combination_from_tables(w: MatrixPolynomial, n_points: int, kmax: int,

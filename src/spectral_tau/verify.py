@@ -120,7 +120,7 @@ def verify_main_theorem(w: MatrixPolynomial, kmax=None, tol: float = 1e-6,
     ctx = period_matrix(curve, settings)
     checks: dict = {}
     checks["b_symmetry_defect"] = ctx.symmetry_defect()
-    checks["b_flipped"] = ctx.b_flipped
+    checks["period_quadrature_bound"] = ctx.quadrature_bound
 
     top_k = max(kmax_by_n.values())
     vdata = v_vectors(curve, ctx, top_k)

@@ -193,6 +193,16 @@ class TestIntegerEngine:
             assert got == want
             assert all(len(s) == K + 1 for row in got for s in row)
 
+    def test_scale_follows_projector_order(self):
+        # sheet 1 of this instance needs scale 90 through u^3 and 180 from u^4 on:
+        # a scale kept from the lower order would leave u^4 non-integral
+        w = random_matrix_polynomial(100, 3, 1)
+        eng = CorrelatorEngine(w)
+        assert correlator_pair(w, 1, 1, 0, eng) == correlator_pair(w, 1, 1, 0)
+        assert eng.scale(1) == 90
+        assert correlator_n(w, (1, 2, 3), 1, eng) == correlator_n(w, (1, 2, 3), 1)
+        assert eng.scale(1) == 180
+
     def test_wrong_scale_raises(self, monkeypatch):
         w = doc_w("hyperelliptic-g2.json")
         eng = CorrelatorEngine(w)
