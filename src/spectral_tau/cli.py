@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .curve import characteristic_data
 from .rationals import format_rational
@@ -46,7 +45,6 @@ class JobSpec:
     max_n: int = 2
     tol: float = 1e-9
     indices: str | None = None
-    extra: dict = field(default_factory=dict)
 
 
 def _load_input(job: JobSpec):
@@ -158,9 +156,8 @@ def _cmd_verify_theta(job: JobSpec) -> dict:
     from .verify import verify_main_theorem
 
     w = _load_input(job)
-    kmax = job.extra.get("kmax_by_n") or job.kmax
     try:
-        report = verify_main_theorem(w, kmax=kmax, tol=max(job.tol, 1e-12))
+        report = verify_main_theorem(w, kmax=job.kmax, tol=max(job.tol, 1e-12))
     except (DivisorError, PeriodError, ThetaError) as exc:
         raise StageError(str(exc)) from exc
     return report.to_json_dict()
@@ -177,13 +174,6 @@ _COMMANDS = {
 
 def run(job: JobSpec) -> tuple[int, dict]:
     """Dispatch a job; returns (exit_status, report)."""
-    threads = os.environ.get("SPECTRAL_TAU_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            return 2, {"errors": [f"SPECTRAL_TAU_THREADS must be a positive integer, got {threads!r}"]}
     try:
         report = _COMMANDS[job.command](job)
     except (ParseError, FileNotFoundError, json.JSONDecodeError, ValueError, KeyError) as exc:

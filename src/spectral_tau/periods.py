@@ -271,7 +271,6 @@ class ThetaContext:
     clearance: float           # smallest log rho of a tree edge's clear ellipse
     quadrature_bound: float    # largest a priori error of an edge cycle period
     settings: QuadratureSettings = field(default_factory=QuadratureSettings)
-    lattice_radius: int = 40
 
     @property
     def base(self) -> complex:   # e1, the base point of the Abel map
@@ -337,7 +336,7 @@ class JacobianPoint:
 def jacobian_point(curve: HyperellipticCurve, ctx: ThetaContext, divisor_points) -> JacobianPoint:
     """abel_u0 reduced into the fundamental region, with the nonspeciality check."""
     u0 = reduce_mod_lattice(abel_u0(curve, ctx, divisor_points), ctx.b_matrix)
-    value = theta(u0, ctx)
+    value = theta(u0, ctx.b_matrix)
     if abs(value) <= 1e-10:
         raise PeriodError("theta vanishes at the divisor point; divisor is special")
     return JacobianPoint(u0=u0, theta_value=complex(value))

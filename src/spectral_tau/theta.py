@@ -1,21 +1,58 @@
 """Riemann theta function as the lattice sum with the e^(nBn/2 + nu) convention.
 
 theta(u) = sum over n in Z^g of exp( <n, B n>/2 + <n, u> ), which converges
-for Re(B) negative definite (the a-periods are normalized to 2 pi i).
-Partial derivatives insert monomial factors n_{i1}...n_{iN} termwise;
-logarithmic derivatives are assembled by the set-partition expansion.
+for Re(B) negative definite (the a-periods are normalized to 2 pi i).  A
+derivative along directions v_1..v_N inserts the factor <v_1,n>...<v_N,n>
+termwise; logarithmic derivatives are assembled from those sums by the
+set-partition expansion.
+
+Truncation (after Deconinck, Heil, Bobenko, van Hoeij, Schmies, "Computing
+Riemann theta functions", Math. Comp. 73 (2004)).  Every sum at a point u
+runs once over the box |n|_inf <= r.  With lam = lambda_min(-Re B),
+s = |Re u| and N the highest derivative order, a term is at most
+|v_1|...|v_N| f(|n|) with f(x) = x^N exp(-lam x^2/2 + s x).  A point outside
+the box has |n| >= r + 1, and the shell j <= |n| < j + 1 holds at most
+(2j + 1)^g points, so once f decreases from j = r + 1 on, the omitted part is
+at most |v_1|...|v_N| times the sum over j > r of t_j = (2j + 1)^g f(j).  The
+sequence t_j is log-concave, so that sum is at most t_{r+1} / (1 - q) with
+q = t_{r+2} / t_{r+1} < 1.  The radius is the smallest r whose bound is below
+TAIL; a point that needs more than MAX_RADIUS raises ThetaError before any
+lattice is built.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
 
+TAIL = 1e-16          # truncation bound per derivative sum, in units of |v_1|...|v_N|
+MAX_RADIUS = 40
+DIVISOR_GUARD = 1e-10  # |theta(u)| below this: u is taken to sit on the theta divisor
+
 
 class ThetaError(Exception):
     pass
+
+
+def lattice_radius(u: np.ndarray, b: np.ndarray, order: int) -> int:
+    """The smallest box radius whose tail bound (module docstring) is below TAIL."""
+    g, lam = len(u), float(np.linalg.eigvalsh(-b.real)[0])
+    s = float(np.linalg.norm(u.real))
+
+    def log_t(j):
+        return g * math.log(2 * j + 1) + order * math.log(j) - 0.5 * lam * j * j + s * j
+
+    if lam > 0:
+        for j in range(1, MAX_RADIUS + 2):   # j = r + 1
+            log_q = log_t(j + 1) - log_t(j)
+            if (lam * j * j >= s * j + order and log_q < 0
+                    and log_t(j) - math.log1p(-math.exp(log_q)) <= math.log(TAIL)):
+                return j - 1
+    raise ThetaError(f"lattice sum needs a radius above {MAX_RADIUS}: "
+                     f"lambda_min(-Re B) = {lam:.3g}, |Re u| = {s:.3g}")
 
 
 def _lattice(g: int, radius: int) -> np.ndarray:
@@ -23,51 +60,27 @@ def _lattice(g: int, radius: int) -> np.ndarray:
     return np.stack(grids, axis=-1).reshape(-1, g).astype(float)
 
 
-def _raw_values(u: np.ndarray, b: np.ndarray, derivs, radius: int) -> dict:
-    n = _lattice(len(u), radius)
-    expo = 0.5 * np.einsum("ki,ij,kj->k", n, b, n) + n @ u
-    # clip the real part to dodge overflow warnings on hopeless radii
-    terms = np.exp(np.clip(expo.real, -745.0, 700.0) + 1j * expo.imag)
-    out = {}
-    for d in derivs:
-        factor = np.ones(len(n))
-        for idx in d:
-            factor = factor * n[:, idx]
-        out[d] = complex(np.sum(factor * terms))
-    return out
+def _raw_values(u: np.ndarray, b: np.ndarray, derivs, radius: int, axes=None) -> dict:
+    """Box sums of theta and its derivatives ``derivs`` at u.
 
-
-def theta_with_derivatives(u, ctx_or_b, derivs=((),), radius: int | None = None,
-                           radius_cap: int = 64) -> dict:
-    """Evaluate theta and the requested derivative multi-indices at once.
-
-    The truncation radius grows until two successive evaluations agree to
-    1e-12 relative on every requested value; exceeding the cap raises (the
-    curve is too degenerate for the lattice sum to converge usefully).
+    A derivative is a tuple of row indices of ``axes`` (default: the
+    coordinate axes); row v contributes the factor <v, n>.
     """
-    b = getattr(ctx_or_b, "b_matrix", ctx_or_b)
-    radius_cap = getattr(ctx_or_b, "lattice_radius", radius_cap)
-    b = np.asarray(b, dtype=complex)
-    u = np.asarray(u, dtype=complex)
-    derivs = [tuple(d) for d in derivs]
-    if () not in derivs:
-        derivs = [()] + derivs
-    if radius is not None:
-        return _raw_values(u, b, derivs, radius)
-    r = 8
-    prev = _raw_values(u, b, derivs, r)
-    while r <= radius_cap:
-        r += 4
-        cur = _raw_values(u, b, derivs, r)
-        scale = max(abs(cur[()]), 1e-300)
-        if all(abs(cur[d] - prev[d]) <= 1e-12 * max(scale, abs(cur[d])) for d in derivs):
-            return cur
-        prev = cur
-    raise ThetaError("lattice sum too slow; curve too degenerate")
+    n = _lattice(len(u), radius)
+    terms = np.exp(0.5 * np.einsum("ki,ij,kj->k", n, b, n) + n @ u)
+    p = n if axes is None else n @ np.asarray(axes).T
+    return {d: complex(np.sum(np.prod(p[:, list(d)], axis=1) * terms)) for d in derivs}
 
 
-def theta(u, ctx_or_b, derivative=()) -> complex:
-    return theta_with_derivatives(u, ctx_or_b, [tuple(derivative)])[tuple(derivative)]
+def theta_with_derivatives(u, b, derivs=((),)) -> dict:
+    """theta and the coordinate derivative multi-indices ``derivs`` at u, in one box."""
+    b, u = np.asarray(b, dtype=complex), np.asarray(u, dtype=complex)
+    derivs = {()} | {tuple(d) for d in derivs}
+    return _raw_values(u, b, derivs, lattice_radius(u, b, max(map(len, derivs))))
+
+
+def theta(u, b, derivative=()) -> complex:
+    return theta_with_derivatives(u, b, [tuple(derivative)])[tuple(derivative)]
 
 
 @lru_cache(maxsize=None)
@@ -84,40 +97,45 @@ def _set_partitions(n: int):
     return tuple(out)
 
 
-def log_theta_derivatives(u, ctx_or_b, indices) -> complex:
+def _assemble(values: dict, ks: tuple) -> complex:
+    """d^N log theta along ks from the sums keyed by the sorted sub-tuples of ks."""
+    t0, total = values[()], 0j
+    for part in _set_partitions(len(ks)):
+        term = (-1) ** (len(part) - 1) * math.factorial(len(part) - 1)
+        for block in part:
+            term *= values[tuple(sorted(ks[i] for i in block))] / t0
+        total += term
+    return complex(total)
+
+
+def log_derivatives(u, b, tuples, axes=None) -> tuple[complex, dict]:
+    """theta(u) and d^N log theta along rows of ``axes`` for each index tuple.
+
+    One box pass serves every tuple.  The dict is empty when |theta(u)| is
+    below DIVISOR_GUARD: u sits on the theta divisor, where they would blow up.
+    """
+    b, u = np.asarray(b, dtype=complex), np.asarray(u, dtype=complex)
+    tuples = [tuple(t) for t in tuples]
+    blocks = {c for t in tuples for r in range(len(t) + 1)
+              for c in itertools.combinations(sorted(t), r)}
+    values = _raw_values(u, b, blocks, lattice_radius(u, b, max(map(len, tuples))), axes)
+    if abs(values[()]) < DIVISOR_GUARD:
+        return values[()], {}
+    return values[()], {t: _assemble(values, t) for t in tuples}
+
+
+def log_theta_derivatives(u, b, indices) -> complex:
     """d^N log theta / du_{i1}..du_{iN} via the set-partition expansion.
 
     Raises when theta(u) is too small (the point sits on the theta divisor).
     """
     indices = tuple(int(i) for i in indices)
-    n = len(indices)
-    if n == 0:
+    if not indices:
         raise ThetaError("need at least one derivative index")
-    needed = set()
-    for part in _set_partitions(n):
-        for block in part:
-            needed.add(tuple(sorted(indices[i] for i in block)))
-    values = theta_with_derivatives(u, ctx_or_b, sorted(needed))
-    t0 = values[()]
-    if abs(t0) < 1e-10:
+    logs = log_derivatives(u, b, [indices])[1]
+    if not logs:
         raise ThetaError("point on theta divisor; logarithmic derivatives blow up")
-    total = 0j
-    for part in _set_partitions(n):
-        k = len(part)
-        coeff = (-1) ** (k - 1) * _factorial(k - 1)
-        prod = 1.0 + 0j
-        for block in part:
-            key = tuple(sorted(indices[i] for i in block))
-            prod *= values[key] / t0
-        total += coeff * prod
-    return complex(total)
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
+    return logs[indices]
 
 
 def reduce_mod_lattice(u, b) -> np.ndarray:

@@ -91,28 +91,17 @@ class TestRun:
         assert status == 2
         assert report["errors"]
 
-    def test_bad_thread_env(self, monkeypatch):
-        monkeypatch.setenv("SPECTRAL_TAU_THREADS", "zero")
-        status, report = run(JobSpec("curve-info", str(G1)))
-        assert status == 2
-
-    def test_thread_env_accepted(self, monkeypatch):
-        monkeypatch.setenv("SPECTRAL_TAU_THREADS", "1")
-        status, _ = run(JobSpec("curve-info", str(G1)))
-        assert status == 0
-
     def test_kmax_cap_enforced(self):
         status, report = run(JobSpec("correlators", str(G1), kmax=99))
         assert status == 2
         assert "caps" in report["errors"][0]
 
     def test_verify_theta_success(self):
-        job = JobSpec("verify-theta", str(G1), kmax=1, tol=1e-6)
-        job.extra["kmax_by_n"] = {3: 1, 4: 0}
-        status, report = run(job)
+        status, report = run(JobSpec("verify-theta", str(G1), kmax=1, tol=1e-6))
         assert status == 0
         assert report["success"] is True
         assert report["shift_used"] is not None
+        assert len(report["identities"]) == 9   # kmax 1 for N = 3 and 4
 
 
 class TestStageErrors:
@@ -128,7 +117,7 @@ class TestStageErrors:
 
     @pytest.mark.parametrize("module, target, error", [
         ("periods", "period_matrix", "PeriodError"),
-        ("theta", "log_theta_derivatives", "ThetaError"),
+        ("theta", "log_derivatives", "ThetaError"),
     ])
     def test_verify_theta_stage_error(self, monkeypatch, module, target, error):
         import importlib
@@ -142,7 +131,6 @@ class TestStageErrors:
 
         monkeypatch.setattr(spectral_tau.verify, target, fail)
         job = JobSpec("verify-theta", str(G1), kmax=1, tol=1e-6)
-        job.extra["kmax_by_n"] = {3: 1, 4: 0}
         assert run(job) == (1, {"errors": [f"injected {error}"]})
 
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import spectral_tau.theta as theta_module
 from spectral_tau.theta import (
     ThetaError,
+    _raw_values,
     half_period_shifts,
+    lattice_radius,
     log_theta_derivatives,
     reduce_mod_lattice,
     theta,
@@ -96,3 +99,23 @@ class TestLattice:
     def test_half_period_count(self):
         assert len(half_period_shifts(B1)) == 4
         assert len(half_period_shifts(B2)) == 16
+
+
+class TestTruncation:
+    def test_sized_box_matches_a_wider_box(self):
+        u = np.array([1.3 - 0.4j, -2.1 + 0.8j])
+        derivs = [(), (0,), (0, 1), (1, 1, 1), (0, 0, 1, 1)]
+        sized = theta_with_derivatives(u, B2, derivs)
+        radius = lattice_radius(u, B2, 4)
+        wide = _raw_values(u, B2, derivs, radius + 6)
+        for d in derivs:
+            assert abs(sized[d] - wide[d]) < 1e-14 * max(1.0, abs(wide[d]))
+
+    def test_flat_direction_raises_before_any_lattice(self, monkeypatch):
+        def no_lattice(g, radius):
+            raise AssertionError(f"lattice of radius {radius} built")
+
+        monkeypatch.setattr(theta_module, "_lattice", no_lattice)
+        b = np.diag([-1e-6 + 0j, -5.0 + 0j])   # lambda_min(-Re B) = 1e-6
+        with pytest.raises(ThetaError, match="radius above"):
+            theta(np.zeros(2, dtype=complex), b)

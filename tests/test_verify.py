@@ -2,7 +2,11 @@ import math
 
 import pytest
 
+import spectral_tau.theta as theta_module
 from spectral_tau import verify_main_theorem
+from spectral_tau.divisor import pole_divisor
+from spectral_tau.periods import HyperellipticCurve, jacobian_point, period_matrix, v_vectors
+from spectral_tau.theta import half_period_shifts, reduce_mod_lattice
 
 from conftest import doc_w, random_hyperelliptic
 
@@ -36,8 +40,7 @@ class TestMainIdentity:
         assert all(len(item["T"]) == 2 for item in data["identities"])
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("seed", [100, 101])
+@pytest.mark.parametrize("seed", range(100, 105))
 def test_random_instance_g3(seed):
     w, *_ = random_hyperelliptic(seed, 3)
     rep = verify_main_theorem(w, kmax={3: 1, 4: 0}, tol=1e-6)
@@ -52,3 +55,46 @@ def test_period_quadrature_bound_reported(name):
     rep = verify_main_theorem(doc_w(name), kmax={3: 0}, tol=1e-6)
     bound = rep.to_json_dict()["checks"]["period_quadrature_bound"]
     assert math.isfinite(bound) and 0 < bound < 1e-10
+
+
+@pytest.mark.parametrize("name, g", [("hyperelliptic-g1.json", 1), ("hyperelliptic-g2.json", 2)])
+def test_one_lattice_pass_per_shift(monkeypatch, name, g):
+    """Every half-period shift costs one lattice pass; theta at u0 and the
+    2g quasi-periodicity checks cost one each."""
+    calls = []
+    raw = theta_module._raw_values
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return raw(*args, **kwargs)
+
+    monkeypatch.setattr(theta_module, "_raw_values", counted)
+    assert verify_main_theorem(doc_w(name), kmax={3: 2, 4: 1}, tol=1e-6).success
+    assert len(calls) <= 2 ** (2 * g) + 2 * g + 1
+
+
+def test_g1_oracle_mpmath():
+    """T on the g1 example against jtheta at 30 digits, at the same float u, B and V."""
+    mp = pytest.importorskip("mpmath")
+    w = doc_w("hyperelliptic-g1.json")
+    rep = verify_main_theorem(w, kmax={3: 1, 4: 1}, tol=1e-9)
+    assert rep.success
+    curve = HyperellipticCurve.from_matrix_polynomial(w)
+    ctx = period_matrix(curve)
+    b = ctx.b_matrix
+    vectors = v_vectors(curve, ctx, 1).vectors
+    u0 = jacobian_point(curve, ctx, pole_divisor(w)).u0
+    u = reduce_mod_lattice(u0 + dict(half_period_shifts(b))[rep.shift_used], b)
+    with mp.workdps(30):
+        # theta(u) = jtheta(3, u/(2i), e^(B/2)), so d/du = (2i)^-1 d/dz
+        z, q = mp.mpc(u[0]) / mp.mpc(0, 2), mp.exp(mp.mpc(b[0, 0]) / 2)
+        t = [mp.jtheta(3, z, q, derivative=k) / mp.mpc(0, 2) ** k / mp.jtheta(3, z, q)
+             for k in range(5)]
+        log_d = {3: t[3] - 3 * t[2] * t[1] + 2 * t[1] ** 3,
+                 4: t[4] - 4 * t[3] * t[1] - 3 * t[2] ** 2 + 12 * t[2] * t[1] ** 2 - 6 * t[1] ** 4}
+        for r in rep.identities:
+            t_mp = log_d[r.n_points]
+            for k in r.k_tuple:
+                t_mp *= mp.mpc(vectors[k][0])
+            assert abs(r.t_value - complex(t_mp)) <= 1e-12, (r.n_points, r.k_tuple)
+    assert {r.n_points for r in rep.identities} == {3, 4}
