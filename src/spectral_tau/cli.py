@@ -61,14 +61,38 @@ def _parse_indices(text: str):
             continue
         a, k = chunk.split(",")
         pairs.append((int(a), int(k)))
-    if len(pairs) < 2:
-        raise ValueError("need at least two index pairs a,k")
     return tuple(pairs)
+
+
+def _checked_indices(job: JobSpec, n: int):
+    """Range-check --kmax, --max-n and --indices; returns the index pairs or None.
+
+    Sheets lie in 1..n, orders k and --kmax in 0..KMAX_CAP, and --max-n and
+    the number of index pairs are at most MAXN_CAP.  A value out of range
+    raises ParseError (exit status 2) naming its flag.
+    """
+    def check(flag, value, low, cap):
+        if value < low:
+            raise ParseError(f"{flag}: {value} is below {low}")
+        if value > cap:
+            raise ParseError(f"{flag}: {value} exceeds the caps (at most {cap})")
+
+    check("--kmax", job.kmax, 0, KMAX_CAP)
+    check("--max-n", job.max_n, 0, MAXN_CAP)
+    if not job.indices:
+        return None
+    pairs = _parse_indices(job.indices)
+    check("--indices: number of pairs", len(pairs), 2, MAXN_CAP)
+    for a, k in pairs:
+        if not 1 <= a <= n:
+            raise ParseError(f"--indices: sheet {a} outside 1..{n}")
+        check("--indices: order k", k, 0, KMAX_CAP)
+    return pairs
 
 
 def _cmd_curve_info(job: JobSpec) -> dict:
     w = _load_input(job)
-    curve = characteristic_data(w, with_diagnostics=True)
+    curve = characteristic_data(w)
     return {
         "n": curve.n,
         "m": curve.m,
@@ -90,12 +114,10 @@ def _cmd_correlators(job: JobSpec) -> dict:
     from .correlators import CorrelatorEngine, correlator_n, correlator_pair
 
     w = _load_input(job)
-    if job.kmax > KMAX_CAP or job.max_n > MAXN_CAP:
-        raise ParseError(f"caps: kmax <= {KMAX_CAP}, max-n <= {MAXN_CAP}")
+    pairs = _checked_indices(job, w.n)
     engine = CorrelatorEngine(w)
     tables = []
-    if job.indices:
-        pairs = _parse_indices(job.indices)
+    if pairs:
         sheets = tuple(a for a, _ in pairs)
         kneed = max(k for _, k in pairs)
         if len(pairs) == 2:
@@ -120,9 +142,10 @@ def _cmd_divisor(job: JobSpec) -> dict:
     from .divisor import DivisorError, d_polynomial, expected_d_degree, pole_divisor
 
     w = _load_input(job)
+    curve = characteristic_data(w)
     try:
-        points = pole_divisor(w, tol=job.tol)
-        dpoly = d_polynomial(w)
+        points = pole_divisor(w, job.tol, curve)
+        dpoly = d_polynomial(w, curve)
     except DivisorError as exc:
         raise StageError(str(exc)) from exc
     return {
@@ -156,6 +179,7 @@ def _cmd_verify_theta(job: JobSpec) -> dict:
     from .verify import verify_main_theorem
 
     w = _load_input(job)
+    _checked_indices(job, w.n)
     try:
         report = verify_main_theorem(w, kmax=job.kmax, tol=max(job.tol, 1e-12))
     except (DivisorError, PeriodError, ThetaError) as exc:

@@ -41,7 +41,7 @@ from typing import Mapping, Sequence
 
 from .curve import MatrixPolynomial, characteristic_data
 from .multipoly import MultiPoly, multipoly_exact_divide, multipoly_sum
-from .projectors import phi_coefficients, projector_series
+from .projectors import projector_series
 
 IndexPair = tuple[int, int]  # (sheet, k)
 
@@ -69,11 +69,10 @@ class CorrelatorEngine:
 
     def __init__(self, w: MatrixPolynomial):
         self.w = w
-        self.curve = characteristic_data(w, with_diagnostics=True)
+        self.curve = characteristic_data(w)
         fatal = self.curve.fatal_diagnostics()
         if fatal:
             raise ValueError(f"invalid input: {fatal[0].detail or fatal[0].name}")
-        self._phi = None
         self._projectors: dict[int, tuple] = {}
         self._proj_order = -1
         self._scales: dict = {}
@@ -81,11 +80,9 @@ class CorrelatorEngine:
     def projector(self, sheet: int, order: int) -> tuple:
         """Pi_sheet as an n x n grid of series trusted through at least u^order."""
         if order > self._proj_order:
-            if self._phi is None:
-                self._phi = phi_coefficients(self.curve, self.w)
             self._proj_order = order
             self._projectors = {
-                a: projector_series(self.w, a, order, curve=self.curve, phi=self._phi)
+                a: projector_series(self.w, a, order, self.curve)
                 for a in range(1, self.w.n + 1)
             }
             self._scales = {}

@@ -3,11 +3,16 @@
 The root object is W(z) = B0*z^m + ... + Bm with a diagonal leading
 coefficient whose entries are pairwise distinct.  The spectral curve is
 det(w*1 - W(z)) = w^n + a_1(z) w^{n-1} + ... + a_n(z).
+
+:func:`characteristic_data` is the one place that computes curve data: a
+single Faddeev-LeVerrier pass yields the a_k together with the adjugate
+Phi(z, w) of w*1 - W(z), whose coefficient matrices feed the projectors and
+the divisor, and the leading diagonal of W labels the sheets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -98,35 +103,23 @@ class MatrixPolynomial:
         ]
         return MatrixPolynomial.from_entries(entries, m=self.m)
 
-    def power_matrices(self, kmax: int) -> list:
-        """[W^0, W^1, ..., W^kmax] as Poly matrices."""
-        n = self.n
-        ident = tuple(
-            tuple(Poly.one() if i == j else Poly.zero() for j in range(n)) for i in range(n)
-        )
-        out = [ident]
-        for _ in range(kmax):
-            prev = out[-1]
-            nxt = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = Poly.zero()
-                    for k in range(n):
-                        acc = acc + prev[i][k] * self.matrix[k][j]
-                    row.append(acc)
-                nxt.append(tuple(row))
-            out.append(tuple(nxt))
-        return out
-
 
 @dataclass(frozen=True)
 class SpectralCurveData:
+    """The curve det(w*1 - W(z)) = 0 with everything the exact chain reads off W.
+
+    ``adjugate`` holds the Faddeev-LeVerrier matrices N_0 = 1, ..., N_{n-1}:
+    adj(w*1 - W(z)) = Phi(z, w) = sum_k N_k(z) w^(n-1-k).  ``sheet_labels``
+    is W's leading diagonal: sheet a is the branch w_a ~ sheet_labels[a-1] z^m.
+    """
+
     n: int
     m: int
     char_coeffs: tuple  # (a_1, ..., a_n) as Poly
     genus: int
-    diagnostics: tuple = field(default_factory=tuple)
+    adjugate: tuple  # (N_0, ..., N_{n-1}) as PolyMatrix
+    sheet_labels: tuple  # leading diagonal entries of W
+    diagnostics: tuple
 
     def a(self, i: int) -> Poly:
         """a_i(z) for i = 1..n; a_0 is the constant 1."""
@@ -154,53 +147,47 @@ def genus(m: int, n: int) -> int:
     return num // 2
 
 
-def characteristic_data(w: MatrixPolynomial, with_diagnostics: bool = True) -> SpectralCurveData:
-    """Exact characteristic polynomial of W(z) by the trace recursion.
+def characteristic_data(w: MatrixPolynomial) -> SpectralCurveData:
+    """Characteristic polynomial and adjugate of w*1 - W(z), with diagnostics.
 
-    Builds det(w*1 - W(z)) = w^n + a_1 w^{n-1} + ... + a_n using the
-    Faddeev-LeVerrier iteration, which stays in Q[z] throughout.
+    One Faddeev-LeVerrier pass, which stays in Q[z] throughout: N_0 = 1 and,
+    for k = 1..n, a_k = -tr(W N_{k-1})/k and N_k = W N_{k-1} + a_k 1.  Then
+    det(w*1 - W) = w^n + a_1 w^{n-1} + ... + a_n, and N_k = sum_{j<=k} a_j W^(k-j)
+    are the coefficients of the adjugate (N_n = 0 is Cayley-Hamilton).
     """
-    n = w.n
-    ident = [[Poly.one() if i == j else Poly.zero() for j in range(n)] for i in range(n)]
-    mat = w.matrix
-
-    def mat_mul(a, b):
-        return [
-            [sum((a[i][k] * b[k][j] for k in range(n)), Poly.zero()) for j in range(n)]
-            for i in range(n)
-        ]
-
+    n, mat = w.n, w.matrix
+    zero = Poly.zero()
     coeffs = []
-    nk = ident
+    adjugate = [tuple(tuple(Poly.one() if i == j else zero for j in range(n)) for i in range(n))]
     for k in range(1, n + 1):
-        wn = mat_mul(mat, nk)
-        tr = sum((wn[i][i] for i in range(n)), Poly.zero())
-        ak = tr * Fraction(-1, k)
+        nk = adjugate[-1]
+        wn = [[sum((mat[i][s] * nk[s][j] for s in range(n)), zero) for j in range(n)]
+              for i in range(n)]
+        ak = sum((wn[i][i] for i in range(n)), zero) * Fraction(-1, k)
         coeffs.append(ak)
         if k < n:
-            nk = [
-                [wn[i][j] + (ak if i == j else Poly.zero()) for j in range(n)]
-                for i in range(n)
-            ]
-    data = SpectralCurveData(
-        n=n, m=w.m, char_coeffs=tuple(coeffs), genus=genus(w.m, n), diagnostics=()
+            adjugate.append(tuple(tuple(wn[i][j] + ak if i == j else wn[i][j] for j in range(n))
+                                  for i in range(n)))
+    return SpectralCurveData(
+        n=n, m=w.m, char_coeffs=tuple(coeffs), genus=genus(w.m, n), adjugate=tuple(adjugate),
+        sheet_labels=w.leading_diagonal(), diagnostics=tuple(_diagnostics(w, coeffs)),
     )
-    if with_diagnostics:
-        data = SpectralCurveData(
-            n=n, m=w.m, char_coeffs=tuple(coeffs), genus=data.genus,
-            diagnostics=tuple(validate(w, data)),
-        )
-    return data
 
 
-def validate(w: MatrixPolynomial, curve: SpectralCurveData | None = None) -> list[Diagnostic]:
-    """Structural checks on W(z) and its curve.
+def validate(w: MatrixPolynomial) -> list[Diagnostic]:
+    """The structural checks of :func:`characteristic_data` on W(z) and its curve."""
+    return list(characteristic_data(w).diagnostics)
+
+
+def _diagnostics(w: MatrixPolynomial, coeffs: list[Poly]) -> list[Diagnostic]:
+    """Structural checks on W(z) and its characteristic coefficients a_1..a_n.
 
     Distinctness of the leading diagonal is fatal (branch expansions at
-    infinity collide without it).  Squarefreeness of the w-discriminant is a
-    sufficient smoothness condition only, so its failure is a warning.
-    Irreducibility is not checked; reducible inputs surface later as failed
-    consistency identities.
+    infinity collide without it), and the checks of the curve itself run
+    only once the leading coefficient has passed.  Squarefreeness of the
+    w-discriminant is a sufficient smoothness condition only, so its failure
+    is a warning.  Irreducibility is not checked; reducible inputs surface
+    later as failed consistency identities.
     """
     diags: list[Diagnostic] = []
     lead_diag_ok = w.leading_is_diagonal()
@@ -225,28 +212,26 @@ def validate(w: MatrixPolynomial, curve: SpectralCurveData | None = None) -> lis
             detail="" if g_ok else f"genus {genus(w.m, w.n)} <= 0; theta machinery does not apply",
         )
     )
-    if curve is None and distinct and lead_diag_ok:
-        curve = characteristic_data(w, with_diagnostics=False)
-    if curve is not None:
-        deg_ok = all(curve.a(i).degree() <= w.m * i for i in range(1, w.n + 1))
-        diags.append(
-            Diagnostic(
-                "char_coeff_degrees", deg_ok, fatal=True,
-                detail="" if deg_ok else "deg a_i exceeds m*i",
-            )
+    if not (lead_diag_ok and distinct):
+        return diags
+    deg_ok = all(a.degree() <= w.m * i for i, a in enumerate(coeffs, start=1))
+    diags.append(
+        Diagnostic(
+            "char_coeff_degrees", deg_ok, fatal=True,
+            detail="" if deg_ok else "deg a_i exceeds m*i",
         )
-        if distinct:
-            # disc_w R as resultant of R and dR/dw, both polynomials in w over Q[z]
-            pw = [Poly.one()] + [curve.a(i) for i in range(1, w.n + 1)]
-            qw = [Fraction(w.n - i) * curve.a(i) for i in range(0, w.n)]
-            disc = resultant_w(pw, qw)
-            sf = (not disc.is_zero()) and is_squarefree(disc)
-            diags.append(
-                Diagnostic(
-                    "smoothness_squarefree_discriminant", sf, fatal=False,
-                    detail=""
-                    if sf
-                    else "disc_w R not squarefree; smoothness inconclusive (curve may be singular or reducible)",
-                )
-            )
+    )
+    # disc_w R as resultant of R and dR/dw, both polynomials in w over Q[z]
+    pw = [Poly.one()] + coeffs
+    qw = [Fraction(w.n - i) * a for i, a in enumerate(pw[:w.n])]
+    disc = resultant_w(pw, qw)
+    sf = (not disc.is_zero()) and is_squarefree(disc)
+    diags.append(
+        Diagnostic(
+            "smoothness_squarefree_discriminant", sf, fatal=False,
+            detail=""
+            if sf
+            else "disc_w R not squarefree; smoothness inconclusive (curve may be singular or reducible)",
+        )
+    )
     return diags

@@ -1,12 +1,14 @@
 """Pole divisor of the normalized eigenvector of W(z).
 
-The z-coordinates of the divisor are the roots of the exact polynomial
-D(z) = det of the matrix whose rows are (1,...,1) W^i(z) for i = 0..n-1;
-its degree equals m n (n-1)/2 = g + n - 1 for well-formed input.  At each
-root the w-coordinate is recovered from an (n-1)-minor of the cofactor
-row-sum matrix, choosing the numerically best minor.  Roots are computed in
-floating point (the divisor only feeds the numerical theta pipeline) but are
-Newton-polished against the exact coefficients.
+The eigenvector is a cofactor row sum: row i of the cofactors of
+w*1 - W(z) sums to w^{n-1} + q_{i2} w^{n-2} + ... + q_{in}, where q_{i,k+1}
+is the i-th column sum of the curve's adjugate coefficient N_k.  The
+z-coordinates of the divisor are the roots of the exact polynomial
+D(z) = det Q^T, Q = (q_{ik}); its degree equals m n (n-1)/2 = g + n - 1 for
+well-formed input.  At each root the w-coordinate is recovered from an
+(n-1)-minor of Q, choosing the numerically best minor.  Roots are computed
+in floating point (the divisor only feeds the numerical theta pipeline) but
+are Newton-polished against the exact coefficients.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 
 from .curve import MatrixPolynomial, SpectralCurveData, characteristic_data
 from .polynomials import Poly, poly_matrix_det
-from .projectors import phi_coefficients
 
 
 class DivisorError(Exception):
@@ -51,15 +52,15 @@ class HyperellipticDivisorReport:
     note: str
 
 
-def d_polynomial(w: MatrixPolynomial) -> Poly:
-    """D(z) = e* wedge e*W wedge ... wedge e*W^(n-1), as an exact polynomial."""
-    n = w.n
-    powers = w.power_matrices(n - 1)
-    rows = []
-    for i in range(n):
-        pw = powers[i]
-        rows.append([sum((pw[s][j] for s in range(n)), Poly.zero()) for j in range(n)])
-    return poly_matrix_det(rows)
+def d_polynomial(w: MatrixPolynomial, curve: SpectralCurveData | None = None) -> Poly:
+    """D(z) = det Q^T for the cofactor row-sum matrix Q, as an exact polynomial.
+
+    Row k of Q^T is e N_k with e = (1,...,1), and N_k = W^k + a_1 W^(k-1) + ...
+    + a_k, so these rows are a unit-triangular Q[z]-combination of the rows
+    e W^k: D = e wedge e W wedge ... wedge e W^(n-1).
+    """
+    q = cofactor_row_sums(w, curve)
+    return poly_matrix_det([list(col) for col in zip(*q)])
 
 
 def expected_d_degree(w: MatrixPolynomial) -> int:
@@ -70,23 +71,16 @@ def cofactor_row_sums(w: MatrixPolynomial,
                       curve: SpectralCurveData | None = None) -> list[list[Poly]]:
     """q[i][j] with sum_s Delta_{is}(z,w) = w^{n-1} + q_{i2} w^{n-2} + ... + q_{in}.
 
-    Row sums of cofactors of (w*1 - W(z)) are column sums of the adjugate,
-    and the adjugate is Phi(z,w), so q_{i,k+1} is the i-th column sum of the
-    Phi coefficient b_k(z).  Indices here are 0-based: q[i][j] is the printed
+    Row sums of cofactors of (w*1 - W(z)) are column sums of the adjugate
+    Phi(z,w), so q_{i,k+1} is the i-th column sum of the curve's adjugate
+    coefficient N_k(z).  Indices here are 0-based: q[i][j] is the printed
     q_{i+1, j+1}, and q[i][0] = 1 always.
     """
     if curve is None:
-        curve = characteristic_data(w, with_diagnostics=False)
-    phi = phi_coefficients(curve, w)
+        curve = characteristic_data(w)
     n = w.n
-    out = []
-    for i in range(n):
-        row = []
-        for k in range(n):
-            bk = phi.b[k]
-            row.append(sum((bk[s][i] for s in range(n)), Poly.zero()))
-        out.append(row)
-    return out
+    return [[sum((nk[s][i] for s in range(n)), Poly.zero()) for nk in curve.adjugate]
+            for i in range(n)]
 
 
 def _polish_root(p: Poly, z: complex, steps: int = 8) -> complex:
@@ -102,14 +96,16 @@ def _polish_root(p: Poly, z: complex, steps: int = 8) -> complex:
     return z
 
 
-def pole_divisor(w: MatrixPolynomial, tol: float = 1e-9) -> list[DivisorPoint]:
+def pole_divisor(w: MatrixPolynomial, tol: float = 1e-9,
+                 curve: SpectralCurveData | None = None) -> list[DivisorPoint]:
     """Divisor points (z_k, w_k), with on-curve and eigenvector residual checks."""
-    curve = characteristic_data(w, with_diagnostics=True)
+    if curve is None:
+        curve = characteristic_data(w)
     fatal = curve.fatal_diagnostics()
     if fatal:
         raise DivisorError(f"invalid input: {fatal[0].detail or fatal[0].name}")
     n = w.n
-    dpoly = d_polynomial(w)
+    dpoly = d_polynomial(w, curve)
     expected = expected_d_degree(w)
     if dpoly.is_zero():
         raise DivisorError("degenerate divisor configuration: D(z) vanishes identically")
@@ -176,8 +172,8 @@ def hyperelliptic_divisor(a: Poly, b: Poly, c: Poly, tol: float = 1e-9) -> Hyper
     so the discrepancy stays visible instead of being silently patched.
     """
     w_mat = MatrixPolynomial.from_entries([[a, b], [c, -a]])
-    general = pole_divisor(w_mat, tol=tol)
-    curve = characteristic_data(w_mat, with_diagnostics=False)
+    curve = characteristic_data(w_mat)
+    general = pole_divisor(w_mat, tol, curve)
     q = cofactor_row_sums(w_mat, curve)
     # printed closed form: roots of a - (b+c)/2, w = (c-b)/2
     half = Fraction(1, 2)

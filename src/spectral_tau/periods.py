@@ -71,7 +71,7 @@ class HyperellipticCurve:
     def from_matrix_polynomial(w: MatrixPolynomial) -> "HyperellipticCurve":
         if w.n != 2:
             raise PeriodError("hyperelliptic pipeline needs n = 2")
-        curve = characteristic_data(w, with_diagnostics=False)
+        curve = characteristic_data(w)
         if not curve.a(1).is_zero():
             raise PeriodError("hyperelliptic pipeline needs tr W = 0")
         q = -curve.a(2)

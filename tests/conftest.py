@@ -45,6 +45,17 @@ def random_matrix_polynomial(seed, n, m, traceless=False, distinct_range=8):
             return w
 
 
+def power_matrices(w, kmax):
+    """[W^0, W^1, ..., W^kmax] as Poly matrices, by repeated multiplication."""
+    n = w.n
+    out = [[[Poly.one() if i == j else Poly.zero() for j in range(n)] for i in range(n)]]
+    for _ in range(kmax):
+        prev = out[-1]
+        out.append([[reduce(add, (prev[i][s] * w.matrix[s][j] for s in range(n)))
+                     for j in range(n)] for i in range(n)])
+    return out
+
+
 def random_hyperelliptic(seed, g, require_smooth=True):
     """Random traceless 2x2 W = [[a,b],[c,-a]] with monic a of degree g+1."""
     rng = random.Random(seed)

@@ -188,7 +188,7 @@ def test_acceptance_3_projector_identities():
     order = 12
     count = 0
     for w, n, m in _sweep_instances():
-        curve = characteristic_data(w, with_diagnostics=False)
+        curve = characteristic_data(w)
         pis = all_projectors(w, order, curve)
         total = None
         recon = None
@@ -200,8 +200,7 @@ def test_acceptance_3_projector_identities():
             assert tr[0] == 1
             assert all(tr[k] == 0 for k in range(1, order + 1))
             total = pi if total is None else grid_add(total, pi)
-            br = branch_series(curve, a, order + 2 * m * n,
-                               leading=w.leading_diagonal()[a - 1])
+            br = branch_series(curve, a, order + 2 * m * n)
             term = grid_scale(pi, br)
             recon = term if recon is None else grid_add(recon, term)
         for a in range(n):

@@ -96,6 +96,22 @@ class TestRun:
         assert status == 2
         assert "caps" in report["errors"][0]
 
+    @pytest.mark.parametrize("command, kwargs, flag", [
+        ("correlators", {"indices": "5,0;1,0"}, "--indices: sheet 5"),
+        ("correlators", {"indices": "1,-1;2,0"}, "--indices: order k: -1"),
+        ("correlators", {"indices": "1,17;2,0"}, "caps"),
+        ("correlators", {"indices": "1,0;2,0;1,0;2,0;1,0;2,0;1,0"}, "caps"),
+        ("correlators", {"kmax": -1}, "--kmax: -1"),
+        ("correlators", {"max_n": 7}, "caps"),
+        ("verify-theta", {"kmax": -1}, "--kmax: -1"),
+        ("verify-theta", {"kmax": 17}, "caps"),
+    ])
+    def test_range_checked(self, command, kwargs, flag):
+        status, report = run(JobSpec(command, str(G1), **kwargs))
+        assert status == 2
+        assert flag in report["errors"][0]
+        assert report["errors"][0].startswith("--")
+
     def test_verify_theta_success(self):
         status, report = run(JobSpec("verify-theta", str(G1), kmax=1, tol=1e-6))
         assert status == 0
@@ -205,6 +221,14 @@ class TestDocsExamples:
 
 
 class TestScripts:
+    def test_verify_theta_script(self):
+        script = DOCS.parent / "scripts" / "verify_theta.py"
+        proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        verdicts = [line for line in proc.stdout.splitlines() if line.startswith("== ")]
+        assert len(verdicts) == 2 and all(": PASS in " in line for line in verdicts)
+
     def test_run_examples(self):
         script = DOCS.parent / "scripts" / "run_examples.py"
         proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,

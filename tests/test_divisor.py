@@ -11,9 +11,9 @@ from spectral_tau import (
 )
 from spectral_tau.divisor import DivisorError, expected_d_degree
 from spectral_tau.curve import characteristic_data, genus
-from spectral_tau.polynomials import Poly
+from spectral_tau.polynomials import Poly, poly_matrix_det
 
-from conftest import random_hyperelliptic, random_matrix_polynomial
+from conftest import power_matrices, random_hyperelliptic, random_matrix_polynomial
 
 
 class TestDPolynomial:
@@ -35,6 +35,18 @@ class TestDPolynomial:
                 w = random_matrix_polynomial(100 * seed + k, n, m)
                 d = d_polynomial(w)
                 assert d.degree() == genus(m, n) + n - 1
+
+    def test_krylov_rows_oracle(self):
+        # D = det of the rows (1,...,1) W^i, i = 0..n-1, also for a non-diagonal B0
+        a, b, c = Poly([0, 1, 2]), Poly([3, 1]), Poly([1, 0, 5])
+        instances = [MatrixPolynomial.from_entries([[a, b], [c, -a]])]
+        for n, m in [(2, 2), (3, 1), (3, 2), (4, 1)]:
+            instances += [random_matrix_polynomial(seed, n, m) for seed in range(100, 106)]
+        for w in instances:
+            powers = power_matrices(w, w.n - 1)
+            rows = [[sum((pw[s][j] for s in range(w.n)), Poly.zero()) for j in range(w.n)]
+                    for pw in powers]
+            assert d_polynomial(w) == poly_matrix_det(rows)
 
 
 class TestCofactorRowSums:
@@ -71,7 +83,7 @@ class TestPoleDivisor:
             except DivisorError:
                 continue  # repeated roots of D can occur; rejected loudly
             assert len(pts) == genus(m, n) + n - 1
-            curve = characteristic_data(w, with_diagnostics=False)
+            curve = characteristic_data(w)
             for p in pts:
                 assert abs(curve.r_at(p.z, p.w)) < 1e-9
 

@@ -20,6 +20,7 @@ from conftest import (
     grid_scale,
     grid_trace,
     poly_grid,
+    power_matrices,
     random_matrix_polynomial,
 )
 
@@ -39,37 +40,49 @@ class TestPhi:
     def test_traceless_2x2(self):
         w = symmetric_w()
         curve = characteristic_data(w)
-        phi = phi_coefficients(curve, w)
+        phi = phi_coefficients(curve)
         ident = [[Poly.one(), Poly.zero()], [Poly.zero(), Poly.one()]]
         assert [list(r) for r in phi.b[0]] == ident
         assert phi.b[1] == w.matrix  # a1 = 0, so b_1 = W
 
     def test_traceless_3x3(self):
-        w = random_matrix_polynomial(5, 3, 1, traceless=True)
-        curve = characteristic_data(w)
-        phi = phi_coefficients(curve, w)
-        # b_2 = a_2 * 1 + W^2 when tr W = 0
-        w2 = w.power_matrices(2)[2]
-        for i in range(3):
-            for j in range(3):
-                expected = w2[i][j] + (curve.a(2) if i == j else Poly.zero())
-                assert phi.b[2][i][j] == expected
+        assert_adjugate_oracle(random_matrix_polynomial(5, 3, 1, traceless=True))
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (2, 3), (3, 1), (3, 2), (4, 1)])
+    def test_adjugate_oracle(self, n, m):
+        for seed in (100, 101):
+            assert_adjugate_oracle(random_matrix_polynomial(seed, n, m))
+
+
+def assert_adjugate_oracle(w):
+    """b_k = sum_{j<=k} a_j W^(k-j), and Cayley-Hamilton: W b_{n-1} + a_n 1 = 0."""
+    n = w.n
+    curve = characteristic_data(w)
+    b = phi_coefficients(curve).b
+    powers = power_matrices(w, n - 1)
+    for k in range(n):
+        want = [[sum((curve.a(j) * powers[k - j][r][c] for j in range(k + 1)), Poly.zero())
+                 for c in range(n)] for r in range(n)]
+        assert [list(row) for row in b[k]] == want
+    closure = [[sum((w.matrix[r][s] * b[n - 1][s][c] for s in range(n)), Poly.zero())
+                + (curve.a(n) if r == c else Poly.zero()) for c in range(n)] for r in range(n)]
+    assert all(p.is_zero() for row in closure for p in row)
 
 
 class TestBranch:
     def test_pure_square(self):
         z2 = Poly([0, 0, 1])
         w = MatrixPolynomial.from_entries([[z2, Poly.zero()], [Poly.zero(), -z2]])
-        curve = characteristic_data(w, with_diagnostics=False)
-        br = branch_series(curve, 2, 6)  # ascending root order: sheet 2 is +1
+        curve = characteristic_data(w)
+        br = branch_series(curve, 1, 6)  # sheets follow W's diagonal: sheet 1 is +1
         assert br.coefficients(-2, 5) == [1, 0, 0, 0, 0, 0, 0]
 
     def test_binomial_oracle(self):
         # R = w^2 - z^4 - z: w = z^2 sqrt(1 + z^-3)
         z2 = Poly([0, 0, 1])
         w = MatrixPolynomial.from_entries([[z2, Poly([0, 1])], [Poly([1]), -z2]])
-        curve = characteristic_data(w, with_diagnostics=False)
-        br = branch_series(curve, 2, 8)
+        curve = characteristic_data(w)
+        br = branch_series(curve, 1, 8)
         s = USeries(0, [1, 0, 0, 1] + [0] * 5)
         sqrt_s = s.inv_sqrt().inverse()
         assert br.coefficients(-2, 7) == sqrt_s.coefficients(0, 9)
@@ -77,18 +90,18 @@ class TestBranch:
     def test_vieta(self):
         for seed in (0, 1):
             w = random_matrix_polynomial(seed, 3, 2)
-            curve = characteristic_data(w, with_diagnostics=False)
+            curve = characteristic_data(w)
             total = None
             for a in range(1, 4):
-                br = branch_series(curve, a, 6, leading=w.leading_diagonal()[a - 1])
+                br = branch_series(curve, a, 6)
                 total = br if total is None else total + br
             minus_a1 = USeries.from_poly(-curve.a(1), 7)
             assert total.coefficients(-2, 5) == minus_a1.coefficients(-2, 5)
 
     def test_residual_vanishes(self):
         w = random_matrix_polynomial(2, 4, 1)
-        curve = characteristic_data(w, with_diagnostics=False)
-        br = branch_series(curve, 1, 10, leading=w.leading_diagonal()[0])
+        curve = characteristic_data(w)
+        br = branch_series(curve, 1, 10)
         residual = branch_residual(curve, br)
         # R ~ z^(nm) = u^-4, with as many trusted terms as the branch
         assert (residual.val, residual.end) == (-4, -4 + 11)
@@ -97,7 +110,7 @@ class TestBranch:
     def test_collision_rejected(self):
         z = Poly([0, 1])
         w = MatrixPolynomial.from_entries([[z, Poly([1])], [Poly([1]), z + Poly([1])]], m=1)
-        curve = characteristic_data(w, with_diagnostics=False)
+        curve = characteristic_data(w)
         with pytest.raises(BranchError):
             branch_series(curve, 1, 4)
 
@@ -130,10 +143,10 @@ class TestProjector:
     def test_half_identity_form(self):
         # any traceless 2x2: Pi_pm = (1 pm W/w)/2 as series
         w = symmetric_w()
-        curve = characteristic_data(w, with_diagnostics=False)
+        curve = characteristic_data(w)
         order = 6
         pi = projector_series(w, 1, order)
-        br = branch_series(curve, 1, order + 2 * w.m, leading=Fraction(1))
+        br = branch_series(curve, 1, order + 2 * w.m)
         inv_w = br.inverse()
         half = Fraction(1, 2)
         expected = grid_scale(poly_grid(w.matrix, order + 1), inv_w * half)
@@ -146,7 +159,7 @@ class TestProjector:
         order = 8
         for seed, (n, m) in enumerate([(2, 2), (3, 1)]):
             w = random_matrix_polynomial(seed + 20, n, m)
-            curve = characteristic_data(w, with_diagnostics=False)
+            curve = characteristic_data(w)
             pis = all_projectors(w, order, curve)
             ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
             total = None
@@ -157,8 +170,7 @@ class TestProjector:
                     assert coeff_matrix(sq, k) == coeff_matrix(pi, k)
                 assert grid_trace(pi).coefficients(0, order + 1) == [1] + [0] * order
                 total = pi if total is None else grid_add(total, pi)
-                br = branch_series(curve, a, order + 2 * m * n,
-                                   leading=w.leading_diagonal()[a - 1])
+                br = branch_series(curve, a, order + 2 * m * n)
                 term = grid_scale(pi, br)
                 recon = term if recon is None else grid_add(recon, term)
             assert coeff_matrix(total, 0) == ident
