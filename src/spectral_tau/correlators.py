@@ -16,12 +16,19 @@ projector coefficient a_k c^k an integer; c is derived from the computed
 series (per prime of the denominators, the least exponent that clears them
 all; a cofactor left after trial division enters whole, as in the lcm of the
 denominators), by the engine once per sheet and projector order, and a table
-uses the lcm of its sheets' scales.  The cyclic classes are walked
-depth-first over prefixes, so each partial chain product is formed once, and
-each division by (t_i - t_j) is a divided difference: running sums along the
-anti-diagonals of the (i, j) exponent plane.  The t-quotient's coefficient
-q[k] is read back as F = -q[k] / c^(N + |k|) (two points: +q[k] / c^(2 + |k|)),
-the only Fraction on the path.
+uses the lcm of its sheets' scales.  The polynomials in t are MultiPoly's
+packed rows: the t_0-coefficients of a row share one Python int, at a digit
+width each table derives once, next to c, from a certified bound on every
+coefficient it computes (the slots' largest coefficient, n products per chain
+step, the (N-1)! classes, a factor 2 per missing pair and an anti-diagonal
+length per division).  The cyclic classes are walked depth-first over
+prefixes, so each partial chain product is formed once; slot 0 expands in
+t_0 and every later slot in a variable its prefix lacks, so a chain step is
+one int product per row and slot coefficient.  Each division by (t_i - t_j)
+is a divided difference: running sums along the anti-diagonals of the (i, j)
+exponent plane, row by row.  The t-quotient's coefficient q[k] is read back
+as F = -q[k] / c^(N + |k|) (two points: +q[k] / c^(2 + |k|)), the only
+Fraction on the path.
 
 Certificates: every scaled coefficient must be an integer (a wrong c raises
 ArithmeticError rather than emitting a value), and every division must leave
@@ -39,8 +46,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .curve import MatrixPolynomial, characteristic_data
-from .multipoly import MultiPoly, multipoly_exact_divide, multipoly_sum
+from .curve import MatrixPolynomial, SpectralCurveData, characteristic_data
+from .multipoly import MultiPoly, multipoly_exact_divide, multipoly_sum, packing_width
 from .projectors import projector_series
 
 IndexPair = tuple[int, int]  # (sheet, k)
@@ -67,9 +74,9 @@ class CorrelatorTable:
 class CorrelatorEngine:
     """Caches curve data and projector series for one matrix polynomial."""
 
-    def __init__(self, w: MatrixPolynomial):
+    def __init__(self, w: MatrixPolynomial, curve: SpectralCurveData | None = None):
         self.w = w
-        self.curve = characteristic_data(w)
+        self.curve = characteristic_data(w) if curve is None else curve
         fatal = self.curve.fatal_diagnostics()
         if fatal:
             raise ValueError(f"invalid input: {fatal[0].detail or fatal[0].name}")
@@ -163,8 +170,8 @@ def _series_scale(mats) -> int:
     return c * rest
 
 
-def _integer_slot(mat, c: int, nvars: int, var: int):
-    """Matrix of sum_k a_k c^k t_var^k with integer coefficients.
+def _integer_slot(mat, c: int):
+    """Matrix of the coefficient lists a_k c^k of sum_k a_k (c t)^k.
 
     Raises ArithmeticError when some a_k c^k is not an integer, so a wrong
     scale can never leak a Fraction into the integer kernel.
@@ -180,9 +187,19 @@ def _integer_slot(mat, c: int, nvars: int, var: int):
                     raise ArithmeticError(
                         f"u = {c}*t leaves the u^{k} coefficient {a} non-integral")
                 coeffs.append(a.numerator * (scale // a.denominator))
-            out_row.append(MultiPoly.from_univariate(nvars, var, coeffs))
+            out_row.append(coeffs)
         out.append(out_row)
     return out
+
+
+def _largest(ints) -> int:
+    return max(abs(a) for row in ints for coeffs in row for a in coeffs)
+
+
+def _packed_slot(ints, nvars: int, var: int, width: int):
+    """An integer slot matrix as polynomials in t_var, packed ``width`` bits wide."""
+    return [[MultiPoly.from_univariate(nvars, var, coeffs, width) for coeffs in row]
+            for row in ints]
 
 
 def _matmul(a, b, cap: int):
@@ -191,7 +208,7 @@ def _matmul(a, b, cap: int):
     return [
         [
             multipoly_sum(nvars, (a[i][k].mul(b[k][j], max_total_degree=cap)
-                                  for k in range(n) if a[i][k].terms and b[k][j].terms))
+                                  for k in range(n) if a[i][k].rows and b[k][j].rows))
             for j in range(n)
         ]
         for i in range(n)
@@ -202,7 +219,7 @@ def _trace_of_product(a, b, cap: int) -> MultiPoly:
     n = len(a)
     return multipoly_sum(a[0][0].nvars, (a[i][k].mul(b[k][i], max_total_degree=cap)
                                          for i in range(n) for k in range(n)
-                                         if a[i][k].terms and b[k][i].terms))
+                                         if a[i][k].rows and b[k][i].rows))
 
 
 def _pair_table_values(mat1, mat2, subtract: int, kmax: int, c: int) -> dict:
@@ -212,7 +229,14 @@ def _pair_table_values(mat1, mat2, subtract: int, kmax: int, c: int) -> dict:
     F = q[k] / c^(2 + |k|).
     """
     K = len(mat1[0][0]) - 1
-    num = _trace_of_product(_integer_slot(mat1, c, 2, 0), _integer_slot(mat2, c, 2, 1), K)
+    n = len(mat1)
+    ints1, ints2 = _integer_slot(mat1, c), _integer_slot(mat2, c)
+    # the trace sums n^2 single products, the two divisions sum anti-diagonals
+    # of at most K + 1 and K coefficients
+    bound = (n * n * _largest(ints1) * _largest(ints2) + subtract) * (K + 1) * K
+    width = packing_width(bound)
+    num = _trace_of_product(_packed_slot(ints1, 2, 0, width),
+                            _packed_slot(ints2, 2, 1, width), K)
     if subtract:
         num = num - MultiPoly.constant(2, subtract)
     d = MultiPoly.pair_difference(2, 1, 0)
@@ -262,8 +286,18 @@ def _npoint_values(slot_mats, kmax: int, c: int) -> dict:
     cap_dividend = K + n_missing
     if any(len(mat[0][0]) < K + 1 for mat in slot_mats):
         raise ValueError("slot matrices carry fewer trusted orders than required")
-    mats = [[[series[: K + 1] for series in row] for row in mat] for mat in slot_mats]
-    slots = [_integer_slot(mat, c, npts, var) for var, mat in enumerate(mats)]
+    ints = [_integer_slot([[series[: K + 1] for series in row] for row in mat], c)
+            for mat in slot_mats]
+    # A certified bound on every coefficient the table computes, in the
+    # kernel's own bound rules: a chain entry sums n single products per
+    # step, a trace n^2, the (N-1)! classes add up, each missing pair doubles
+    # the bound, and the division by the t-th pair sums anti-diagonals of at
+    # most cap_dividend - t + 1 coefficients.
+    n, n_pairs = len(ints[0]), npts * (npts - 1) // 2
+    bound = (math.factorial(npts - 1) * n ** npts * math.prod(map(_largest, ints))
+             * 2 ** n_missing * math.prod(range(cap_dividend - n_pairs + 2, cap_dividend + 2)))
+    width = packing_width(bound)
+    slots = [_packed_slot(m, npts, var, width) for var, m in enumerate(ints)]
 
     # One representative per cyclic class (slot 0 first); trace and
     # denominator are invariant under cyclic shifts, which cancels the 1/N

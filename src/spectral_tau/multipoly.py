@@ -2,47 +2,169 @@
 
 Used by the correlator engine for truncated numerators in the auxiliary
 variables u_i = 1/z_i.  Exponents are nonnegative integer tuples; zero
-coefficients are never stored.  Integer coefficients stay Python ``int`` (the
-engine rescales its series to integers), anything else is kept as
+coefficients are never stored.  Integer coefficients read back as Python
+``int`` (the engine rescales its series to integers), anything else as
 ``Fraction``.
+
+Format.  A polynomial in u_0..u_{n-1} is a dict of rows.  A row's key is the
+exponent tuple of u_1..u_{n-1}; its value is one Python int that packs the
+u_0-coefficients c_0, c_1, ... of the row as signed base-2^W digits,
+x = sum_k c_k 2^(W k): the row evaluated at u_0 = 2^W (Kronecker
+substitution).  One big-int product multiplies two rows, one big-int sum adds
+them, and a total-degree truncation keeps a row's low digits as a signed
+residue, so an operation costs a few int operations per row instead of one
+dict operation per pair of terms.  Rational coefficients share one reduced
+denominator ``den`` (1 on the engine path) and the rows hold the numerators.
+
+Width rule.  Every polynomial carries ``bound``, a certified upper bound on
+the magnitude of its numerator coefficients, and a width W with
+bound < 2^(W-1).  Then each digit is the unique signed residue of its slot and
+a row decodes to exactly its coefficients.  Every operation derives its
+result's bound from its operands': a sum adds them, a product multiplies them
+by the most term pairs that can meet in one monomial (one, when the other
+factor is univariate in a variable this one lacks), and the division by
+u_i - u_j multiplies by the length of its longest anti-diagonal.  A result
+whose bound does not fit is computed at a wider W, its operands repacked
+first, so digits never overflow silently.  The correlator engine packs its
+slots at a width that fits the certified bound of the whole table, so on its
+path no operation widens.
+
+Why u_0.  Every chain of the N-point expansion starts with slot 0, which
+expands in u_0, so each partial product holds u_0 through its full
+truncation.  Every later slot is univariate in its own variable; multiplying
+by it is a row times a scalar under a new key, and no two products land in
+the same row.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, Tuple
 
 Exponent = Tuple[int, ...]
+Rows = Dict[Exponent, int]
 
 
 class InexactDivisionError(Exception):
     """Raised when an exact multivariate division leaves a trusted remainder."""
 
 
+# -- packed rows -------------------------------------------------------------------
+
+def packing_width(bound: int) -> int:
+    """The least digit width W >= 2 with bound < 2^(W-1)."""
+    return max(2, bound.bit_length() + 1)
+
+
+def _pack(digits: Dict[int, int], width: int) -> int:
+    x = 0
+    for k in range(max(digits), -1, -1):
+        x = (x << width) + digits.get(k, 0)
+    return x
+
+
+def _unpack(x: int, width: int) -> Dict[int, int]:
+    """{k: c_k} for the nonzero signed digits of x."""
+    half = 1 << (width - 1)
+    full = half << 1
+    out = {}
+    k = 0
+    while x:
+        d = x & (full - 1)
+        if d >= half:
+            d -= full
+        if d:
+            out[k] = d
+        x = (x - d) >> width
+        k += 1
+    return out
+
+
+def _low(x: int, nbits: int) -> int:
+    """The digits of x below bit nbits (a multiple of W), as a signed residue."""
+    if x.bit_length() < nbits:
+        return x
+    low = x & ((1 << nbits) - 1)
+    if low >> (nbits - 1):
+        low -= 1 << nbits
+    return low
+
+
+def _digit(x: int, k: int, width: int) -> int:
+    if k:
+        x = (x - _low(x, k * width)) >> (k * width)
+    return _low(x, width)
+
+
+def _nonzero(rows: Rows) -> Rows:
+    """The rows without those that cancelled to zero."""
+    return {e: r for e, r in rows.items() if r} if 0 in rows.values() else rows
+
+
+def _repack(rows: Rows, width: int, new_width: int) -> Rows:
+    if width == new_width:
+        return rows
+    return {e: _pack(_unpack(r, width), new_width) for e, r in rows.items()}
+
+
 class MultiPoly:
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "rows", "den", "width", "bound", "_terms")
 
     def __init__(self, nvars: int, terms: Dict[Exponent, Fraction] | None = None):
-        self.nvars = nvars
+        self._set_terms(nvars, terms or {}, 2)
+
+    def _set_terms(self, nvars: int, terms: Dict[Exponent, Fraction], width: int) -> None:
+        """Validate {exponent: coefficient} and pack it at least ``width`` bits wide."""
+        if nvars < 1:
+            raise ValueError("a MultiPoly needs at least one variable")
         clean: Dict[Exponent, Fraction] = {}
-        for e, c in (terms or {}).items():
+        for e, c in terms.items():
             if type(c) is not int:
                 c = Fraction(c)
             if c == 0:
                 continue
+            e = tuple(e)
             if len(e) != nvars or any(x < 0 for x in e):
                 raise ValueError(f"bad exponent tuple {e} for {nvars} variables")
-            clean[tuple(e)] = c
-        self.terms = clean
+            clean[e] = c
+        den = math.lcm(*(c.denominator for c in clean.values() if type(c) is not int))
+        digits: Dict[Exponent, Dict[int, int]] = {}
+        for e, c in clean.items():
+            digits.setdefault(e[1:], {})[e[0]] = int(c * den)
+        self._set_digits(nvars, digits, den, width)
+
+    def _set_digits(self, nvars: int, digits: Dict[Exponent, Dict[int, int]], den: int,
+                    width: int) -> None:
+        """Pack {key: {k: c_k}} over the common denominator ``den``, reduced."""
+        if den > 1:
+            g = math.gcd(den, *(c for row in digits.values() for c in row.values()))
+            den //= g
+            digits = {e: {k: c // g for k, c in row.items()} for e, row in digits.items()}
+        bound = max((abs(c) for row in digits.values() for c in row.values()), default=0)
+        width = max(width, packing_width(bound))
+        self.nvars = nvars
+        self.rows = {e: _pack(row, width) for e, row in digits.items()}
+        self.den = den
+        self.width = width
+        self.bound = bound
+        self._terms = None
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: Dict[Exponent, Fraction]) -> "MultiPoly":
-        """Wrap terms that are already valid exponent tuples with nonzero values."""
+    def _trusted(cls, nvars: int, rows: Rows, den: int, width: int, bound: int) -> "MultiPoly":
+        """Wrap nonzero rows packed at ``width`` whose coefficients are within ``bound``."""
         poly = object.__new__(cls)
+        if den != 1:
+            poly._set_digits(nvars, {e: _unpack(r, width) for e, r in rows.items()}, den, width)
+            return poly
         poly.nvars = nvars
-        poly.terms = terms
+        poly.rows = rows
+        poly.den = 1
+        poly.width = width
+        poly.bound = bound
+        poly._terms = None
         return poly
 
     # -- constructors -------------------------------------------------------
@@ -63,28 +185,53 @@ class MultiPoly:
     @staticmethod
     def pair_difference(nvars: int, i: int, j: int) -> "MultiPoly":
         """u_i - u_j."""
-        return MultiPoly.variable(nvars, i) - MultiPoly.variable(nvars, j)
+        if i == j:
+            return MultiPoly.zero(nvars)
+        return MultiPoly(nvars, {tuple(int(k == i) for k in range(nvars)): 1,
+                                 tuple(int(k == j) for k in range(nvars)): -1})
 
     @staticmethod
-    def from_univariate(nvars: int, idx: int, coeffs: Iterable[Fraction]) -> "MultiPoly":
-        """Embed sum_k coeffs[k] * u_idx**k."""
+    def from_univariate(nvars: int, idx: int, coeffs: Iterable[Fraction],
+                        width: int = 2) -> "MultiPoly":
+        """Embed sum_k coeffs[k] * u_idx**k, packed at least ``width`` bits wide.
+
+        The correlator engine passes the width of its table's certified bound,
+        so that the table's products and sums never repack.
+        """
         terms: Dict[Exponent, Fraction] = {}
         for k, c in enumerate(coeffs):
             if c:
                 e = [0] * nvars
                 e[idx] = k
                 terms[tuple(e)] = c
-        return MultiPoly(nvars, terms)
+        poly = object.__new__(MultiPoly)
+        poly._set_terms(nvars, terms, width)
+        return poly
 
     # -- basic ring ops -------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.rows
+
+    @property
+    def terms(self) -> Dict[Exponent, Fraction]:
+        """{exponent: coefficient} for every nonzero term, unpacked."""
+        out: Dict[Exponent, Fraction] = {}
+        for e, r in self.rows.items():
+            for k, c in _unpack(r, self.width).items():
+                out[(k,) + e] = c if self.den == 1 else Fraction(c, self.den)
+        return out
 
     def coeff(self, exponent: Exponent) -> Fraction:
-        return self.terms.get(tuple(exponent), 0)
+        e = tuple(exponent)
+        row = self.rows.get(e[1:])
+        if row is None or len(e) != self.nvars or e[0] < 0:
+            return 0
+        c = _digit(row, e[0], self.width)
+        return c if self.den == 1 else Fraction(c, self.den)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((r.bit_length() // self.width + sum(e) for e, r in self.rows.items()),
+                   default=-1)
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         if self.nvars != other.nvars:
@@ -92,26 +239,63 @@ class MultiPoly:
         return multipoly_sum(self.nvars, (self, other))
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.nvars, {e: -r for e, r in self.rows.items()},
+                                  self.den, self.width, self.bound)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
+    def _term_list(self):
+        """(terms, axis), computed once per polynomial.
+
+        ``terms`` lists every term as (total degree, key, j, k, u_0 power,
+        coefficient numerator) by ascending degree, where the key is k times
+        the j-th unit vector (j = -1 for the zero key, None for any other
+        key).  ``axis`` is j when no term has u_0 and every key is a power of
+        u_(j+1) alone (a constant counts for any j), else -1.
+        """
+        if self._terms is None:
+            terms = []
+            for e, r in self.rows.items():
+                nonzero = [j for j, x in enumerate(e) if x]
+                j = -1 if not nonzero else nonzero[0] if len(nonzero) == 1 else None
+                d = sum(e)
+                terms.extend((d + shift, e, j, d, shift, c)
+                             for shift, c in _unpack(r, self.width).items())
+            terms.sort()
+            axes = {j for _, _, j, _, _, _ in terms if j != -1}
+            axis = axes.pop() if len(axes) == 1 else 0
+            if axes or axis is None or self.nvars == 1 or any(t[4] for t in terms):
+                axis = -1
+            self._terms = (terms, axis)
+        return self._terms
+
     def mul(self, other: "MultiPoly", max_total_degree: int | None = None) -> "MultiPoly":
-        """Product, optionally dropping monomials above a total degree cap."""
+        """Product, optionally dropping monomials above a total degree cap.
+
+        Each row of ``self`` is multiplied by each term of ``other``, so the
+        factor whose rows hold single terms (a slot or a pair difference on
+        the engine path) goes second.
+        """
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
-        right = sorted((sum(e), e, c) for e, c in other.terms.items())
-        out: Dict[Exponent, Fraction] = {}
-        get = out.get
-        for e1, c1 in self.terms.items():
-            room = None if max_total_degree is None else max_total_degree - sum(e1)
-            for d2, e2, c2 in right:
-                if room is not None and d2 > room:
-                    break
-                e = tuple(map(add, e1, e2))
-                out[e] = get(e, 0) + c1 * c2
-        return MultiPoly._trusted(self.nvars, {e: c for e, c in out.items() if c})
+        if not self.rows or not other.rows:
+            return MultiPoly.zero(self.nvars)
+        terms, axis = other._term_list()
+        if len(terms) > len(other.rows) and len(self._term_list()[0]) < len(terms):
+            self, other = other, self
+            terms, axis = other._term_list()
+        # a single term, or terms along one axis that self lacks, put every
+        # product in its own row
+        apart = len(terms) == 1 or (axis >= 0 and not any(e[axis] for e in self.rows))
+        meet = 1 if apart else len(terms)
+        if len(self.rows) < meet:
+            meet = min(meet, len(self._term_list()[0]))
+        bound = self.bound * other.bound * meet
+        width = max(self.width, other.width, packing_width(bound))
+        rows = _repack(self.rows, self.width, width)
+        rows = _mul_terms(rows, terms, apart, width, max_total_degree)
+        return MultiPoly._trusted(self.nvars, rows, self.den * other.den, width, bound)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         return self.mul(other)
@@ -125,23 +309,65 @@ class MultiPoly:
         raise TypeError("MultiPoly is unhashable")
 
     def __repr__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "MultiPoly(0)"
         bits = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), t)):
+        for e in sorted(terms, key=lambda t: (sum(t), t)):
             mono = "*".join(f"u{i}^{p}" for i, p in enumerate(e) if p) or "1"
-            bits.append(f"{self.terms[e]}*{mono}")
+            bits.append(f"{terms[e]}*{mono}")
         return "MultiPoly(" + " + ".join(bits) + ")"
 
 
+def _mul_terms(rows: Rows, terms, apart: bool, width: int, cap: int | None) -> Rows:
+    """Rows times a sum of single terms (see ``_term_list``) under a total-degree cap.
+
+    With ``apart`` every product has its own row and is stored, not added.
+    """
+    out: Rows = {}
+    get = out.get
+    for e1, r in rows.items():
+        keep = 1 << 62 if cap is None else cap - sum(e1)   # highest u_0 digit of a product
+        top = r.bit_length() // width
+        for d2, e2, j, k, shift, c in terms:
+            if top > keep - d2:
+                if keep < d2:
+                    break
+                r = _low(r, (keep - d2 + 1) * width)
+                if not r:
+                    break
+                top = r.bit_length() // width
+            if j is None:
+                e = tuple(map(add, e1, e2))
+            elif j < 0:
+                e = e1
+            else:
+                e = e1[:j] + (e1[j] + k,) + e1[j + 1:]
+            prod = (r * c) << (shift * width) if shift else r * c
+            out[e] = prod if apart else get(e, 0) + prod
+    return out if apart else _nonzero(out)
+
+
 def multipoly_sum(nvars: int, polys: Iterable[MultiPoly]) -> MultiPoly:
-    """Sum of polynomials in ``nvars`` variables, accumulated in one dict."""
-    out: Dict[Exponent, Fraction] = {}
+    """Sum of polynomials in ``nvars`` variables, accumulated row by row."""
+    polys = [p for p in polys if p.rows]
+    if len(polys) < 2:
+        return polys[0] if polys else MultiPoly.zero(nvars)
+    den = math.lcm(*(p.den for p in polys))
+    bound = sum(p.bound * (den // p.den) for p in polys)
+    width = max(packing_width(bound), *(p.width for p in polys))
+    out: Rows = {}
     get = out.get
     for p in polys:
-        for e, c in p.terms.items():
-            out[e] = get(e, 0) + c
-    return MultiPoly._trusted(nvars, {e: c for e, c in out.items() if c})
+        rows = _repack(p.rows, p.width, width)
+        if p.den != den:
+            rows = {e: r * (den // p.den) for e, r in rows.items()}
+        if not out:
+            out.update(rows)
+        else:
+            for e, r in rows.items():
+                out[e] = get(e, 0) + r
+    return MultiPoly._trusted(nvars, _nonzero(out), den, width, bound)
 
 
 def multipoly_exact_divide(
@@ -155,7 +381,8 @@ def multipoly_exact_divide(
     upstream, so it raises :class:`InexactDivisionError`.  Remainder monomials
     above the trusted degree are discarded (they live where the numerator was
     never trustworthy to begin with).  A divisor +-(u_i - u_j) takes the
-    divided-difference path, anything else the generic reduction.
+    divided-difference path on packed rows, anything else the generic
+    reduction.
     """
     if divisor.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -169,10 +396,13 @@ def multipoly_exact_divide(
 
 def _unit_pair(divisor: MultiPoly):
     """(i, j, s) when divisor = s * (u_i - u_j) with i < j and s = +-1, else None."""
-    if len(divisor.terms) != 2:
+    if len(divisor.rows) > 2:
+        return None
+    terms = divisor.terms
+    if len(terms) != 2:
         return None
     linear = []
-    for e, c in divisor.terms.items():
+    for e, c in terms.items():
         if sum(e) != 1:
             return None
         linear.append((e.index(1), c))
@@ -191,29 +421,91 @@ def _divide_by_pair(numerator: MultiPoly, i: int, j: int, sign: int,
     f[a, b] give the quotient as running sums, q[d-1-b, b] = sum of
     f[d-b', b'] over b' <= b, and the full sum is the remainder left at
     u_j^d: the graded-lex reduction by the leading term u_i, done in closed
-    form.
+    form.  A quotient coefficient sums at most d + 1 numerator coefficients,
+    which sets its bound.
     """
-    diagonals: Dict[Exponent, Dict[int, Fraction]] = {}
-    for e, c in numerator.terms.items():
-        b = e[j]
-        key = e[:i] + (e[i] + b,) + e[i + 1:j] + (0,) + e[j + 1:]
-        diagonals.setdefault(key, {})[b] = c
-    quotient: Dict[Exponent, Fraction] = {}
+    width, rows = numerator.width, numerator.rows
+    jj = j - 1
+    if i == 0:
+        longest = max((r.bit_length() // width + e[jj] for e, r in rows.items()), default=0)
+    else:
+        longest = max((e[i - 1] + e[jj] for e in rows), default=0)
+    bound = numerator.bound * (longest + 1)
+    if bound.bit_length() >= width:
+        new_width = packing_width(bound)
+        rows = _repack(rows, width, new_width)
+        width = new_width
+    divide = _divide_rows_by_u0_pair if i == 0 else _divide_rows_by_pair
+    quotient = divide(rows, i - 1, jj, sign, width, trusted_total_degree)
+    return MultiPoly._trusted(numerator.nvars, quotient, numerator.den, width, bound)
+
+
+def _divide_rows_by_pair(rows: Rows, ii: int, jj: int, sign: int, width: int,
+                         trusted: int) -> Rows:
+    """Running sums of whole rows along the anti-diagonals of (u_i, u_j), i >= 1."""
+    diagonals: Dict[Exponent, Dict[int, int]] = {}
+    for e, r in rows.items():
+        b = e[jj]
+        key = e[:ii] + (e[ii] + b,) + e[ii + 1:jj] + (0,) + e[jj + 1:]
+        diagonals.setdefault(key, {})[b] = r
+    quotient: Rows = {}
     for key, row in diagonals.items():
-        d = key[i]
-        pre, mid, post = key[:i], key[i + 1:j], key[j + 1:]
+        d = key[ii]
+        pre, mid, post = key[:ii], key[ii + 1:jj], key[jj + 1:]
         running = 0
         for b in range(d):
             running += row.get(b, 0)
             if running:
                 quotient[pre + (d - 1 - b,) + mid + (b,) + post] = sign * running
         running += row.get(d, 0)
-        if running and sum(key) <= trusted_total_degree:
-            raise InexactDivisionError(
-                "division not exact within trusted range: remainder at "
-                f"{pre + (0,) + mid + (d,) + post}"
-            )
-    return MultiPoly._trusted(numerator.nvars, quotient)
+        keep = trusted - sum(key)     # the u_0 digits that must vanish
+        if running and keep >= 0:
+            low = _low(running, (keep + 1) * width)
+            if low:
+                raise InexactDivisionError(
+                    "division not exact within trusted range: remainder at "
+                    f"{(min(_unpack(low, width)),) + pre + (0,) + mid + (d,) + post}"
+                )
+    return quotient
+
+
+def _divide_rows_by_u0_pair(rows: Rows, ii: int, jj: int, sign: int, width: int,
+                            trusted: int) -> Rows:
+    """The divided difference for u_0 - u_j, digit by digit along each row group.
+
+    With R_b the row at u_j^b, the quotient row at u_j^b is
+    Q_b = (Q_(b-1) + R_b) shifted down one digit, and the digit shifted out
+    is the remainder on the anti-diagonal of degree b.
+    """
+    groups: Dict[Exponent, Dict[int, int]] = {}
+    for e, r in rows.items():
+        groups.setdefault(e[:jj] + (0,) + e[jj + 1:], {})[e[jj]] = r
+    half = 1 << (width - 1)
+    mask = (half << 1) - 1
+    quotient: Rows = {}
+    for key, row in groups.items():
+        pre, post = key[:jj], key[jj + 1:]
+        rest = sum(key)
+        top = max(row)
+        acc = 0
+        b = 0
+        while b <= top or acc:
+            acc += row.get(b, 0)
+            low = acc & mask
+            if low:
+                if low >= half:
+                    low -= half << 1
+                if b + rest <= trusted:
+                    raise InexactDivisionError(
+                        "division not exact within trusted range: remainder at "
+                        f"{(0,) + pre + (b,) + post}"
+                    )
+                acc -= low
+            acc >>= width
+            if acc:
+                quotient[pre + (b,) + post] = sign * acc
+            b += 1
+    return quotient
 
 
 def _grlex_key(e: Exponent) -> tuple:
@@ -222,10 +514,11 @@ def _grlex_key(e: Exponent) -> tuple:
 
 def _grlex_divide(numerator: MultiPoly, divisor: MultiPoly,
                   trusted_total_degree: int) -> MultiPoly:
-    """Generic graded-lex reduction; see :func:`multipoly_exact_divide`."""
-    lt = max(divisor.terms, key=_grlex_key)
-    lc = divisor.terms[lt]
-    work = dict(numerator.terms)
+    """Generic graded-lex reduction on unpacked terms; see :func:`multipoly_exact_divide`."""
+    dterms = divisor.terms
+    lt = max(dterms, key=_grlex_key)
+    lc = dterms[lt]
+    work = numerator.terms
     quotient: Dict[Exponent, Fraction] = {}
     # Monomials are consumed in descending graded-lex order from a heap;
     # reduction only creates monomials strictly below the one consumed, and
@@ -251,7 +544,7 @@ def _grlex_divide(numerator: MultiPoly, divisor: MultiPoly,
             continue
         factor = Fraction(c) / lc
         quotient[q] = quotient.get(q, 0) + factor
-        for de, dc in divisor.terms.items():
+        for de, dc in dterms.items():
             if de == lt:
                 continue
             t = tuple(a + b for a, b in zip(q, de))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import MatrixPolynomial, characteristic_data
+from .curve import MatrixPolynomial, SpectralCurveData, characteristic_data
 from .polynomials import Poly, is_squarefree
 from .series import USeries
 from .theta import reduce_mod_lattice, theta
@@ -68,10 +68,12 @@ class HyperellipticCurve:
         return HyperellipticCurve(q_poly=q_poly, g=deg // 2 - 1, branch_points=tuple(polished))
 
     @staticmethod
-    def from_matrix_polynomial(w: MatrixPolynomial) -> "HyperellipticCurve":
+    def from_matrix_polynomial(w: MatrixPolynomial,
+                               curve: SpectralCurveData | None = None) -> "HyperellipticCurve":
         if w.n != 2:
             raise PeriodError("hyperelliptic pipeline needs n = 2")
-        curve = characteristic_data(w)
+        if curve is None:
+            curve = characteristic_data(w)
         if not curve.a(1).is_zero():
             raise PeriodError("hyperelliptic pipeline needs tr W = 0")
         q = -curve.a(2)

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .correlators import CorrelatorEngine, hyperelliptic_combination
-from .curve import MatrixPolynomial
+from .curve import MatrixPolynomial, characteristic_data
 from .divisor import pole_divisor
 from .periods import (
     HyperellipticCurve,
@@ -98,7 +98,8 @@ def verify_main_theorem(w: MatrixPolynomial, kmax=None, tol: float = 1e-6,
     else:
         kmax_by_n = {int(k): int(v) for k, v in dict(kmax).items()}
 
-    curve = HyperellipticCurve.from_matrix_polynomial(w)
+    spectral = characteristic_data(w)
+    curve = HyperellipticCurve.from_matrix_polynomial(w, spectral)
     ctx = period_matrix(curve, settings)
     checks: dict = {}
     checks["b_symmetry_defect"] = ctx.symmetry_defect()
@@ -108,7 +109,7 @@ def verify_main_theorem(w: MatrixPolynomial, kmax=None, tol: float = 1e-6,
     vdata = v_vectors(curve, ctx, top_k)
     checks["v_consistency_defect"] = v_consistency_defect(curve, ctx, vdata, top_k)
 
-    divisor_points = pole_divisor(w)
+    divisor_points = pole_divisor(w, curve=spectral)
     point = jacobian_point(curve, ctx, divisor_points)
     u0 = point.u0
     theta_u0 = point.theta_value
@@ -127,7 +128,7 @@ def verify_main_theorem(w: MatrixPolynomial, kmax=None, tol: float = 1e-6,
     checks["quasi_periodicity_defect"] = qp_defect
 
     # exact side, computed once
-    engine = CorrelatorEngine(w)
+    engine = CorrelatorEngine(w, spectral)
     exact: dict[int, dict] = {}
     for n_points, k_bound in sorted(kmax_by_n.items()):
         exact[n_points] = hyperelliptic_combination(w, n_points, k_bound, engine)

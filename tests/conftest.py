@@ -121,3 +121,30 @@ def coeff_matrix(a, k):
 def poly_grid(mat, length):
     """A matrix of z-polynomials as a grid of series of the given length."""
     return tuple(tuple(USeries.from_poly(p, length) for p in row) for row in mat)
+
+
+# -- dict-convolution oracle for MultiPoly -------------------------------------
+# The kernel before rows were packed: {exponent: coefficient} dicts, one dict
+# update per pair of terms.
+
+def dict_mul(a: dict, b: dict, max_total_degree=None) -> dict:
+    """Product of two term dicts, dropping monomials above a total degree cap."""
+    right = sorted((sum(e), e, c) for e, c in b.items())
+    out: dict = {}
+    for e1, c1 in a.items():
+        room = None if max_total_degree is None else max_total_degree - sum(e1)
+        for d2, e2, c2 in right:
+            if room is not None and d2 > room:
+                break
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def dict_sum(terms_list) -> dict:
+    """Sum of term dicts."""
+    out: dict = {}
+    for terms in terms_list:
+        for e, c in terms.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}

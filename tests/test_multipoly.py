@@ -129,3 +129,146 @@ def test_pair_fast_path_matches_grlex_reduction(case):
     fast = _outcome(multipoly_exact_divide, numerator, divisor, trusted)
     generic = _outcome(_grlex_divide, numerator, divisor, trusted)
     assert fast == generic
+
+
+# -- packed rows against the dict-convolution kernel ----------------------------
+
+from conftest import dict_mul, dict_sum  # noqa: E402
+
+from spectral_tau import multipoly  # noqa: E402
+from spectral_tau.multipoly import multipoly_sum, packing_width  # noqa: E402
+
+# magnitudes right at and next to a digit boundary 2^(W-1) for many widths W
+edge_ints = st.sampled_from([7, 8, 15, 16, 31, 32, 61, 62, 63, 64, 65, 100]).flatmap(
+    lambda k: st.sampled_from([2 ** k - 1, 2 ** k, 2 ** k + 1, 1 - 2 ** k, -2 ** k, -1 - 2 ** k]))
+any_coeffs = (st.integers(-9, 9) | edge_ints
+              | st.fractions(min_value=-5, max_value=5, max_denominator=6))
+
+
+def _terms(nvars, coeffs=any_coeffs, max_size=8):
+    return st.dictionaries(st.tuples(*[st.integers(0, 4)] * nvars), coeffs, max_size=max_size)
+
+
+@st.composite
+def factor_pairs(draw):
+    """Two term dicts in 1-4 variables; the second one sometimes a chain slot
+    (univariate in a variable the first lacks) or a pair difference."""
+    nvars = draw(st.integers(1, 4))
+    left = draw(_terms(nvars))
+    shape = draw(st.sampled_from(["any", "slot", "pair"] if nvars > 1 else ["any"]))
+    if shape == "any":
+        right = draw(_terms(nvars))
+    elif shape == "slot":
+        v = draw(st.integers(1, nvars - 1))
+        left = {e: c for e, c in left.items() if not e[v]}
+        right = {tuple(k if i == v else 0 for i in range(nvars)): c
+                 for k, c in enumerate(draw(st.lists(any_coeffs, max_size=6))) if c}
+    else:
+        i, j = draw(st.lists(st.integers(0, nvars - 1), min_size=2, max_size=2, unique=True))
+        right = MultiPoly.pair_difference(nvars, i, j).terms
+    cap = draw(st.none() | st.integers(-1, 12))
+    return nvars, left, right, cap
+
+
+def _certified(poly):
+    """The carried bound covers every numerator and fits the width."""
+    numerators = [abs(c * poly.den) for c in poly.terms.values()]
+    assert max(numerators, default=0) <= poly.bound < 2 ** (poly.width - 1)
+
+
+@given(factor_pairs())
+@settings(max_examples=200, deadline=None)
+def test_packed_kernel_matches_dict_kernel(case):
+    nvars, left, right, cap = case
+    a, b = MultiPoly(nvars, left), MultiPoly(nvars, right)
+    left = {e: c for e, c in left.items() if c}
+    right = {e: c for e, c in right.items() if c}
+    assert a.terms == left and b.terms == right
+    prod = a.mul(b, max_total_degree=cap)
+    assert prod.terms == dict_mul(left, right, cap)
+    assert b.mul(a, max_total_degree=cap) == prod
+    total = multipoly_sum(nvars, (a, b, prod, -b))
+    assert total.terms == dict_sum([left, prod.terms])
+    assert (-a).terms == {e: -c for e, c in left.items()}
+    assert (a - b).terms == dict_sum([left, {e: -c for e, c in right.items()}])
+    for e in set(left) | set(right) | set(prod.terms) | {(0,) * nvars, (5,) * nvars}:
+        assert a.coeff(e) == left.get(e, 0)
+        assert prod.coeff(e) == prod.terms.get(e, 0)
+    for poly in (a, b, prod, total, -a):
+        _certified(poly)
+    for poly in (a, b, prod):
+        assert all(type(c) is int for c in poly.terms.values()) or poly.den > 1
+
+
+@st.composite
+def engine_slots(draw):
+    """A chain step as the engine runs it: slots packed at one given width."""
+    nvars = draw(st.integers(2, 4))
+    width = draw(st.sampled_from([8, 16, 33, 64, 65]))
+    edge = 2 ** (width - 1) - 1
+    small = st.integers(-edge, edge).filter(bool) | st.sampled_from([edge, -edge])
+    first = MultiPoly.from_univariate(nvars, 0, draw(st.lists(small, max_size=6)), width)
+    v = draw(st.integers(1, nvars - 1))
+    second = MultiPoly.from_univariate(nvars, v, draw(st.lists(small, max_size=6)), width)
+    return first, second, draw(st.none() | st.integers(0, 8))
+
+
+@given(engine_slots())
+@settings(max_examples=100, deadline=None)
+def test_slot_products_at_the_width_edge(case):
+    first, second, cap = case
+    assert first.width >= packing_width(first.bound)
+    prod = first.mul(second, max_total_degree=cap)
+    assert prod.terms == dict_mul(first.terms, second.terms, cap)
+    _certified(prod)
+    twice = multipoly_sum(first.nvars, (prod, prod))
+    assert twice.terms == dict_sum([prod.terms, prod.terms])
+    _certified(twice)
+
+
+def test_bound_past_the_width_widens():
+    edge = 2 ** 15 - 1          # the largest magnitude a 16-bit digit holds
+    f = MultiPoly.from_univariate(2, 0, [edge, -edge, edge], width=16)
+    g = MultiPoly.from_univariate(2, 1, [edge, edge], width=16)
+    assert (f.width, f.bound) == (16, edge)
+    for result, expected in (
+        (f.mul(g), dict_mul(f.terms, g.terms)),           # one product per term
+        (f.mul(f), dict_mul(f.terms, f.terms)),           # convolution sums of three
+        (f + f, dict_sum([f.terms, f.terms])),
+        (multipoly_exact_divide(f.mul(MultiPoly.pair_difference(2, 0, 1)),
+                                MultiPoly.pair_difference(2, 0, 1), 10), f.terms),
+    ):
+        assert result.width > 16
+        assert result.terms == expected
+        _certified(result)
+
+
+def test_pair_division_at_the_width_edge():
+    edge = 2 ** 31 - 1
+    for i, j in ((0, 1), (1, 2), (0, 2)):
+        d = MultiPoly.pair_difference(3, i, j)
+        f = MultiPoly(3, {(3, 0, 0): edge, (0, 2, 1): -edge, (1, 1, 1): edge, (0, 0, 0): 1})
+        prod = f * d
+        assert multipoly_exact_divide(prod, d, prod.total_degree()) == f
+        assert multipoly_exact_divide(prod, d, 0) == _grlex_divide(prod, d, 0)
+
+
+def test_engine_tables_never_repack(monkeypatch):
+    """The engine's table width covers every bound its kernel calls carry, so
+    no product, sum or division of a table widens."""
+    from conftest import doc_w
+
+    from spectral_tau import correlator_n, correlator_pair, hyperelliptic_combination
+
+    widths = []
+    original = multipoly._repack
+
+    def spy(rows, width, new_width):
+        widths.append((width, new_width))
+        return original(rows, width, new_width)
+
+    monkeypatch.setattr(multipoly, "_repack", spy)
+    hyperelliptic_combination(doc_w("hyperelliptic-g2.json"), 5, 0)
+    correlator_n(doc_w("three-sheet-m1.json"), (1, 2, 3, 1), 1)
+    correlator_pair(doc_w("three-sheet-m1.json"), 1, 2, 3)
+    assert widths and all(width == new for width, new in widths)
