@@ -209,20 +209,8 @@ def run(job: JobSpec) -> tuple[int, dict]:
     return 0, report
 
 
-def _json_default(obj):
-    import numpy as np
-
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _emit(report: dict, output_path: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if output_path:
         with open(output_path, "w") as fh:
             fh.write(text)

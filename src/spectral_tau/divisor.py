@@ -132,7 +132,7 @@ def pole_divisor(w: MatrixPolynomial, tol: float = 1e-9,
         )
         best = None
         for rows in itertools.combinations(range(n), n - 1):
-            det = np.linalg.det(c_full[list(rows), :]) if n > 1 else 1.0
+            det = np.linalg.det(c_full[list(rows), :])
             if best is None or abs(det) > abs(best[1]):
                 best = (rows, det)
         rows, det_c = best

@@ -1,10 +1,12 @@
-"""Sparse multivariate polynomials over the integers and the rationals.
+"""Sparse multivariate polynomials over the integers, divisible by u_i - u_j.
 
 Used by the correlator engine for truncated numerators in the auxiliary
 variables u_i = 1/z_i.  Exponents are nonnegative integer tuples; zero
-coefficients are never stored.  Integer coefficients read back as Python
-``int`` (the engine rescales its series to integers), anything else as
-``Fraction``.
+coefficients are never stored.  The contract is as narrow as the engine's
+use: coefficients are Python ``int`` (the engine rescales its series to
+integers, u = c t, before it expands) and the only divisors are the pair
+differences +-(u_i - u_j) of the Vandermonde denominator.  A non-integer
+coefficient or any other divisor raises ``ValueError``.
 
 Format.  A polynomial in u_0..u_{n-1} is a dict of rows.  A row's key is the
 exponent tuple of u_1..u_{n-1}; its value is one Python int that packs the
@@ -13,21 +15,20 @@ x = sum_k c_k 2^(W k): the row evaluated at u_0 = 2^W (Kronecker
 substitution).  One big-int product multiplies two rows, one big-int sum adds
 them, and a total-degree truncation keeps a row's low digits as a signed
 residue, so an operation costs a few int operations per row instead of one
-dict operation per pair of terms.  Rational coefficients share one reduced
-denominator ``den`` (1 on the engine path) and the rows hold the numerators.
+dict operation per pair of terms.
 
 Width rule.  Every polynomial carries ``bound``, a certified upper bound on
-the magnitude of its numerator coefficients, and a width W with
-bound < 2^(W-1).  Then each digit is the unique signed residue of its slot and
-a row decodes to exactly its coefficients.  Every operation derives its
-result's bound from its operands': a sum adds them, a product multiplies them
-by the most term pairs that can meet in one monomial (one, when the other
-factor is univariate in a variable this one lacks), and the division by
-u_i - u_j multiplies by the length of its longest anti-diagonal.  A result
-whose bound does not fit is computed at a wider W, its operands repacked
-first, so digits never overflow silently.  The correlator engine packs its
-slots at a width that fits the certified bound of the whole table, so on its
-path no operation widens.
+the magnitude of its coefficients, and a width W with bound < 2^(W-1).  Then
+each digit is the unique signed residue of its slot and a row decodes to
+exactly its coefficients.  Every operation derives its result's bound from
+its operands': a sum adds them, a product multiplies them by the most term
+pairs that can meet in one monomial (one, when the other factor is
+univariate in a variable this one lacks), and the division by u_i - u_j
+multiplies by the length of its longest anti-diagonal.  A result whose bound
+does not fit is computed at a wider W, its operands repacked first, so
+digits never overflow silently.  The correlator engine packs its slots at a
+width that fits the certified bound of the whole table, so on its path no
+operation widens.
 
 Why u_0.  Every chain of the N-point expansion starts with slot 0, which
 expands in u_0, so each partial product holds u_0 through its full
@@ -38,9 +39,6 @@ the same row.
 
 from __future__ import annotations
 
-import heapq
-import math
-from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, Tuple
 
@@ -111,57 +109,39 @@ def _repack(rows: Rows, width: int, new_width: int) -> Rows:
 
 
 class MultiPoly:
-    __slots__ = ("nvars", "rows", "den", "width", "bound", "_terms")
+    __slots__ = ("nvars", "rows", "width", "bound", "_terms")
 
-    def __init__(self, nvars: int, terms: Dict[Exponent, Fraction] | None = None):
+    def __init__(self, nvars: int, terms: Dict[Exponent, int] | None = None):
         self._set_terms(nvars, terms or {}, 2)
 
-    def _set_terms(self, nvars: int, terms: Dict[Exponent, Fraction], width: int) -> None:
-        """Validate {exponent: coefficient} and pack it at least ``width`` bits wide."""
+    def _set_terms(self, nvars: int, terms: Dict[Exponent, int], width: int) -> None:
+        """Validate {exponent: int} and pack it at least ``width`` bits wide."""
         if nvars < 1:
             raise ValueError("a MultiPoly needs at least one variable")
-        clean: Dict[Exponent, Fraction] = {}
+        digits: Dict[Exponent, Dict[int, int]] = {}
         for e, c in terms.items():
             if type(c) is not int:
-                c = Fraction(c)
+                raise ValueError(f"coefficient {c!r} is not an int")
             if c == 0:
                 continue
             e = tuple(e)
             if len(e) != nvars or any(x < 0 for x in e):
                 raise ValueError(f"bad exponent tuple {e} for {nvars} variables")
-            clean[e] = c
-        den = math.lcm(*(c.denominator for c in clean.values() if type(c) is not int))
-        digits: Dict[Exponent, Dict[int, int]] = {}
-        for e, c in clean.items():
-            digits.setdefault(e[1:], {})[e[0]] = int(c * den)
-        self._set_digits(nvars, digits, den, width)
-
-    def _set_digits(self, nvars: int, digits: Dict[Exponent, Dict[int, int]], den: int,
-                    width: int) -> None:
-        """Pack {key: {k: c_k}} over the common denominator ``den``, reduced."""
-        if den > 1:
-            g = math.gcd(den, *(c for row in digits.values() for c in row.values()))
-            den //= g
-            digits = {e: {k: c // g for k, c in row.items()} for e, row in digits.items()}
+            digits.setdefault(e[1:], {})[e[0]] = c
         bound = max((abs(c) for row in digits.values() for c in row.values()), default=0)
         width = max(width, packing_width(bound))
         self.nvars = nvars
         self.rows = {e: _pack(row, width) for e, row in digits.items()}
-        self.den = den
         self.width = width
         self.bound = bound
         self._terms = None
 
     @classmethod
-    def _trusted(cls, nvars: int, rows: Rows, den: int, width: int, bound: int) -> "MultiPoly":
+    def _trusted(cls, nvars: int, rows: Rows, width: int, bound: int) -> "MultiPoly":
         """Wrap nonzero rows packed at ``width`` whose coefficients are within ``bound``."""
         poly = object.__new__(cls)
-        if den != 1:
-            poly._set_digits(nvars, {e: _unpack(r, width) for e, r in rows.items()}, den, width)
-            return poly
         poly.nvars = nvars
         poly.rows = rows
-        poly.den = 1
         poly.width = width
         poly.bound = bound
         poly._terms = None
@@ -173,14 +153,8 @@ class MultiPoly:
         return MultiPoly(nvars, {})
 
     @staticmethod
-    def constant(nvars: int, c) -> "MultiPoly":
+    def constant(nvars: int, c: int) -> "MultiPoly":
         return MultiPoly(nvars, {(0,) * nvars: c})
-
-    @staticmethod
-    def variable(nvars: int, idx: int, power: int = 1) -> "MultiPoly":
-        e = [0] * nvars
-        e[idx] = power
-        return MultiPoly(nvars, {tuple(e): 1})
 
     @staticmethod
     def pair_difference(nvars: int, i: int, j: int) -> "MultiPoly":
@@ -191,14 +165,14 @@ class MultiPoly:
                                  tuple(int(k == j) for k in range(nvars)): -1})
 
     @staticmethod
-    def from_univariate(nvars: int, idx: int, coeffs: Iterable[Fraction],
+    def from_univariate(nvars: int, idx: int, coeffs: Iterable[int],
                         width: int = 2) -> "MultiPoly":
         """Embed sum_k coeffs[k] * u_idx**k, packed at least ``width`` bits wide.
 
         The correlator engine passes the width of its table's certified bound,
         so that the table's products and sums never repack.
         """
-        terms: Dict[Exponent, Fraction] = {}
+        terms: Dict[Exponent, int] = {}
         for k, c in enumerate(coeffs):
             if c:
                 e = [0] * nvars
@@ -209,25 +183,24 @@ class MultiPoly:
         return poly
 
     # -- basic ring ops -------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.rows
-
     @property
-    def terms(self) -> Dict[Exponent, Fraction]:
+    def terms(self) -> Dict[Exponent, int]:
         """{exponent: coefficient} for every nonzero term, unpacked."""
-        out: Dict[Exponent, Fraction] = {}
+        out: Dict[Exponent, int] = {}
         for e, r in self.rows.items():
             for k, c in _unpack(r, self.width).items():
-                out[(k,) + e] = c if self.den == 1 else Fraction(c, self.den)
+                out[(k,) + e] = c
         return out
 
-    def coeff(self, exponent: Exponent) -> Fraction:
+    def coeff(self, exponent: Exponent) -> int:
+        """The coefficient at ``exponent``; 0 when it has a negative entry."""
         e = tuple(exponent)
+        if len(e) != self.nvars:
+            raise ValueError(f"bad exponent tuple {e} for {self.nvars} variables")
         row = self.rows.get(e[1:])
-        if row is None or len(e) != self.nvars or e[0] < 0:
+        if row is None or e[0] < 0:
             return 0
-        c = _digit(row, e[0], self.width)
-        return c if self.den == 1 else Fraction(c, self.den)
+        return _digit(row, e[0], self.width)
 
     def total_degree(self) -> int:
         return max((r.bit_length() // self.width + sum(e) for e, r in self.rows.items()),
@@ -240,7 +213,7 @@ class MultiPoly:
 
     def __neg__(self) -> "MultiPoly":
         return MultiPoly._trusted(self.nvars, {e: -r for e, r in self.rows.items()},
-                                  self.den, self.width, self.bound)
+                                  self.width, self.bound)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -249,9 +222,9 @@ class MultiPoly:
         """(terms, axis), computed once per polynomial.
 
         ``terms`` lists every term as (total degree, key, j, k, u_0 power,
-        coefficient numerator) by ascending degree, where the key is k times
-        the j-th unit vector (j = -1 for the zero key, None for any other
-        key).  ``axis`` is j when no term has u_0 and every key is a power of
+        coefficient) by ascending degree, where the key is k times the j-th
+        unit vector (j = -1 for the zero key, None for any other key).
+        ``axis`` is j when no term has u_0 and every key is a power of
         u_(j+1) alone (a constant counts for any j), else -1.
         """
         if self._terms is None:
@@ -282,20 +255,15 @@ class MultiPoly:
         if not self.rows or not other.rows:
             return MultiPoly.zero(self.nvars)
         terms, axis = other._term_list()
-        if len(terms) > len(other.rows) and len(self._term_list()[0]) < len(terms):
-            self, other = other, self
-            terms, axis = other._term_list()
         # a single term, or terms along one axis that self lacks, put every
-        # product in its own row
+        # product in its own row; otherwise each term of other meets a
+        # monomial at most once
         apart = len(terms) == 1 or (axis >= 0 and not any(e[axis] for e in self.rows))
-        meet = 1 if apart else len(terms)
-        if len(self.rows) < meet:
-            meet = min(meet, len(self._term_list()[0]))
-        bound = self.bound * other.bound * meet
+        bound = self.bound * other.bound * (1 if apart else len(terms))
         width = max(self.width, other.width, packing_width(bound))
         rows = _repack(self.rows, self.width, width)
         rows = _mul_terms(rows, terms, apart, width, max_total_degree)
-        return MultiPoly._trusted(self.nvars, rows, self.den * other.den, width, bound)
+        return MultiPoly._trusted(self.nvars, rows, width, bound)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         return self.mul(other)
@@ -304,9 +272,6 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("MultiPoly is unhashable")
 
     def __repr__(self) -> str:
         terms = self.terms
@@ -353,77 +318,44 @@ def multipoly_sum(nvars: int, polys: Iterable[MultiPoly]) -> MultiPoly:
     polys = [p for p in polys if p.rows]
     if len(polys) < 2:
         return polys[0] if polys else MultiPoly.zero(nvars)
-    den = math.lcm(*(p.den for p in polys))
-    bound = sum(p.bound * (den // p.den) for p in polys)
+    bound = sum(p.bound for p in polys)
     width = max(packing_width(bound), *(p.width for p in polys))
     out: Rows = {}
     get = out.get
     for p in polys:
         rows = _repack(p.rows, p.width, width)
-        if p.den != den:
-            rows = {e: r * (den // p.den) for e, r in rows.items()}
         if not out:
             out.update(rows)
         else:
             for e, r in rows.items():
                 out[e] = get(e, 0) + r
-    return MultiPoly._trusted(nvars, _nonzero(out), den, width, bound)
+    return MultiPoly._trusted(nvars, _nonzero(out), width, bound)
 
 
 def multipoly_exact_divide(
     numerator: MultiPoly, divisor: MultiPoly, trusted_total_degree: int
 ) -> MultiPoly:
-    """Divide exactly, tolerating junk only above the trusted total degree.
+    """Divide by ``divisor`` = s * (u_i - u_j), s = +-1, as a divided difference.
 
-    The result is the graded-lex reduction of ``numerator`` by ``divisor``.
-    Any remainder monomial at or below ``trusted_total_degree`` means the
-    division was not exact where it had to be, which signals a truncation bug
-    upstream, so it raises :class:`InexactDivisionError`.  Remainder monomials
-    above the trusted degree are discarded (they live where the numerator was
-    never trustworthy to begin with).  A divisor +-(u_i - u_j) takes the
-    divided-difference path on packed rows, anything else the generic
-    reduction.
+    Fix the exponents of the other variables and the degree d = a + b in
+    (u_i, u_j), i < j.  Along that anti-diagonal the numerator's coefficients
+    f[a, b] give the quotient as running sums, q[d-1-b, b] = sum of
+    f[d-b', b'] over b' <= b, and the full sum is the remainder left at
+    u_j^d: the graded-lex reduction by the leading term u_i, in closed form.
+    A quotient coefficient sums at most d + 1 numerator coefficients, which
+    sets its bound.
+
+    A remainder monomial at or below ``trusted_total_degree`` means the
+    division was not exact where it had to be, a truncation bug upstream, and
+    raises :class:`InexactDivisionError`; those above it, where the numerator
+    was never trustworthy, are dropped.  Any other divisor raises ``ValueError``.
     """
-    if divisor.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
     if numerator.nvars != divisor.nvars:
         raise ValueError("variable count mismatch")
     pair = _unit_pair(divisor)
-    if pair is not None:
-        return _divide_by_pair(numerator, *pair, trusted_total_degree)
-    return _grlex_divide(numerator, divisor, trusted_total_degree)
-
-
-def _unit_pair(divisor: MultiPoly):
-    """(i, j, s) when divisor = s * (u_i - u_j) with i < j and s = +-1, else None."""
-    if len(divisor.rows) > 2:
-        return None
-    terms = divisor.terms
-    if len(terms) != 2:
-        return None
-    linear = []
-    for e, c in terms.items():
-        if sum(e) != 1:
-            return None
-        linear.append((e.index(1), c))
-    (i, ci), (j, cj) = sorted(linear)
-    if ci not in (1, -1) or cj != -ci:
-        return None
-    return i, j, int(ci)
-
-
-def _divide_by_pair(numerator: MultiPoly, i: int, j: int, sign: int,
-                    trusted_total_degree: int) -> MultiPoly:
-    """Quotient by sign * (u_i - u_j), i < j, as a divided difference.
-
-    Fix the exponents of the other variables and the degree d = a + b in
-    (u_i, u_j).  Along that anti-diagonal the numerator's coefficients
-    f[a, b] give the quotient as running sums, q[d-1-b, b] = sum of
-    f[d-b', b'] over b' <= b, and the full sum is the remainder left at
-    u_j^d: the graded-lex reduction by the leading term u_i, done in closed
-    form.  A quotient coefficient sums at most d + 1 numerator coefficients,
-    which sets its bound.
-    """
+    if pair is None:
+        raise ValueError(f"divisor {divisor!r} is not +-(u_i - u_j)")
+    i, j, sign = pair
     width, rows = numerator.width, numerator.rows
     jj = j - 1
     if i == 0:
@@ -437,7 +369,17 @@ def _divide_by_pair(numerator: MultiPoly, i: int, j: int, sign: int,
         width = new_width
     divide = _divide_rows_by_u0_pair if i == 0 else _divide_rows_by_pair
     quotient = divide(rows, i - 1, jj, sign, width, trusted_total_degree)
-    return MultiPoly._trusted(numerator.nvars, quotient, numerator.den, width, bound)
+    return MultiPoly._trusted(numerator.nvars, quotient, width, bound)
+
+
+def _unit_pair(divisor: MultiPoly):
+    """(i, j, s) when divisor = s * (u_i - u_j) with i < j and s = +-1, else None."""
+    terms = divisor.terms
+    if len(terms) == 2 and all(sum(e) == 1 for e in terms):
+        (i, s), (j, t) = sorted((e.index(1), c) for e, c in terms.items())
+        if s in (1, -1) and t == -s:
+            return i, j, s
+    return None
 
 
 def _divide_rows_by_pair(rows: Rows, ii: int, jj: int, sign: int, width: int,
@@ -506,50 +448,3 @@ def _divide_rows_by_u0_pair(rows: Rows, ii: int, jj: int, sign: int, width: int,
                 quotient[pre + (b,) + post] = sign * acc
             b += 1
     return quotient
-
-
-def _grlex_key(e: Exponent) -> tuple:
-    return (sum(e), e)
-
-
-def _grlex_divide(numerator: MultiPoly, divisor: MultiPoly,
-                  trusted_total_degree: int) -> MultiPoly:
-    """Generic graded-lex reduction on unpacked terms; see :func:`multipoly_exact_divide`."""
-    dterms = divisor.terms
-    lt = max(dterms, key=_grlex_key)
-    lc = dterms[lt]
-    work = numerator.terms
-    quotient: Dict[Exponent, Fraction] = {}
-    # Monomials are consumed in descending graded-lex order from a heap;
-    # reduction only creates monomials strictly below the one consumed, and
-    # each new one is pushed once.
-    def heap_key(e):
-        return (-sum(e), tuple(-x for x in e), e)
-
-    heap = [heap_key(e) for e in work]
-    heapq.heapify(heap)
-    seen = set(work)
-    while heap:
-        e = heapq.heappop(heap)[-1]
-        c = work.get(e, 0)
-        if c == 0:
-            continue
-        del work[e]
-        q = tuple(a - b for a, b in zip(e, lt))
-        if any(x < 0 for x in q):
-            if sum(e) <= trusted_total_degree:
-                raise InexactDivisionError(
-                    f"division not exact within trusted range: remainder at {e}"
-                )
-            continue
-        factor = Fraction(c) / lc
-        quotient[q] = quotient.get(q, 0) + factor
-        for de, dc in dterms.items():
-            if de == lt:
-                continue
-            t = tuple(a + b for a, b in zip(q, de))
-            work[t] = work.get(t, 0) - factor * dc
-            if t not in seen:
-                seen.add(t)
-                heapq.heappush(heap, heap_key(t))
-    return MultiPoly(numerator.nvars, quotient)

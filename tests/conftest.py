@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from spectral_tau import MatrixPolynomial, characteristic_data
+from spectral_tau.multipoly import InexactDivisionError
 from spectral_tau.polynomials import Poly
 from spectral_tau.serialize import parse_matrix_polynomial
 from spectral_tau.series import USeries
@@ -125,7 +127,7 @@ def poly_grid(mat, length):
 
 # -- dict-convolution oracle for MultiPoly -------------------------------------
 # The kernel before rows were packed: {exponent: coefficient} dicts, one dict
-# update per pair of terms.
+# update per pair of terms, and a generic graded-lex division.
 
 def dict_mul(a: dict, b: dict, max_total_degree=None) -> dict:
     """Product of two term dicts, dropping monomials above a total degree cap."""
@@ -148,3 +150,51 @@ def dict_sum(terms_list) -> dict:
         for e, c in terms.items():
             out[e] = out.get(e, 0) + c
     return {e: c for e, c in out.items() if c}
+
+
+def _grlex_key(e) -> tuple:
+    return (sum(e), e)
+
+
+def dict_divide(numerator: dict, divisor: dict, trusted_total_degree: int) -> dict:
+    """Graded-lex reduction of a term dict by any nonzero term dict.
+
+    Raises ``InexactDivisionError`` for a remainder monomial at or below the
+    trusted total degree and drops those above it, as
+    ``multipoly_exact_divide`` does.
+    """
+    lt = max(divisor, key=_grlex_key)
+    lc = divisor[lt]
+    work = dict(numerator)
+    quotient: dict = {}
+    # Monomials are consumed in descending graded-lex order from a heap;
+    # reduction only creates monomials strictly below the one consumed, and
+    # each new one is pushed once.
+    def heap_key(e):
+        return (-sum(e), tuple(-x for x in e), e)
+
+    heap = [heap_key(e) for e in work]
+    heapq.heapify(heap)
+    seen = set(work)
+    while heap:
+        e = heapq.heappop(heap)[-1]
+        c = work.pop(e, 0)
+        if c == 0:
+            continue
+        q = tuple(a - b for a, b in zip(e, lt))
+        if any(x < 0 for x in q):
+            if sum(e) <= trusted_total_degree:
+                raise InexactDivisionError(
+                    f"division not exact within trusted range: remainder at {e}")
+            continue
+        factor = Fraction(c) / lc
+        quotient[q] = quotient.get(q, 0) + factor
+        for de, dc in divisor.items():
+            if de == lt:
+                continue
+            t = tuple(map(add, q, de))
+            work[t] = work.get(t, 0) - factor * dc
+            if t not in seen:
+                seen.add(t)
+                heapq.heappush(heap, heap_key(t))
+    return {e: c for e, c in quotient.items() if c}
