@@ -180,8 +180,9 @@ def _cmd_verify_theta(job: JobSpec) -> dict:
 
     w = _load_input(job)
     _checked_indices(job, w.n)
+    kmax = {n: job.kmax for n in range(3, max(4, job.max_n) + 1)}
     try:
-        report = verify_main_theorem(w, kmax=job.kmax, tol=max(job.tol, 1e-12))
+        report = verify_main_theorem(w, kmax=kmax, tol=max(job.tol, 1e-12))
     except (DivisorError, PeriodError, ThetaError) as exc:
         raise StageError(str(exc)) from exc
     return report.to_json_dict()

@@ -21,14 +21,37 @@ packed rows: the t_0-coefficients of a row share one Python int, at a digit
 width each table derives once, next to c, from a certified bound on every
 coefficient it computes (the slots' largest coefficient, n products per chain
 step, the (N-1)! classes, a factor 2 per missing pair and an anti-diagonal
-length per division).  The cyclic classes are walked depth-first over
-prefixes, so each partial chain product is formed once; slot 0 expands in
-t_0 and every later slot in a variable its prefix lacks, so a chain step is
-one int product per row and slot coefficient.  Each division by (t_i - t_j)
-is a divided difference: running sums along the anti-diagonals of the (i, j)
-exponent plane, row by row.  The t-quotient's coefficient q[k] is read back
-as F = -q[k] / c^(N + |k|) (two points: +q[k] / c^(2 + |k|)), the only
-Fraction on the path.
+length per division).
+
+Equal slots are walked once per orbit.  F is symmetric under a simultaneous
+permutation of its (sheet, k) pairs, so the slots are first put in a
+canonical order: a slot of a least-repeated sheet in slot 0, then the others
+in blocks of equal sheets; the k's are mapped back at the end.  Let G be the
+permutations of slots 1..N-1 that keep every block.  Relabeling the
+variables by s in G carries a class's chain to the chain of its image class
+and multiplies its numerator over the full Vandermonde (signed trace times
+missing pairs) by sgn s.  Every class is written from slot 0, which s fixes,
+so only the identity fixes a class and each G-orbit has |G| classes.  The
+walk visits one class per orbit, each block's slots in increasing order, and
+antisymmetrizes the sum of their numerators once: sum_s sgn(s) s is a
+product of coset factors (1 - sum_{i<m} (b_i b_m)) over the slots b_1 < b_2
+< ... of each block (the alternant, Macdonald, Symmetric Functions and Hall
+Polynomials, ch. I.3), 1 + 2 + ... + (|block| - 1) relabelings in place of
+|G|.  A relabeling fixes u_0, so it moves row keys only: the packed u_0
+digits stay, and so does the width, whose bound already counts all (N-1)!
+classes.  In the hyperelliptic combination every slot is Pi_1 - Pi_2, so G
+is the whole S_(N-1) and the walk is one chain.  With distinct sheets G is
+trivial and every class is walked.
+
+The walk goes depth-first over prefixes, so each partial chain product is
+formed once; slot 0 expands in t_0 and every later slot in a variable its
+prefix lacks, so a chain step is one int product per row and slot
+coefficient.  Signed traces are grouped by the Vandermonde pairs their cycle
+misses, and a pair shared by several groups multiplies their sum once.  Each
+division by (t_i - t_j) is a divided difference: running sums along the
+anti-diagonals of the (i, j) exponent plane, row by row.  The t-quotient's
+coefficient q[k] is read back as F = -q[k] / c^(N + |k|) (two points:
++q[k] / c^(2 + |k|)), the only Fraction on the path.
 
 Certificates: every scaled coefficient must be an integer (a wrong c raises
 ArithmeticError rather than emitting a value), and every division must leave
@@ -42,6 +65,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -250,7 +274,7 @@ def _pair_table_values(mat1, mat2, subtract: int, kmax: int, c: int) -> dict:
 
 
 def _cycle_sign_and_missing(perm: Sequence[int], npts: int):
-    """Sign and complement pairs for the cyclic denominator of one permutation.
+    """Sign and set of complement pairs for the cyclic denominator of one permutation.
 
     Each step x -> y contributes (u_y - u_x); with the convention that the
     stored pair difference is u_min - u_max the step carries sign +1 when
@@ -264,7 +288,7 @@ def _cycle_sign_and_missing(perm: Sequence[int], npts: int):
         if y > x:
             sign = -sign
         in_cycle.add(frozenset((x, y)))
-    missing = tuple(
+    missing = frozenset(
         (p, q)
         for p in range(npts)
         for q in range(p + 1, npts)
@@ -273,38 +297,64 @@ def _cycle_sign_and_missing(perm: Sequence[int], npts: int):
     return sign, missing
 
 
-def _npoint_values(slot_mats, kmax: int, c: int) -> dict:
-    """F-values for fixed per-slot matrices, scaled by c; slot i expands in u_i.
+def _times_missing(groups: dict, npts: int, cap: int) -> MultiPoly:
+    """The sum of term * prod(u_p - u_r) over {missing pairs (p, r): term}.
 
-    Returns {(k_1..k_N): Fraction} for the full box k_i <= kmax.
+    Pairs shared by several groups are factored out, Horner-like: the pair
+    in the most groups multiplies the sum of those groups' remaining
+    products once.  ``groups`` is emptied.
     """
-    npts = len(slot_mats)
+    q = MultiPoly.zero(npts)
+    while groups:
+        counts = Counter(pair for missing in groups for pair in missing)
+        if not counts:
+            return q + groups.popitem()[1]
+        pair = max(counts, key=counts.__getitem__)
+        shared = {missing - {pair}: groups.pop(missing)
+                  for missing in list(groups) if pair in missing}
+        term = _times_missing(shared, npts, cap)
+        q = q + term.mul(MultiPoly.pair_difference(npts, *pair), max_total_degree=cap)
+    return q
+
+
+def _npoint_values(mats: Mapping, sheets: Sequence, kmax: int, c: int) -> dict:
+    """F-values for slot i carrying ``mats[sheets[i]]``, scaled by c.
+
+    Returns {(k_1..k_N): Fraction} for the full box k_i <= kmax, in the slot
+    order of ``sheets``.
+    """
+    npts = len(sheets)
     if npts < 3:
         raise ValueError("n-point expansion needs at least 3 slots")
     K = npts * (kmax + 1)
     n_missing = npts * (npts - 1) // 2 - npts
     cap_dividend = K + n_missing
-    if any(len(mat[0][0]) < K + 1 for mat in slot_mats):
+    if any(len(mat[0][0]) < K + 1 for mat in mats.values()):
         raise ValueError("slot matrices carry fewer trusted orders than required")
-    ints = [_integer_slot([[series[: K + 1] for series in row] for row in mat], c)
-            for mat in slot_mats]
+    ints = {a: _integer_slot([[series[: K + 1] for series in row] for row in mat], c)
+            for a, mat in mats.items()}
+    # canonical slot order: a least-repeated sheet in slot 0, then equal
+    # sheets in contiguous blocks; slot p expands in u_p
+    order = sorted(range(npts), key=lambda i: (sheets.count(sheets[i]), sheets[i], i))
+    labels = [sheets[i] for i in order]
     # A certified bound on every coefficient the table computes, in the
     # kernel's own bound rules: a chain entry sums n single products per
     # step, a trace n^2, the (N-1)! classes add up, each missing pair doubles
     # the bound, and the division by the t-th pair sums anti-diagonals of at
     # most cap_dividend - t + 1 coefficients.
-    n, n_pairs = len(ints[0]), npts * (npts - 1) // 2
-    bound = (math.factorial(npts - 1) * n ** npts * math.prod(map(_largest, ints))
+    n, n_pairs = len(ints[labels[0]]), npts * (npts - 1) // 2
+    bound = (math.factorial(npts - 1) * n ** npts * math.prod(_largest(ints[a]) for a in labels)
              * 2 ** n_missing * math.prod(range(cap_dividend - n_pairs + 2, cap_dividend + 2)))
     width = packing_width(bound)
-    slots = [_packed_slot(m, npts, var, width) for var, m in enumerate(ints)]
+    slots = [_packed_slot(ints[a], npts, var, width) for var, a in enumerate(labels)]
 
-    # One representative per cyclic class (slot 0 first); trace and
-    # denominator are invariant under cyclic shifts, which cancels the 1/N
-    # prefactor.  Classes are walked depth-first over their prefixes, so each
-    # partial chain product is formed once, and signed traces are grouped by
-    # the Vandermonde pairs their cycle misses.
-    by_missing: dict[tuple, MultiPoly] = {}
+    # One class per orbit of the slot relabelings that keep the blocks: each
+    # block's slots in increasing order.  Trace and denominator are invariant
+    # under cyclic shifts, which cancels the 1/N prefactor.  Classes are
+    # walked depth-first over their prefixes, so each partial chain product
+    # is formed once, and signed traces are grouped by the Vandermonde pairs
+    # their cycle misses.
+    by_missing: dict[frozenset, MultiPoly] = {}
 
     def visit(prefix: tuple, acc) -> None:
         rest = [s for s in range(npts) if s not in prefix]
@@ -316,25 +366,27 @@ def _npoint_values(slot_mats, kmax: int, c: int) -> dict:
                 tr = by_missing[missing] + tr
             by_missing[missing] = tr
             return
+        firsts: dict = {}
         for s in rest:
+            firsts.setdefault(labels[s], s)
+        for s in firsts.values():
             visit(prefix + (s,), _matmul(acc, slots[s], K))
 
     visit((0,), slots[0])
-    # groups are multiplied out and added one at a time, which keeps few
-    # large polynomials alive at once
-    q = MultiPoly.zero(npts)
-    while by_missing:
-        missing, term = by_missing.popitem()
-        for (p, r) in missing:
-            term = term.mul(MultiPoly.pair_difference(npts, p, r), max_total_degree=cap_dividend)
-        q = q + term
+    q = _times_missing(by_missing, npts, cap_dividend)
+    # the rest of each orbit: sum over sigma of sgn(sigma) sigma, one coset
+    # factor (1 - sum_{i<m} (b_i b_m)) per slot b_m of a block b_1 < b_2 < ...
+    for a in dict.fromkeys(labels[1:]):
+        block = [s for s in range(1, npts) if labels[s] == a]
+        for m in range(1, len(block)):
+            q = multipoly_sum(npts, [q] + [-q.swapped(b, block[m]) for b in block[:m]])
     trusted = cap_dividend
     for p in range(npts):
         for r in range(p + 1, npts):
             q = multipoly_exact_divide(q, MultiPoly.pair_difference(npts, p, r), trusted)
             trusted -= 1
     return {
-        ks: Fraction(-q.coeff(ks), c ** (npts + sum(ks)))
+        ks: Fraction(-q.coeff(tuple(ks[i] for i in order)), c ** (npts + sum(ks)))
         for ks in itertools.product(range(kmax + 1), repeat=npts)
     }
 
@@ -366,8 +418,8 @@ def correlator_n(w: MatrixPolynomial, sheets: Sequence[int], kmax: int,
     engine = engine or CorrelatorEngine(w)
     npts = len(sheets)
     K = npts * (kmax + 1)
-    slot_mats = [engine.slot_matrix(a, K) for a in sheets]
-    vals = _npoint_values(slot_mats, kmax, engine.scale(*sheets))
+    mats = {a: engine.slot_matrix(a, K) for a in sheets}
+    vals = _npoint_values(mats, sheets, kmax, engine.scale(*sheets))
     entries = {
         tuple((sheets[i], ks[i]) for i in range(npts)): v for ks, v in vals.items()
     }
@@ -447,7 +499,7 @@ def hyperelliptic_combination(w: MatrixPolynomial, n_points: int, kmax: int,
         return _pair_table_values(d, d, 2, kmax, engine.scale(0))
     K = n_points * (kmax + 1)
     d = engine.difference_matrix(K)
-    return _npoint_values([d] * n_points, kmax, engine.scale(0))
+    return _npoint_values({0: d}, (0,) * n_points, kmax, engine.scale(0))
 
 
 def hyperelliptic_combination_from_tables(w: MatrixPolynomial, n_points: int, kmax: int,

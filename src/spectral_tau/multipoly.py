@@ -218,6 +218,17 @@ class MultiPoly:
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
+    def swapped(self, i: int, j: int) -> "MultiPoly":
+        """The polynomial with u_i and u_j exchanged, 1 <= i < j.
+
+        Only the row keys move: the packed u_0 digits, the width and the
+        bound stay as they are.
+        """
+        i, j = i - 1, j - 1
+        rows = {e[:i] + (e[j],) + e[i + 1:j] + (e[i],) + e[j + 1:]: r
+                for e, r in self.rows.items()}
+        return MultiPoly._trusted(self.nvars, rows, self.width, self.bound)
+
     def _term_list(self):
         """(terms, axis), computed once per polynomial.
 

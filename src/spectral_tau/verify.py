@@ -86,10 +86,10 @@ def _k_tuples(n_points: int, kmax: int):
 
 def verify_main_theorem(w: MatrixPolynomial, kmax=None, tol: float = 1e-6,
                         settings: QuadratureSettings | None = None) -> VerificationReport:
-    """Scan half-period shifts and check F = (-1)^N T for N = 3 and 4.
+    """Scan half-period shifts and check F = (-1)^N T for N = 3..6.
 
-    ``kmax`` is an int (same bound for both N) or a mapping {3: k3, 4: k4};
-    the default is {3: 2, 4: 1}.
+    ``kmax`` is an int (the same bound for N = 3 and 4) or a mapping
+    {N: k_N} over any of N = 3..6; the default is {3: 2, 4: 1}.
     """
     if kmax is None:
         kmax_by_n = {3: 2, 4: 1}

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from functools import reduce
@@ -13,7 +15,12 @@ from pathlib import Path
 import pytest
 
 from spectral_tau import MatrixPolynomial, characteristic_data
-from spectral_tau.multipoly import InexactDivisionError
+from spectral_tau.correlators import (
+    _cycle_sign_and_missing, _integer_slot, _largest, _matmul, _packed_slot, _trace_of_product,
+)
+from spectral_tau.multipoly import (
+    InexactDivisionError, MultiPoly, multipoly_exact_divide, packing_width,
+)
 from spectral_tau.polynomials import Poly
 from spectral_tau.serialize import parse_matrix_polynomial
 from spectral_tau.series import USeries
@@ -198,3 +205,52 @@ def dict_divide(numerator: dict, divisor: dict, trusted_total_degree: int) -> di
                 seen.add(t)
                 heapq.heappush(heap, heap_key(t))
     return {e: c for e, c in quotient.items() if c}
+
+
+# -- full-walk oracle for the N-point kernel -----------------------------------
+# The walk before equal slots were folded into orbits: every one of the (N-1)!
+# cyclic classes builds its own chain, trace and missing-pair product.
+
+def full_walk_values(slot_mats, kmax: int, c: int) -> dict:
+    """{(k_1..k_N): Fraction} for slot i carrying slot_mats[i], over all classes."""
+    npts = len(slot_mats)
+    K = npts * (kmax + 1)
+    n_missing = npts * (npts - 1) // 2 - npts
+    cap_dividend = K + n_missing
+    ints = [_integer_slot([[series[: K + 1] for series in row] for row in mat], c)
+            for mat in slot_mats]
+    n, n_pairs = len(ints[0]), npts * (npts - 1) // 2
+    bound = (math.factorial(npts - 1) * n ** npts * math.prod(map(_largest, ints))
+             * 2 ** n_missing * math.prod(range(cap_dividend - n_pairs + 2, cap_dividend + 2)))
+    width = packing_width(bound)
+    slots = [_packed_slot(m, npts, var, width) for var, m in enumerate(ints)]
+    by_missing: dict = {}
+
+    def visit(prefix: tuple, acc) -> None:
+        rest = [s for s in range(npts) if s not in prefix]
+        if len(rest) == 1:
+            tr = _trace_of_product(acc, slots[rest[0]], K)
+            sign, missing = _cycle_sign_and_missing(prefix + (rest[0],), npts)
+            tr = tr if sign > 0 else -tr
+            if missing in by_missing:
+                tr = by_missing[missing] + tr
+            by_missing[missing] = tr
+            return
+        for s in rest:
+            visit(prefix + (s,), _matmul(acc, slots[s], K))
+
+    visit((0,), slots[0])
+    q = MultiPoly.zero(npts)
+    for missing, term in by_missing.items():
+        for (p, r) in missing:
+            term = term.mul(MultiPoly.pair_difference(npts, p, r), max_total_degree=cap_dividend)
+        q = q + term
+    trusted = cap_dividend
+    for p in range(npts):
+        for r in range(p + 1, npts):
+            q = multipoly_exact_divide(q, MultiPoly.pair_difference(npts, p, r), trusted)
+            trusted -= 1
+    return {
+        ks: Fraction(-q.coeff(ks), c ** (npts + sum(ks)))
+        for ks in itertools.product(range(kmax + 1), repeat=npts)
+    }

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from spectral_tau.cli import JobSpec, run
+from spectral_tau.cli import JobSpec, main, run
 from spectral_tau.serialize import ParseError, parse_matrix_polynomial
 
 from conftest import random_matrix_polynomial
@@ -118,6 +118,15 @@ class TestRun:
         assert report["success"] is True
         assert report["shift_used"] is not None
         assert len(report["identities"]) == 9   # kmax 1 for N = 3 and 4
+
+    def test_verify_theta_max_n(self, capsys):
+        # --max-n raises the top order past the default N = 3, 4
+        status = main(["verify-theta", "--input", str(G1), "--max-n", "6", "--kmax", "0"])
+        report = json.loads(capsys.readouterr().out)
+        assert status == 0
+        assert report["success"] is True
+        assert [r["N"] for r in report["identities"]] == [3, 4, 5, 6]
+        assert all(r["passed"] for r in report["identities"])
 
 
 class TestStageErrors:

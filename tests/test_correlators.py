@@ -12,10 +12,13 @@ from spectral_tau import (
 )
 from spectral_tau import correlators
 from spectral_tau.correlators import _series_scale, hyperelliptic_combination_from_tables
+from spectral_tau.multipoly import InexactDivisionError, MultiPoly
 from spectral_tau.polynomials import Poly
 from spectral_tau.serialize import correlator_table_from_json, correlator_table_to_json
 
-from conftest import doc_w, hyper_coeff, random_hyperelliptic, random_matrix_polynomial
+from conftest import (
+    doc_w, full_walk_values, hyper_coeff, random_hyperelliptic, random_matrix_polynomial,
+)
 
 
 def diag_w(n=3, m=2):
@@ -224,12 +227,135 @@ class TestIntegerEngine:
         (lambda: random_matrix_polynomial(3, 3, 1), (1, 2, 3, 1), 1),
     ], ids=["three-sheet-m1-N6", "random-n3m1-N4"])
     def test_slot_swap_invariance(self, make_w, sheets, kmax):
+        """Swapping two slots with their k's leaves every value unchanged.
+
+        The kernel puts the slots in a canonical order before it walks, so
+        both slot orders run the same chains; this checks the mapping of the
+        k's back to the caller's order.
+        """
         w = make_w()
         eng = CorrelatorEngine(w)
         table = correlator_n(w, sheets, kmax, eng)
         swapped = correlator_n(w, (sheets[1], sheets[0]) + sheets[2:], kmax, eng)
         for key, v in table.entries.items():
             assert swapped.value((key[1], key[0]) + key[2:]) == v
+
+
+class TestOrbitWalk:
+    """The orbit walk against the full walk over all (N-1)! cyclic classes."""
+
+    @pytest.mark.parametrize("name, npts, kmax", [
+        (name, npts, 0) for name in ("hyperelliptic-g1.json", "hyperelliptic-g2.json")
+        for npts in (3, 4, 5, 6)
+    ] + [("hyperelliptic-g1.json", 4, 1), ("hyperelliptic-g2.json", 4, 1)])
+    def test_hyperelliptic_matches_full_walk(self, name, npts, kmax):
+        w = doc_w(name)
+        eng = CorrelatorEngine(w)
+        got = hyperelliptic_combination(w, npts, kmax, eng)
+        mats = [eng.difference_matrix(npts * (kmax + 1))] * npts
+        assert got == full_walk_values(mats, kmax, eng.scale(0))
+
+    @pytest.mark.parametrize("make_w, sheets, kmax", [
+        (lambda: random_matrix_polynomial(100, 3, 1), (1, 1, 2, 3), 1),
+        (lambda: random_matrix_polynomial(100, 3, 2), (1, 1, 2, 3), 1),
+        (lambda: doc_w("three-sheet-m1.json"), (1, 2, 3, 1, 2), 0),
+        (lambda: doc_w("three-sheet-m1.json"), (1, 2, 3, 1, 2, 3), 0),
+    ], ids=["n3m1-s100", "n3m2-s100", "three-sheet-m1-N5", "three-sheet-m1-N6"])
+    def test_correlator_matches_full_walk(self, make_w, sheets, kmax):
+        w = make_w()
+        eng = CorrelatorEngine(w)
+        table = correlator_n(w, sheets, kmax, eng)
+        got = {tuple(k for _, k in key): v for key, v in table.entries.items()}
+        mats = [eng.slot_matrix(a, len(sheets) * (kmax + 1)) for a in sheets]
+        assert got == full_walk_values(mats, kmax, eng.scale(*sheets))
+
+    @staticmethod
+    def count_walk(monkeypatch) -> dict:
+        calls = {"matmul": 0, "trace": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(correlators, "_matmul", counted("matmul", correlators._matmul))
+        monkeypatch.setattr(correlators, "_trace_of_product",
+                            counted("trace", correlators._trace_of_product))
+        return calls
+
+    @pytest.mark.parametrize("npts", [3, 4, 5, 6])
+    def test_hyperelliptic_walks_one_chain(self, npts, monkeypatch):
+        # every slot is Pi_1 - Pi_2, so all classes form one orbit: N - 2
+        # chain products and one trace; the full walk would make more
+        calls = self.count_walk(monkeypatch)
+        hyperelliptic_combination(doc_w("hyperelliptic-g2.json"), npts, 0)
+        assert calls == {"matmul": npts - 2, "trace": 1}
+
+    @pytest.mark.parametrize("sheets, traces", [
+        ((1, 2, 3), 2),            # G trivial: all (N-1)! classes
+        ((1, 1, 2, 3), 3),         # sheet 2 first, G = S_2 on the 1's: 3!/2
+        ((3, 3, 1, 3), 1),         # sheet 1 first, G = S_3: one class
+        ((1, 2, 2, 3, 3), 6),      # G = S_2 x S_2: 4!/4
+    ])
+    def test_correlator_walks_one_class_per_orbit(self, sheets, traces, monkeypatch):
+        # a least-repeated sheet goes to slot 0, which leaves G largest
+        calls = self.count_walk(monkeypatch)
+        correlator_n(random_matrix_polynomial(100, 3, 1), sheets, 0)
+        assert calls["trace"] == traces
+
+    @pytest.mark.parametrize("flipped", range(6))
+    def test_flipped_coset_term_is_caught(self, flipped, monkeypatch):
+        # N = 5 applies the coset factors of S_4 through 1 + 2 + 3 = 6
+        # relabelings; negating any one of them must not pass unnoticed
+        w = doc_w("hyperelliptic-g2.json")
+        eng = CorrelatorEngine(w)
+        good = hyperelliptic_combination(w, 5, 1, eng)
+        calls = []
+        swapped = MultiPoly.swapped
+
+        def flip_one(self, i, j):
+            calls.append((i, j))
+            out = swapped(self, i, j)
+            return -out if len(calls) == flipped + 1 else out
+
+        monkeypatch.setattr(MultiPoly, "swapped", flip_one)
+        try:
+            assert hyperelliptic_combination(w, 5, 1, eng) != good
+        except InexactDivisionError:
+            pass
+        assert len(calls) == 6
+
+
+class TestKPEquation:
+    """The KP equation at weight 4 on every sheet, exactly.
+
+    With F = log tau in the times t_k of one sheet a (F^{a..a}_{k..k}
+    the derivatives in t_(k+1)), u = 2 F_xx solves KP:
+    F^{aaaa}_{0000} + 6 (F^{aa}_{00})^2 + 3 F^{aa}_{11} - 4 F^{aa}_{02} = 0.
+    The four-point value walks one orbit of S_3, so this also checks the
+    coset factors at n = 3 slots past slot 0.
+    """
+
+    @pytest.mark.parametrize("make_w", [
+        lambda: doc_w("hyperelliptic-g1.json"),
+        lambda: doc_w("hyperelliptic-g2.json"),
+        lambda: random_hyperelliptic(100, 1)[0],
+        lambda: random_hyperelliptic(100, 2)[0],
+        lambda: random_matrix_polynomial(101, 3, 1),
+        lambda: random_matrix_polynomial(100, 3, 2),
+    ], ids=["g1-doc", "g2-doc", "g1-s100", "g2-s100", "n3m1-s101", "n3m2-s100"])
+    def test_weight_four(self, make_w):
+        w = make_w()
+        eng = CorrelatorEngine(w)
+        for a in range(1, w.n + 1):
+            f4 = correlator_n(w, (a,) * 4, 0, eng).value(((a, 0),) * 4)
+            pair = correlator_pair(w, a, a, 2, eng)
+
+            def f2(k1, k2):
+                return pair.value(((a, k1), (a, k2)))
+
+            assert f4 + 6 * f2(0, 0) ** 2 + 3 * f2(1, 1) - 4 * f2(0, 2) == 0
 
 
 class TestFreeEnergy:

@@ -260,6 +260,30 @@ def test_pair_division_at_the_width_edge():
         assert multipoly_exact_divide(prod, d, 0).terms == dict_divide(prod.terms, d.terms, 0)
 
 
+@st.composite
+def swaps(draw):
+    nvars = draw(st.integers(3, 5))
+    i, j = sorted(draw(st.lists(st.integers(1, nvars - 1), min_size=2, max_size=2, unique=True)))
+    return nvars, draw(_terms(nvars)), i, j
+
+
+@given(swaps())
+@settings(max_examples=100, deadline=None)
+def test_swapped_exchanges_two_variables(case):
+    nvars, terms, i, j = case
+    f = MultiPoly(nvars, terms)
+    g = f.swapped(i, j)
+
+    def exchange(e):
+        e = list(e)
+        e[i], e[j] = e[j], e[i]
+        return tuple(e)
+
+    assert g.terms == {exchange(e): c for e, c in f.terms.items()}
+    assert (g.width, g.bound) == (f.width, f.bound)
+    assert g.swapped(i, j) == f
+
+
 def test_engine_tables_never_repack(monkeypatch):
     """The engine's table width covers every bound its kernel calls carry, so
     no product, sum or division of a table widens."""
