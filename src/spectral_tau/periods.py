@@ -16,7 +16,9 @@ The Abel map is based at e1 = branch_points[0]; A_e1(Q) is the half-period
 H(e) = A_e1(e) of the branch point e nearest to Q plus a Gauss-Legendre leg in
 e's chart.  A branch point is one point of the curve, so a path from e1 to e
 may follow the tree on either sheet of each edge: H(e) is half the sum of the
-edge cycle periods along the tree path, up to periods.
+edge cycle periods along the tree path, up to periods.  That sum is an integer
+cycle, so the characteristic of H(e) in (Z/2)^2g is exact, and so is the one
+of the vector of Riemann constants that it determines.
 """
 
 from __future__ import annotations
@@ -262,6 +264,31 @@ def _siegel(rows: np.ndarray, periods: np.ndarray, g: int) -> np.ndarray:
     raise PeriodError("Siegel reduction of the period matrix did not terminate")
 
 
+def _riemann_characteristic(chars: np.ndarray) -> tuple:
+    """The characteristic (m, n) of the vector of Riemann constants K, base e1, from
+    the characteristics c_k (rows of ``chars``) of the other branch points.
+
+    D = sum_{k in S} e_k + (g-1-|S|) e1 is a theta characteristic with h^0(D) =
+    floor((g-1-|S|)/2) + 1 (Mumford, Tata Lectures on Theta II, ch. IIIa, 5-6; at
+    g = 1, h^0(e_k - e1) = 0 fits the floor), and by Riemann's singularity theorem
+    the parity m.n of A(D) + K is h^0(D) mod 2.  S = {} and S = {e_k} fix parity(K)
+    and K's pairing with every c_k; the c_k span (Z/2)^2g, so one c fits.
+    """
+    g = chars.shape[1] // 2
+
+    def parity(c):
+        return int(c[:g] @ c[g:]) % 2
+
+    fits = [c for c in map(np.array, itertools.product((0, 1), repeat=2 * g))
+            if parity(c) == ((g - 1) // 2 + 1) % 2
+            and all(parity(c + ck) == ((g - 2) // 2 + 1) % 2 for ck in chars)]
+    if len(fits) != 1:
+        raise PeriodError(f"{len(fits)} half-periods have the Riemann-Roch parities of the "
+                          "branch points, whose characteristics " + (
+                              f"do not span (Z/2)^{2 * g}" if fits else "are inconsistent"))
+    return tuple(map(int, fits[0][:g])), tuple(map(int, fits[0][g:]))
+
+
 @dataclass
 class ThetaContext:
     curve: HyperellipticCurve
@@ -270,6 +297,7 @@ class ThetaContext:
     alpha: np.ndarray          # 2 pi i * A^{-1}; omega_i = sum_j alpha[i][j] eta_j
     b_matrix: np.ndarray       # normalized Riemann matrix, Re < 0, Siegel reduced
     half_periods: np.ndarray   # row k: H(branch_points[k]) = A_e1(branch_points[k])
+    riemann_characteristic: tuple   # (m, n) in {0,1}^g: K = pi i m + B n / 2, base e1
     clearance: float           # smallest log rho of a tree edge's clear ellipse
     quadrature_bound: float    # largest a priori error of an edge cycle period
     settings: QuadratureSettings = field(default_factory=QuadratureSettings)
@@ -296,20 +324,27 @@ def _period_matrix_at_clearance(curve: HyperellipticCurve, settings: QuadratureS
     edges = _spanning_tree(points)
     cycles = [_edge_cycle(points, i, j, fraction, settings.target) for i, j in edges]
     periods = np.array([c[0] for c in cycles])
-    rows = _symplectic_basis(_intersections(edges, cycles))
+    k = _intersections(edges, cycles)
+    rows = _symplectic_basis(k)
     b = _riemann(rows, periods, g)[2]
     if (np.max(np.abs(b - b.T)) > 1e-8 * max(1.0, float(np.max(np.abs(b))))
             or not np.all(np.linalg.eigvalsh((b + b.T).real / 2) < 0)):
         raise PeriodError("tree basis gives no Riemann matrix (B asymmetric or Re B not < 0)")
-    a_mat, alpha, b_matrix = _riemann(_siegel(rows, periods, g), periods, g)
-    # H(b) - H(a) = period/2 along each edge (a to b on one sheet), H(e1) = 0
+    rows = _siegel(rows, periods, g)
+    a_mat, alpha, b_matrix = _riemann(rows, periods, g)
+    # H(b) - H(a) = period/2 along each edge (a to b on one sheet), H(e1) = 0: row k of
+    # paths, the integer inverse of the incidence, is the tree path x from e1 to e_(k+1)
     incidence = np.zeros((len(edges), len(points)))
     for t, (i, j) in enumerate(edges):
         incidence[t, i], incidence[t, j] = -1, 1
-    half = np.vstack([np.zeros(g), np.linalg.solve(incidence[:, 1:], periods / 2)])
+    paths = np.rint(np.linalg.inv(incidence[:, 1:])).astype(np.int64)
+    # x = sum_i (x.b_i) a_i - (x.a_i) b_i, so alpha H = pi i m + B n / 2 with
+    # (m, n) = (x.b, x.a) mod 2: the columns x.a, x.b of the pairings, swapped
+    chars = np.roll(paths @ k @ rows.T % 2, g, axis=1)
     return ThetaContext(
         curve=curve, edges=tuple(edges), a_periods=a_mat, alpha=alpha, b_matrix=b_matrix,
-        half_periods=half, clearance=min(c[4] for c in cycles),
+        half_periods=np.vstack([np.zeros(g), paths @ periods / 2]),
+        riemann_characteristic=_riemann_characteristic(chars), clearance=min(c[4] for c in cycles),
         quadrature_bound=float(max(c[3] for c in cycles)), settings=settings)
 
 
@@ -366,19 +401,15 @@ def _zeta_leg(curve: HyperellipticCurve, settings: QuadratureSettings, e: comple
     return val, w_end
 
 
-def half_period_pattern(g: int) -> np.ndarray:
-    """The printed half-period shift pi*i*(1,0,1,0,...) + B*ones/2 uses this pattern."""
-    return (np.arange(g) % 2 == 0).astype(float)
-
-
 def abel_u0(curve: HyperellipticCurve, ctx: ThetaContext, divisor_points) -> np.ndarray:
-    """The Jacobian point of the eigenvector line bundle, up to a half-period.
+    """The Jacobian point of the eigenvector line bundle.
 
     With A based at P_plus, u0 = alpha (sum_j A(Q_j) - A(P_minus) - (g-1) A(e1))
-    - varpi, varpi the printed half-period pattern (the verification scans all
-    half-periods).  sigma fixes e1 = ctx.base and negates eta, so A(P_minus) =
-    2 A(e1) and, modulo the lattice, u0 = alpha sum_j A_e1(Q_j) - varpi, where
-    A_e1(Q_j) = H(e) + (zeta leg from e) for the branch point e nearest to Q_j.
+    - K.  sigma fixes e1 = ctx.base and negates eta, so A(P_minus) = 2 A(e1) and,
+    modulo the lattice, u0 = alpha sum_j A_e1(Q_j) - K, where A_e1(Q_j) = H(e) +
+    (zeta leg from e) for the branch point e nearest to Q_j.  K, the vector of
+    Riemann constants for the base e1, is the half-period pi i m + B n / 2 of
+    (m, n) = ctx.riemann_characteristic (see ``_riemann_characteristic``).
     """
     g = curve.g
     if len(divisor_points) != g + 1:
@@ -396,8 +427,8 @@ def abel_u0(curve: HyperellipticCurve, ctx: ThetaContext, divisor_points) -> np.
             raise PeriodError(f"Abel leg did not land on the requested sheet "
                               f"(got {w_end:.6g}, want {w:.6g})")
         total += leg
-    varpi = 1j * np.pi * half_period_pattern(g) + ctx.b_matrix @ np.ones(g) / 2
-    return ctx.alpha @ total - varpi
+    m, n = (np.array(c, dtype=float) for c in ctx.riemann_characteristic)
+    return ctx.alpha @ total - (1j * np.pi * m + ctx.b_matrix @ n / 2)
 
 
 def v_consistency_defect(curve: HyperellipticCurve, ctx: ThetaContext, vdata: VData,

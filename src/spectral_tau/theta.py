@@ -147,15 +147,3 @@ def reduce_mod_lattice(u, b) -> np.ndarray:
     u = u - b @ n
     m = np.round(u.imag / (2 * np.pi))
     return u - 2j * np.pi * m
-
-
-def half_period_shifts(b) -> list[tuple[tuple, np.ndarray]]:
-    """All 2^(2g) shifts pi*i*m + B*n/2 for m, n in {0,1}^g, labelled."""
-    b = np.asarray(b, dtype=complex)
-    g = b.shape[0]
-    out = []
-    for m in itertools.product((0, 1), repeat=g):
-        for n in itertools.product((0, 1), repeat=g):
-            shift = 1j * np.pi * np.array(m, dtype=float) + b @ np.array(n, dtype=float) / 2
-            out.append(((m, n), shift))
-    return out

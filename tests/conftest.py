@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import itertools
 import json
@@ -12,18 +13,22 @@ from functools import reduce
 from operator import add
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from spectral_tau import MatrixPolynomial, characteristic_data
+from spectral_tau import MatrixPolynomial, characteristic_data, hyperelliptic_combination
 from spectral_tau.correlators import (
     _cycle_sign_and_missing, _integer_slot, _largest, _matmul, _packed_slot, _trace_of_product,
 )
+from spectral_tau.divisor import pole_divisor
 from spectral_tau.multipoly import (
     InexactDivisionError, MultiPoly, multipoly_exact_divide, packing_width,
 )
+from spectral_tau.periods import HyperellipticCurve, abel_u0, period_matrix, v_vectors
 from spectral_tau.polynomials import Poly
 from spectral_tau.serialize import parse_matrix_polynomial
 from spectral_tau.series import USeries
+from spectral_tau.theta import log_derivatives, reduce_mod_lattice
 
 
 def small_fraction(rng, num=4, den=3):
@@ -83,6 +88,20 @@ def doc_w(name):
     """The matrix polynomial of an input file in docs/examples."""
     path = Path(__file__).resolve().parent.parent / "docs" / "examples" / name
     return parse_matrix_polynomial(json.loads(path.read_text()))
+
+
+# The instances on which the derived half-period is checked against the scan:
+# the docs examples, g1 and g2 seeds 100-109 and g3 seeds 100-104.
+SCAN_SWEEP = (["g1-doc", "g2-doc"] + [f"g{g}-s{s}" for g in (1, 2) for s in range(100, 110)]
+              + [f"g3-s{s}" for s in range(100, 105)])
+
+
+def sweep_instance(name):
+    """W named '<g>-doc' (a docs example) or 'g<genus>-s<seed>' (random_hyperelliptic)."""
+    kind, _, tag = name.partition("-")
+    if tag == "doc":
+        return doc_w(f"hyperelliptic-{kind}.json")
+    return random_hyperelliptic(int(tag[1:]), int(kind[1:]))[0]
 
 
 def hyper_coeff(p: Poly, g: int, k: int) -> Fraction:
@@ -254,3 +273,37 @@ def full_walk_values(slot_mats, kmax: int, c: int) -> dict:
         ks: Fraction(-q.coeff(ks), c ** (npts + sum(ks)))
         for ks in itertools.product(range(kmax + 1), repeat=npts)
     }
+
+
+# -- half-period scan oracle ----------------------------------------------------
+# The verification before the vector of Riemann constants was derived: no
+# half-period is subtracted from the Abel image, and each of the 2^(2g)
+# half-periods is tried with one lattice pass.
+
+def half_period_shifts(b) -> list:
+    """All 2^(2g) shifts pi*i*m + B*n/2 for m, n in {0,1}^g, labelled (m, n)."""
+    b = np.asarray(b, dtype=complex)
+    g = b.shape[0]
+    return [((m, n), 1j * np.pi * np.array(m) + b @ np.array(n) / 2)
+            for m in itertools.product((0, 1), repeat=g)
+            for n in itertools.product((0, 1), repeat=g)]
+
+
+def scan_half_period(w, kmax: dict, tol: float) -> list:
+    """Labels (m, n), in scan order, of the half-periods c for which every identity
+    F = (-1)^N T of kmax {N: k_N} holds within tol at u = alpha sum_j A_e1(Q_j) - c."""
+    curve = HyperellipticCurve.from_matrix_polynomial(w)
+    ctx = period_matrix(curve)
+    zero = ((0,) * curve.g,) * 2
+    base = abel_u0(curve, dataclasses.replace(ctx, riemann_characteristic=zero), pole_divisor(w))
+    vectors = v_vectors(curve, ctx, max(kmax.values())).vectors
+    exact = {(n, ks): f for n, k in kmax.items()
+             for ks, f in hyperelliptic_combination(w, n, k).items() if ks == tuple(sorted(ks))}
+    winners = []
+    for label, shift in half_period_shifts(ctx.b_matrix):
+        u = reduce_mod_lattice(base - shift, ctx.b_matrix)
+        logs = log_derivatives(u, ctx.b_matrix, [ks for _, ks in exact], vectors)[1]
+        if logs and all(abs((-1) ** n * logs[ks] - float(f)) < tol * max(1.0, abs(float(f)))
+                        and abs(logs[ks].imag) < tol for (n, ks), f in exact.items()):
+            winners.append(label)
+    return winners

@@ -10,12 +10,11 @@ from spectral_tau.periods import (
     PeriodError,
     _edge_coordinates,
     _edge_cycle,
-    half_period_pattern,
     v_consistency_defect,
 )
 from spectral_tau.polynomials import Poly
 
-from conftest import doc_w, random_hyperelliptic
+from conftest import SCAN_SWEEP, doc_w, random_hyperelliptic, sweep_instance
 
 
 def agm(a, b):
@@ -134,9 +133,16 @@ def basis_change(alpha, b_matrix, ctx):
 
 
 def varpi(b_matrix):
-    """The half-period that abel_u0 subtracts."""
+    """The printed half-period pi i (1,0,1,0,...) + B (1,...,1)/2 that the recorded
+    cut-system u0 had subtracted."""
     g = len(b_matrix)
-    return 1j * np.pi * half_period_pattern(g) + b_matrix @ np.ones(g) / 2
+    return 1j * np.pi * (np.arange(g) % 2 == 0) + b_matrix @ np.ones(g) / 2
+
+
+def riemann_constant(ctx):
+    """The half-period K = pi i m + B n / 2 that abel_u0 subtracts."""
+    m, n = (np.array(c) for c in ctx.riemann_characteristic)
+    return 1j * np.pi * m + ctx.b_matrix @ n / 2
 
 
 def is_symplectic(x):
@@ -190,8 +196,8 @@ class TestAbelMap:
         t, x = basis_change(alpha, b_old, ctx)
         assert np.max(np.abs(x - np.round(x))) < 1e-10
         assert np.array_equal(np.round(x), recorded) and is_symplectic(recorded)
-        # u0 + varpi = alpha sum_j A_e1(Q_j) mod the lattice, in either basis
-        mapped = t @ (np.array(expected) + varpi(b_old)) - varpi(ctx.b_matrix)
+        # the recorded u0 + varpi and u0 + K are alpha sum_j A_e1(Q_j) mod the lattice
+        mapped = t @ (np.array(expected) + varpi(b_old)) - riemann_constant(ctx)
         u0 = jacobian_point(curve, ctx, pole_divisor(w)).u0
         assert lattice_defect(u0 - mapped, ctx) < 1e-9
 
@@ -211,6 +217,34 @@ class TestAbelMap:
             abel_u0(curve, ctx, [])
 
 
+class TestRiemannCharacteristic:
+    @pytest.mark.parametrize("name", SCAN_SWEEP)
+    def test_branch_characteristics_are_the_rounded_half_periods(self, name, monkeypatch):
+        # the integer characteristics c_k against alpha H(e_k) rounded to the half-lattice
+        seen = []
+        derive = periods._riemann_characteristic
+        monkeypatch.setattr(periods, "_riemann_characteristic",
+                            lambda chars: seen.append(chars) or derive(chars))
+        ctx = period_matrix(HyperellipticCurve.from_matrix_polynomial(sweep_instance(name)))
+        b = ctx.b_matrix
+        for c, h in zip(seen[0], ctx.half_periods[1:], strict=True):
+            u = ctx.alpha @ h
+            n = np.linalg.solve(b.real, 2 * u.real)
+            m = (u - b @ np.round(n) / 2).imag / np.pi
+            assert np.max(np.abs(np.concatenate([m - np.round(m), n - np.round(n)]))) < 1e-8
+            assert np.array_equal(c, np.concatenate([np.round(m), np.round(n)]) % 2)
+
+    def test_inconsistent_parities_raise(self):
+        # g = 1: parity(K) = 1 and parity(K + 0) = 0 cannot both hold
+        with pytest.raises(PeriodError, match="inconsistent"):
+            periods._riemann_characteristic(np.zeros((3, 2), dtype=np.int64))
+
+    def test_characteristics_that_do_not_span_raise(self):
+        # g = 2, every c_k = 0: each of the six odd characteristics fits
+        with pytest.raises(PeriodError, match="6 half-periods .* do not span"):
+            periods._riemann_characteristic(np.zeros((5, 4), dtype=np.int64))
+
+
 class TestTreeBasis:
     @pytest.mark.parametrize("w", [doc_w("hyperelliptic-g2.json"), random_hyperelliptic(102, 3)[0]],
                              ids=["g2-doc", "g3-s102"])
@@ -226,9 +260,11 @@ class TestTreeBasis:
         assert np.max(np.abs(x - np.round(x))) < 1e-10
         assert is_symplectic(np.round(x))
         divisor = pole_divisor(w)
-        u_other = t @ (jacobian_point(curve, other, divisor).u0 + varpi(other.b_matrix))
-        u = jacobian_point(curve, ctx, divisor).u0 + varpi(ctx.b_matrix)
+        u_other = t @ (jacobian_point(curve, other, divisor).u0 + riemann_constant(other))
+        u = jacobian_point(curve, ctx, divisor).u0 + riemann_constant(ctx)
         assert lattice_defect(u - u_other, ctx) < 1e-9
+        # K is a point of the Jacobian: both trees derive the same one
+        assert lattice_defect(t @ riemann_constant(other) - riemann_constant(ctx), ctx) < 1e-9
 
     def test_edge_bound_covers_the_error_of_a_coarse_rule(self):
         curve = HyperellipticCurve.from_matrix_polynomial(doc_w("hyperelliptic-g2.json"))

@@ -5,7 +5,6 @@ import spectral_tau.theta as theta_module
 from spectral_tau.theta import (
     ThetaError,
     _raw_values,
-    half_period_shifts,
     lattice_radius,
     log_theta_derivatives,
     reduce_mod_lattice,
@@ -95,10 +94,6 @@ class TestLattice:
         assert np.allclose(n, np.round(n), atol=1e-8)
         m = (diff - B2 @ np.round(n)).imag / (2 * np.pi)
         assert np.allclose(m, np.round(m), atol=1e-8)
-
-    def test_half_period_count(self):
-        assert len(half_period_shifts(B1)) == 4
-        assert len(half_period_shifts(B2)) == 16
 
 
 class TestTruncation:

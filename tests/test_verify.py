@@ -1,14 +1,20 @@
+import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spectral_tau.theta as theta_module
+import spectral_tau.verify as verify_module
 from spectral_tau import verify_main_theorem
+from spectral_tau.cli import main
 from spectral_tau.divisor import pole_divisor
 from spectral_tau.periods import HyperellipticCurve, jacobian_point, period_matrix, v_vectors
-from spectral_tau.theta import half_period_shifts, reduce_mod_lattice
 
-from conftest import doc_w, random_hyperelliptic
+from conftest import (
+    SCAN_SWEEP, doc_w, half_period_shifts, random_hyperelliptic, scan_half_period, sweep_instance,
+)
 
 
 class TestMainIdentity:
@@ -59,8 +65,8 @@ def test_period_quadrature_bound_reported(name):
 
 @pytest.mark.parametrize("name, g", [("hyperelliptic-g1.json", 1), ("hyperelliptic-g2.json", 2)])
 def test_one_lattice_pass_per_shift(monkeypatch, name, g):
-    """Every half-period shift costs one lattice pass; theta at u0 and the
-    2g quasi-periodicity checks cost one each."""
+    """The identities at u0 cost one lattice pass; theta at u0 and the 2g
+    quasi-periodicity checks cost one each."""
     calls = []
     raw = theta_module._raw_values
 
@@ -70,7 +76,7 @@ def test_one_lattice_pass_per_shift(monkeypatch, name, g):
 
     monkeypatch.setattr(theta_module, "_raw_values", counted)
     assert verify_main_theorem(doc_w(name), kmax={3: 2, 4: 1}, tol=1e-6).success
-    assert len(calls) <= 2 ** (2 * g) + 2 * g + 1
+    assert len(calls) == 2 * g + 2
 
 
 def test_g1_oracle_mpmath():
@@ -83,8 +89,7 @@ def test_g1_oracle_mpmath():
     ctx = period_matrix(curve)
     b = ctx.b_matrix
     vectors = v_vectors(curve, ctx, 1).vectors
-    u0 = jacobian_point(curve, ctx, pole_divisor(w)).u0
-    u = reduce_mod_lattice(u0 + dict(half_period_shifts(b))[rep.shift_used], b)
+    u = jacobian_point(curve, ctx, pole_divisor(w)).u0
     with mp.workdps(30):
         # theta(u) = jtheta(3, u/(2i), e^(B/2)), so d/du = (2i)^-1 d/dz
         z, q = mp.mpc(u[0]) / mp.mpc(0, 2), mp.exp(mp.mpc(b[0, 0]) / 2)
@@ -98,3 +103,43 @@ def test_g1_oracle_mpmath():
                 t_mp *= mp.mpc(vectors[k][0])
             assert abs(r.t_value - complex(t_mp)) <= 1e-12, (r.n_points, r.k_tuple)
     assert {r.n_points for r in rep.identities} == {3, 4}
+
+
+def test_half_period_count():
+    assert len(half_period_shifts(np.diag([-10.0 + 0j]))) == 4
+    assert len(half_period_shifts(np.diag([-6.0 + 0j, -7.0 + 0j]))) == 16
+
+
+@pytest.mark.parametrize("name", SCAN_SWEEP)
+def test_derived_half_period_is_the_scan_winner(name):
+    """K's characteristic, derived from the branch points, is the one half-period of
+    the 2^(2g) scan at which every identity holds."""
+    w = sweep_instance(name)
+    ctx = period_matrix(HyperellipticCurve.from_matrix_polynomial(w))
+    assert scan_half_period(w, {3: 1, 4: 0}, 1e-9) == [ctx.riemann_characteristic]
+
+
+def test_perturbed_f_fails_only_its_identity(monkeypatch, capsys):
+    combination = verify_module.hyperelliptic_combination
+
+    def perturbed(w, n_points, kmax, engine=None):
+        table = dict(combination(w, n_points, kmax, engine))
+        if n_points == 3:
+            table[(0, 0, 1)] += 1
+        return table
+
+    monkeypatch.setattr(verify_module, "hyperelliptic_combination", perturbed)
+    name = "hyperelliptic-g1.json"
+    rep = verify_main_theorem(doc_w(name), kmax=1, tol=1e-6)
+    assert not rep.success
+    assert rep.shift_used == ((1,), (1,))
+    assert [(r.n_points, r.k_tuple) for r in rep.identities] == [
+        (3, (0, 0, 0)), (3, (0, 0, 1)), (3, (0, 1, 1)), (3, (1, 1, 1)),
+        (4, (0, 0, 0, 0)), (4, (0, 0, 0, 1)), (4, (0, 0, 1, 1)), (4, (0, 1, 1, 1)),
+        (4, (1, 1, 1, 1))]
+    assert [r.k_tuple for r in rep.identities if not r.passed] == [(0, 0, 1)]
+    path = str(Path(__file__).resolve().parent.parent / "docs" / "examples" / name)
+    status = main(["verify-theta", "--input", path, "--kmax", "1", "--tol", "1e-6"])
+    report = json.loads(capsys.readouterr().out)
+    assert status == 1 and report["success"] is False
+    assert [r["passed"] for r in report["identities"]] == [r.passed for r in rep.identities]
