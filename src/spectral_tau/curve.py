@@ -6,14 +6,17 @@ det(w*1 - W(z)) = w^n + a_1(z) w^{n-1} + ... + a_n(z).
 
 :func:`characteristic_data` is the one place that computes curve data: a
 single Faddeev-LeVerrier pass yields the a_k together with the adjugate
-Phi(z, w) of w*1 - W(z), whose coefficient matrices feed the projectors and
-the divisor, and the leading diagonal of W labels the sheets.
+Phi(z, w) of w*1 - W(z), whose coefficient matrices feed the divisor, and
+the leading diagonal of W labels the sheets.  The structural checks on W run
+there too; the smoothness check (a determinant over Q[z]) runs on the first
+read of ``SpectralCurveData.diagnostics``, since only reports read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .polynomials import Poly, is_squarefree, resultant_w
@@ -111,6 +114,8 @@ class SpectralCurveData:
     ``adjugate`` holds the Faddeev-LeVerrier matrices N_0 = 1, ..., N_{n-1}:
     adj(w*1 - W(z)) = Phi(z, w) = sum_k N_k(z) w^(n-1-k).  ``sheet_labels``
     is W's leading diagonal: sheet a is the branch w_a ~ sheet_labels[a-1] z^m.
+    ``structural`` holds the checks made with the curve, and ``diagnostics``
+    adds the smoothness warning, computed on its first read.
     """
 
     n: int
@@ -119,7 +124,7 @@ class SpectralCurveData:
     genus: int
     adjugate: tuple  # (N_0, ..., N_{n-1}) as PolyMatrix
     sheet_labels: tuple  # leading diagonal entries of W
-    diagnostics: tuple
+    structural: tuple  # Diagnostics of W's leading coefficient, genus and degrees
 
     def a(self, i: int) -> Poly:
         """a_i(z) for i = 1..n; a_0 is the constant 1."""
@@ -134,8 +139,17 @@ class SpectralCurveData:
             acc = acc * w + self.a(i)(z)
         return acc
 
+    @cached_property
+    def diagnostics(self) -> tuple:
+        """The structural checks, then the smoothness warning once W's leading
+        coefficient has passed (the curve checks need it)."""
+        if not all(d.passed for d in self.structural if d.name.startswith("leading_")):
+            return self.structural
+        return self.structural + (_smoothness(self.n, self.char_coeffs),)
+
     def fatal_diagnostics(self) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.fatal and not d.passed]
+        """The failed fatal checks; all are structural, so none triggers the smoothness check."""
+        return [d for d in self.structural if d.fatal and not d.passed]
 
 
 def genus(m: int, n: int) -> int:
@@ -148,7 +162,7 @@ def genus(m: int, n: int) -> int:
 
 
 def characteristic_data(w: MatrixPolynomial) -> SpectralCurveData:
-    """Characteristic polynomial and adjugate of w*1 - W(z), with diagnostics.
+    """Characteristic polynomial and adjugate of w*1 - W(z), with structural checks.
 
     One Faddeev-LeVerrier pass, which stays in Q[z] throughout: N_0 = 1 and,
     for k = 1..n, a_k = -tr(W N_{k-1})/k and N_k = W N_{k-1} + a_k 1.  Then
@@ -170,24 +184,22 @@ def characteristic_data(w: MatrixPolynomial) -> SpectralCurveData:
                                   for i in range(n)))
     return SpectralCurveData(
         n=n, m=w.m, char_coeffs=tuple(coeffs), genus=genus(w.m, n), adjugate=tuple(adjugate),
-        sheet_labels=w.leading_diagonal(), diagnostics=tuple(_diagnostics(w, coeffs)),
+        sheet_labels=w.leading_diagonal(), structural=tuple(_structural(w, coeffs)),
     )
 
 
 def validate(w: MatrixPolynomial) -> list[Diagnostic]:
-    """The structural checks of :func:`characteristic_data` on W(z) and its curve."""
+    """The checks of :func:`characteristic_data` on W(z), with the smoothness warning."""
     return list(characteristic_data(w).diagnostics)
 
 
-def _diagnostics(w: MatrixPolynomial, coeffs: list[Poly]) -> list[Diagnostic]:
+def _structural(w: MatrixPolynomial, coeffs: list[Poly]) -> list[Diagnostic]:
     """Structural checks on W(z) and its characteristic coefficients a_1..a_n.
 
     Distinctness of the leading diagonal is fatal (branch expansions at
-    infinity collide without it), and the checks of the curve itself run
-    only once the leading coefficient has passed.  Squarefreeness of the
-    w-discriminant is a sufficient smoothness condition only, so its failure
-    is a warning.  Irreducibility is not checked; reducible inputs surface
-    later as failed consistency identities.
+    infinity collide without it), and the degree check on the curve runs
+    only once the leading coefficient has passed.  Irreducibility is not
+    checked; reducible inputs surface later as failed consistency identities.
     """
     diags: list[Diagnostic] = []
     lead_diag_ok = w.leading_is_diagonal()
@@ -221,17 +233,24 @@ def _diagnostics(w: MatrixPolynomial, coeffs: list[Poly]) -> list[Diagnostic]:
             detail="" if deg_ok else "deg a_i exceeds m*i",
         )
     )
-    # disc_w R as resultant of R and dR/dw, both polynomials in w over Q[z]
-    pw = [Poly.one()] + coeffs
-    qw = [Fraction(w.n - i) * a for i, a in enumerate(pw[:w.n])]
+    return diags
+
+
+def _smoothness(n: int, coeffs: Sequence[Poly]) -> Diagnostic:
+    """Squarefreeness of the w-discriminant of R, a warning only.
+
+    It is a sufficient smoothness condition, not a necessary one.  The
+    discriminant is the resultant of R and dR/dw, both polynomials in w over
+    Q[z]: a Sylvester determinant, the costliest check, so it runs only when
+    the diagnostics are read.
+    """
+    pw = [Poly.one(), *coeffs]
+    qw = [Fraction(n - i) * a for i, a in enumerate(pw[:n])]
     disc = resultant_w(pw, qw)
     sf = (not disc.is_zero()) and is_squarefree(disc)
-    diags.append(
-        Diagnostic(
-            "smoothness_squarefree_discriminant", sf, fatal=False,
-            detail=""
-            if sf
-            else "disc_w R not squarefree; smoothness inconclusive (curve may be singular or reducible)",
-        )
+    return Diagnostic(
+        "smoothness_squarefree_discriminant", sf, fatal=False,
+        detail=""
+        if sf
+        else "disc_w R not squarefree; smoothness inconclusive (curve may be singular or reducible)",
     )
-    return diags

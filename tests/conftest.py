@@ -26,6 +26,7 @@ from spectral_tau.multipoly import (
 )
 from spectral_tau.periods import HyperellipticCurve, abel_u0, period_matrix, v_vectors
 from spectral_tau.polynomials import Poly
+from spectral_tau.projectors import branch_series
 from spectral_tau.serialize import parse_matrix_polynomial
 from spectral_tau.series import USeries
 from spectral_tau.theta import log_derivatives, reduce_mod_lattice
@@ -52,11 +53,27 @@ def random_matrix_polynomial(seed, n, m, traceless=False, distinct_range=8):
             if len(set(lead_entries)) != n:
                 continue
         w = MatrixPolynomial.from_power_matrices(n, m, mats)
-        curve = characteristic_data(w)
-        if all(d.passed or not d.fatal for d in curve.diagnostics):
-            if any(not d.passed for d in curve.diagnostics if d.name == "leading_entries_distinct"):
-                continue
+        if not characteristic_data(w).fatal_diagnostics():
             return w
+
+
+def adjugate_projector(w, sheet, order):
+    """Pi_sheet = Phi(z, w_a) / R_w(z, w_a) through u^order: the adjugate Phi of
+    w*1 - W(z) and R_w = dR/dw evaluated by Horner at the Newton branch w_a.
+    An oracle for the perturbation recursion of projectors.projector_series."""
+    curve = characteristic_data(w)
+    wa = branch_series(curve, sheet, order)
+    n, length = curve.n, order + 1
+
+    def at_branch(polys):
+        acc = USeries.from_poly(polys[0], length)
+        for p in polys[1:]:
+            acc = acc * wa + USeries.from_poly(p, length)
+        return acc
+
+    t_inv = at_branch([Fraction(n - i) * curve.a(i) for i in range(n)]).inverse()
+    return tuple(tuple(at_branch([b[r][c] for b in curve.adjugate]) * t_inv for c in range(n))
+                 for r in range(n))
 
 
 def power_matrices(w, kmax):

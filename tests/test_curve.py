@@ -4,11 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_tau import MatrixPolynomial, characteristic_data, genus, validate
+import spectral_tau.curve as curve_module
+from spectral_tau import (
+    MatrixPolynomial, characteristic_data, correlator_n, genus, hyperelliptic_combination, validate,
+    verify_main_theorem,
+)
 from spectral_tau.curve import InvalidMatrixPolynomial
 from spectral_tau.polynomials import Poly, is_squarefree, poly_gcd, poly_matrix_det
 
-from conftest import random_matrix_polynomial
+from conftest import doc_w, random_matrix_polynomial
 
 
 def diag_instance():
@@ -104,6 +108,32 @@ class TestValidate:
         w = MatrixPolynomial.from_entries([[z2, z2], [Poly([1]), -z2]])
         diags = {d.name: d for d in validate(w)}
         assert not diags["leading_coefficient_diagonal"].passed
+
+    def test_five_checks_in_order(self):
+        assert [d.name for d in validate(offdiag_instance())] == [
+            "leading_coefficient_diagonal", "leading_entries_distinct", "genus_positive",
+            "char_coeff_degrees", "smoothness_squarefree_discriminant"]
+
+    def test_smoothness_check_runs_only_when_read(self, monkeypatch):
+        """No correlator or verify path computes the discriminant; reading the
+        diagnostics does."""
+        class DiscriminantComputed(Exception):
+            pass
+
+        def forbidden(*args):
+            raise DiscriminantComputed
+
+        monkeypatch.setattr(curve_module, "resultant_w", forbidden)
+        for name in ("hyperelliptic-g1.json", "hyperelliptic-g2.json", "three-sheet-m1.json"):
+            w = doc_w(name)
+            assert correlator_n(w, (1,) * w.n + (2,), 1).entries
+            if w.n == 2:
+                assert hyperelliptic_combination(w, 3, 1)
+                assert verify_main_theorem(w, kmax={3: 1, 4: 0}, tol=1e-9).success
+            curve = characteristic_data(w)
+            assert not curve.fatal_diagnostics()
+            with pytest.raises(DiscriminantComputed):
+                curve.diagnostics
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(InvalidMatrixPolynomial):
