@@ -4,12 +4,15 @@ The root object is W(z) = B0*z^m + ... + Bm with a diagonal leading
 coefficient whose entries are pairwise distinct.  The spectral curve is
 det(w*1 - W(z)) = w^n + a_1(z) w^{n-1} + ... + a_n(z).
 
-:func:`characteristic_data` is the one place that computes curve data: a
-single Faddeev-LeVerrier pass yields the a_k together with the adjugate
-Phi(z, w) of w*1 - W(z), whose coefficient matrices feed the divisor, and
-the leading diagonal of W labels the sheets.  The structural checks on W run
-there too; the smoothness check (a determinant over Q[z]) runs on the first
-read of ``SpectralCurveData.diagnostics``, since only reports read it.
+:func:`characteristic_data` is the one place that computes curve data, and
+it computes only what is read.  The structural checks on W, read off its
+entries, run with the curve, and the leading diagonal of W labels the
+sheets.  A single Faddeev-LeVerrier pass yields the a_k together with the
+adjugate Phi(z, w) of w*1 - W(z), whose coefficient matrices feed the
+divisor; it runs on the first read of either, so the correlator engine,
+which needs only the checks, never pays it.  The smoothness check (a
+determinant over Q[z]) runs on the first read of
+``SpectralCurveData.diagnostics``, since only reports read it.
 """
 
 from __future__ import annotations
@@ -111,20 +114,36 @@ class MatrixPolynomial:
 class SpectralCurveData:
     """The curve det(w*1 - W(z)) = 0 with everything the exact chain reads off W.
 
-    ``adjugate`` holds the Faddeev-LeVerrier matrices N_0 = 1, ..., N_{n-1}:
-    adj(w*1 - W(z)) = Phi(z, w) = sum_k N_k(z) w^(n-1-k).  ``sheet_labels``
-    is W's leading diagonal: sheet a is the branch w_a ~ sheet_labels[a-1] z^m.
-    ``structural`` holds the checks made with the curve, and ``diagnostics``
-    adds the smoothness warning, computed on its first read.
+    ``sheet_labels`` is W's leading diagonal: sheet a is the branch
+    w_a ~ sheet_labels[a-1] z^m.  ``structural`` holds the checks on W, made
+    with the curve from W alone.  The rest is computed on its first read.
+    ``char_coeffs`` (a_1, ..., a_n) and ``adjugate``, the Faddeev-LeVerrier
+    matrices N_0 = 1, ..., N_{n-1} with adj(w*1 - W(z)) = Phi(z, w) =
+    sum_k N_k(z) w^(n-1-k), come from one pass on the first read of either;
+    the correlator engine reads neither.  ``diagnostics`` adds the smoothness
+    warning.
     """
 
+    w: MatrixPolynomial
     n: int
     m: int
-    char_coeffs: tuple  # (a_1, ..., a_n) as Poly
     genus: int
-    adjugate: tuple  # (N_0, ..., N_{n-1}) as PolyMatrix
     sheet_labels: tuple  # leading diagonal entries of W
     structural: tuple  # Diagnostics of W's leading coefficient, genus and degrees
+
+    @cached_property
+    def _leverrier(self) -> tuple:
+        return _faddeev_leverrier(self.w)
+
+    @property
+    def char_coeffs(self) -> tuple:
+        """(a_1, ..., a_n) as Poly."""
+        return self._leverrier[0]
+
+    @property
+    def adjugate(self) -> tuple:
+        """(N_0, ..., N_{n-1}) as PolyMatrix."""
+        return self._leverrier[1]
 
     def a(self, i: int) -> Poly:
         """a_i(z) for i = 1..n; a_0 is the constant 1."""
@@ -162,7 +181,20 @@ def genus(m: int, n: int) -> int:
 
 
 def characteristic_data(w: MatrixPolynomial) -> SpectralCurveData:
-    """Characteristic polynomial and adjugate of w*1 - W(z), with structural checks.
+    """The spectral curve of W with its structural checks; the rest on demand.
+
+    Only the checks, read off W's entries, run here.  The characteristic
+    coefficients and the adjugate come from :func:`_faddeev_leverrier` on
+    the first read of either.
+    """
+    return SpectralCurveData(
+        w=w, n=w.n, m=w.m, genus=genus(w.m, w.n), sheet_labels=w.leading_diagonal(),
+        structural=tuple(_structural(w)),
+    )
+
+
+def _faddeev_leverrier(w: MatrixPolynomial) -> tuple:
+    """((a_1, ..., a_n), (N_0, ..., N_{n-1})): characteristic polynomial and adjugate.
 
     One Faddeev-LeVerrier pass, which stays in Q[z] throughout: N_0 = 1 and,
     for k = 1..n, a_k = -tr(W N_{k-1})/k and N_k = W N_{k-1} + a_k 1.  Then
@@ -182,10 +214,7 @@ def characteristic_data(w: MatrixPolynomial) -> SpectralCurveData:
         if k < n:
             adjugate.append(tuple(tuple(wn[i][j] + ak if i == j else wn[i][j] for j in range(n))
                                   for i in range(n)))
-    return SpectralCurveData(
-        n=n, m=w.m, char_coeffs=tuple(coeffs), genus=genus(w.m, n), adjugate=tuple(adjugate),
-        sheet_labels=w.leading_diagonal(), structural=tuple(_structural(w, coeffs)),
-    )
+    return tuple(coeffs), tuple(adjugate)
 
 
 def validate(w: MatrixPolynomial) -> list[Diagnostic]:
@@ -193,12 +222,15 @@ def validate(w: MatrixPolynomial) -> list[Diagnostic]:
     return list(characteristic_data(w).diagnostics)
 
 
-def _structural(w: MatrixPolynomial, coeffs: list[Poly]) -> list[Diagnostic]:
-    """Structural checks on W(z) and its characteristic coefficients a_1..a_n.
+def _structural(w: MatrixPolynomial) -> list[Diagnostic]:
+    """Structural checks on W(z), read off its entries.
 
     Distinctness of the leading diagonal is fatal (branch expansions at
-    infinity collide without it), and the degree check on the curve runs
-    only once the leading coefficient has passed.  Irreducibility is not
+    infinity collide without it), and the degree check runs only once the
+    leading coefficient has passed.  It reads W's entries: every entry of
+    degree <= m gives deg a_i <= m*i, the bound every later stage reads the
+    curve to, and an entry above m (possible through the raw constructor)
+    would be dropped silently by the projector recursion.  Irreducibility is not
     checked; reducible inputs surface later as failed consistency identities.
     """
     diags: list[Diagnostic] = []
@@ -226,11 +258,13 @@ def _structural(w: MatrixPolynomial, coeffs: list[Poly]) -> list[Diagnostic]:
     )
     if not (lead_diag_ok and distinct):
         return diags
-    deg_ok = all(a.degree() <= w.m * i for i, a in enumerate(coeffs, start=1))
+    deg = max(p.degree() for row in w.matrix for p in row)
+    deg_ok = deg <= w.m
     diags.append(
         Diagnostic(
             "char_coeff_degrees", deg_ok, fatal=True,
-            detail="" if deg_ok else "deg a_i exceeds m*i",
+            detail="" if deg_ok
+            else f"entry degree {deg} exceeds m={w.m}, so deg a_i may exceed m*i",
         )
     )
     return diags

@@ -39,7 +39,7 @@ the same row.
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, itemgetter
 from typing import Dict, Iterable, Tuple
 
 Exponent = Tuple[int, ...]
@@ -218,17 +218,6 @@ class MultiPoly:
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
-    def swapped(self, i: int, j: int) -> "MultiPoly":
-        """The polynomial with u_i and u_j exchanged, 1 <= i < j.
-
-        Only the row keys move: the packed u_0 digits, the width and the
-        bound stay as they are.
-        """
-        i, j = i - 1, j - 1
-        rows = {e[:i] + (e[j],) + e[i + 1:j] + (e[i],) + e[j + 1:]: r
-                for e, r in self.rows.items()}
-        return MultiPoly._trusted(self.nvars, rows, self.width, self.bound)
-
     def _term_list(self):
         """(terms, axis), computed once per polynomial.
 
@@ -341,6 +330,37 @@ def multipoly_sum(nvars: int, polys: Iterable[MultiPoly]) -> MultiPoly:
             for e, r in rows.items():
                 out[e] = get(e, 0) + r
     return MultiPoly._trusted(nvars, _nonzero(out), width, bound)
+
+
+def multipoly_coset_factor(q: MultiPoly, slots: Iterable[int], j: int) -> MultiPoly:
+    """q - sum over b in ``slots`` of q with u_b and u_j exchanged (1 <= b < j).
+
+    Each relabeling moves row keys only, so the packed u_0 digits are
+    subtracted key by key into one dict.  The bound is the sum's,
+    (1 + len(slots)) * q.bound, and a bound that does not fit widens as in
+    :func:`multipoly_sum`.
+    """
+    slots = list(slots)
+    bound = q.bound * (1 + len(slots))
+    width = max(q.width, packing_width(bound))
+    rows = _repack(q.rows, q.width, width)
+    out = dict(rows)
+    for b in slots:
+        _subtract_swapped(out, rows, b - 1, j - 1)
+    return MultiPoly._trusted(q.nvars, _nonzero(out), width, bound)
+
+
+def _subtract_swapped(out: Rows, rows: Rows, i: int, j: int) -> None:
+    """out -= rows with key positions i < j exchanged."""
+    if not rows:
+        return
+    order = list(range(len(next(iter(rows)))))
+    order[i], order[j] = j, i
+    relabel = itemgetter(*order)
+    get = out.get
+    for e, r in rows.items():
+        e = relabel(e)
+        out[e] = get(e, 0) - r
 
 
 def multipoly_exact_divide(

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 import spectral_tau.curve as curve_module
 from spectral_tau import (
-    MatrixPolynomial, characteristic_data, correlator_n, genus, hyperelliptic_combination, validate,
-    verify_main_theorem,
+    CorrelatorEngine, MatrixPolynomial, characteristic_data, correlator_n, correlator_pair, genus,
+    hyperelliptic_combination, validate, verify_main_theorem,
 )
 from spectral_tau.curve import InvalidMatrixPolynomial
 from spectral_tau.polynomials import Poly, is_squarefree, poly_gcd, poly_matrix_det
@@ -134,6 +134,43 @@ class TestValidate:
             assert not curve.fatal_diagnostics()
             with pytest.raises(DiscriminantComputed):
                 curve.diagnostics
+
+    def test_adjugate_runs_only_when_read(self, monkeypatch):
+        """The correlators read only the structural checks: with the
+        Faddeev-LeVerrier pass forbidden they still run, and reading the
+        characteristic coefficients or the adjugate runs the pass."""
+        class LeverrierComputed(Exception):
+            pass
+
+        def forbidden(*args):
+            raise LeverrierComputed
+
+        monkeypatch.setattr(curve_module, "_faddeev_leverrier", forbidden)
+        for name in ("hyperelliptic-g1.json", "hyperelliptic-g2.json", "three-sheet-m1.json"):
+            w = doc_w(name)
+            assert correlator_pair(w, 1, 2, 2).entries
+            assert correlator_n(w, (1,) * w.n + (2,), 1).entries
+            if w.n == 2:
+                assert hyperelliptic_combination(w, 3, 1)
+            curve = characteristic_data(w)
+            assert not curve.fatal_diagnostics()
+            for field in ("char_coeffs", "adjugate"):
+                with pytest.raises(LeverrierComputed):
+                    getattr(curve, field)
+
+    def test_entry_above_m_is_fatal(self):
+        """W = ((z, z^2), (1, -z)) declared with m = 1 through the raw
+        constructor: a_2 = -2z^2 has degree <= 2m, but the projector recursion
+        reads only B_0, B_1, so the z^2 entry must be rejected, not dropped."""
+        z = Poly([0, 1])
+        w = MatrixPolynomial(2, 1, ((z, z * z), (Poly([1]), -z)))
+        diags = {d.name: d for d in characteristic_data(w).structural}
+        assert not diags["char_coeff_degrees"].passed and diags["char_coeff_degrees"].fatal
+        assert "exceeds m=1" in diags["char_coeff_degrees"].detail
+        with pytest.raises(ValueError):
+            CorrelatorEngine(w)
+        with pytest.raises(ValueError):
+            correlator_pair(w, 1, 2, 1)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(InvalidMatrixPolynomial):

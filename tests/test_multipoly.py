@@ -9,6 +9,7 @@ from spectral_tau.multipoly import (
     InexactDivisionError,
     MultiPoly,
     _unit_pair,
+    multipoly_coset_factor,
     multipoly_exact_divide,
     multipoly_sum,
     packing_width,
@@ -261,27 +262,30 @@ def test_pair_division_at_the_width_edge():
 
 
 @st.composite
-def swaps(draw):
+def coset_cases(draw):
     nvars = draw(st.integers(3, 5))
-    i, j = sorted(draw(st.lists(st.integers(1, nvars - 1), min_size=2, max_size=2, unique=True)))
-    return nvars, draw(_terms(nvars)), i, j
+    j = draw(st.integers(2, nvars - 1))
+    slots = sorted(draw(st.sets(st.integers(1, j - 1), min_size=1)))
+    return nvars, draw(_terms(nvars)), slots, j
 
 
-@given(swaps())
+@given(coset_cases())
 @settings(max_examples=100, deadline=None)
-def test_swapped_exchanges_two_variables(case):
-    nvars, terms, i, j = case
+def test_coset_factor_subtracts_exchanged_copies(case):
+    """q minus, for each slot b < j, q with u_b and u_j exchanged, in one dict."""
+    nvars, terms, slots, j = case
     f = MultiPoly(nvars, terms)
-    g = f.swapped(i, j)
+    g = multipoly_coset_factor(f, slots, j)
 
-    def exchange(e):
+    def exchange(e, b):
         e = list(e)
-        e[i], e[j] = e[j], e[i]
+        e[b], e[j] = e[j], e[b]
         return tuple(e)
 
-    assert g.terms == {exchange(e): c for e, c in f.terms.items()}
-    assert (g.width, g.bound) == (f.width, f.bound)
-    assert g.swapped(i, j) == f
+    want = dict_sum([f.terms] + [{exchange(e, b): -c for e, c in f.terms.items()} for b in slots])
+    assert g.terms == want
+    assert g.bound == (1 + len(slots)) * f.bound
+    assert g.width == max(f.width, packing_width(g.bound))
 
 
 def test_engine_tables_never_repack(monkeypatch):

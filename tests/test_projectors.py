@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 import spectral_tau.projectors as projectors_module
+from spectral_tau.multipoly import packing_width
+from spectral_tau.projectors import _defects
 from spectral_tau import (
     MatrixPolynomial,
     branch_series,
@@ -17,6 +19,7 @@ from spectral_tau.series import TruncationError, USeries
 from conftest import (
     adjugate_projector,
     coeff_matrix,
+    defects_first_failure,
     grid_add,
     grid_mul,
     grid_scale,
@@ -226,3 +229,107 @@ def test_recursion_matches_adjugate_oracle(n, m):
             want = adjugate_projector(w, a, order)
             for k in range(order + 1):
                 assert coeff_matrix(pi, k) == coeff_matrix(want, k)
+
+
+def certificate_cases():
+    """(lb, Delta, Q_0..Q_10) on every sheet of conftest n in 2..5, m in 1..3, seeds 100-105."""
+    for n in range(2, 6):
+        for m in range(1, 4):
+            for seed in range(100, 106):
+                w = random_matrix_polynomial(seed, n, m)
+                lb, delta = projectors_module._integer_coefficients(w)
+                for a in range(n):
+                    yield lb, delta, projectors_module._projector_numerators(lb, delta, a, 10)
+
+
+def heights_1e9_w():
+    """A 3 x 3, m = 2 instance whose coefficient heights are near 10^9."""
+    big = 10 ** 9
+    mats = [
+        [[Fraction(big + 7), 0, 0], [0, Fraction(-big + 3), 0], [0, 0, Fraction(big // 3)]],
+        [[Fraction(big - 1, 7), Fraction(-big), Fraction(big + 11, 3)],
+         [Fraction(big // 2), Fraction(5), Fraction(-big + 1)],
+         [Fraction(-big - 9), Fraction(big, 13), Fraction(big - 2)]],
+        [[Fraction(3), Fraction(big), Fraction(-1)],
+         [Fraction(-big + 4), Fraction(big, 11), Fraction(2)],
+         [Fraction(7), Fraction(-5), Fraction(big)]],
+    ]
+    return MatrixPolynomial.from_power_matrices(3, 2, mats)
+
+
+def heights_1e9_case():
+    """(lb, Delta, Q_0..Q_10) on sheet 1 of :func:`heights_1e9_w`."""
+    lb, delta = projectors_module._integer_coefficients(heights_1e9_w())
+    return lb, delta, projectors_module._projector_numerators(lb, delta, 0, 10)
+
+
+class TestPackedCertificate:
+    """The packed certificate against the order-by-order oracle of conftest."""
+
+    def test_both_accept_the_recursion(self):
+        count = 0
+        for lb, delta, q in certificate_cases():
+            assert defects_first_failure(lb, q, delta) is None
+            assert projectors_module._first_defect(lb, q, delta) is None
+            count += 1
+        assert count == 6 * 3 * (2 + 3 + 4 + 5)
+
+    @pytest.mark.parametrize("k", [0, 5, 10])
+    def test_both_reject_one_changed_entry(self, k):
+        """One entry changed at k = 0, a middle order or k = order: both
+        certificates fail, at that k, for an off-diagonal entry and for the
+        sheet's diagonal entry (a changed (i, i) with i != a at k = 0 leaves
+        both identities and is caught by Q_0 = E_a instead)."""
+        cases = list(certificate_cases())
+        for lb, delta, q in cases[::7]:
+            n = len(q[0])
+            a = next(i for i in range(n) if q[0][i][i])
+            for i, j in ((a, a), (n - 1 - a, a), (a, (a + 1) % n)):
+                bad = [[row[:] for row in qk] for qk in q]
+                bad[k][i][j] += 1
+                assert defects_first_failure(lb, bad, delta) == k
+                assert projectors_module._first_defect(lb, bad, delta) == k
+
+    def test_width_bound_covers_every_digit(self, monkeypatch):
+        """The bound the width is certified from covers every t-digit of the
+        full products [B(t), Q(t)] and diag(Q(t)^2) - diag(Q(t)), also above
+        u^order and on a tampered Q; the digits come from the oracle's defects
+        on Q padded with zero matrices."""
+        bounds = []
+
+        def spy(bound):
+            bounds.append(bound)
+            return packing_width(bound)
+
+        monkeypatch.setattr(projectors_module, "packing_width", spy)
+        for lb, delta, q in list(certificate_cases())[::5] + [heights_1e9_case()]:
+            n, order = len(q[0]), len(q) - 1
+            q_max = max(abs(x) for qk in q for row in qk for x in row)
+            bad = [[row[:] for row in qk] for qk in q]
+            bad[order // 2][0][n - 1] += q_max
+            for numerators in (q, bad):
+                bounds.clear()
+                projectors_module._first_defect(lb, numerators, delta)
+                padded = numerators + [[[0] * n for _ in range(n)]] * (2 * order)
+                digits = [_defects(lb, padded, delta, k) for k in range(2 * order + 1)]
+                largest = max(max(abs(x) for row in comm for x in row) for comm, _ in digits)
+                largest = max(largest, max(abs(x) for _, idem in digits for x in idem))
+                assert largest <= bounds[-1]
+
+    def test_heights_near_1e9_exercise_the_width(self):
+        """Coefficients near 10^9 make Delta^l L B_l and Q_k tens of digits long;
+        the packed certificate still agrees with the oracle, digit for digit."""
+        w = heights_1e9_w()
+        lb, delta = projectors_module._integer_coefficients(w)
+        for a in range(3):
+            q = projectors_module._projector_numerators(lb, delta, a, 10)
+            assert max(abs(x) for qk in q for row in qk for x in row).bit_length() > 300
+            assert projectors_module._first_defect(lb, q, delta) is None
+            assert defects_first_failure(lb, q, delta) is None
+            for k, (i, j) in ((10, (0, 1)), (10, (a, a)), (4, (2, 1))):
+                bad = [[row[:] for row in qk] for qk in q]
+                bad[k][i][j] -= 1
+                assert projectors_module._first_defect(lb, bad, delta) == k
+                assert defects_first_failure(lb, bad, delta) == k
+        pi = projector_series(w, 2, 10)
+        assert coeff_matrix(pi, 0) == ((0, 0, 0), (0, 1, 0), (0, 0, 0))
