@@ -40,23 +40,24 @@ Polynomials, ch. I.3), 1 + 2 + ... + (|block| - 1) relabelings in place of
 |G|.  A relabeling fixes u_0, so it moves row keys only: the packed u_0
 digits stay, and so does the width, whose bound already counts all (N-1)!
 classes.  Each coset factor subtracts its relabeled rows into one dict
-(``multipoly_coset_factor``).  In the hyperelliptic combination every slot is Pi_1 - Pi_2, so G
-is the whole S_(N-1) and the walk is one chain.  With distinct sheets G is
-trivial and every class is walked.
+(``multipoly_coset_factor``).  In the hyperelliptic combination every slot
+is Pi_1 - Pi_2, so G is the whole S_(N-1) and the walk is one chain.  With
+distinct sheets G is trivial and every class is walked.
 
 The walk goes depth-first over prefixes, so each partial chain product is
 formed once; slot 0 expands in t_0 and every later slot in a variable its
 prefix lacks, so a chain step is one int product per row and slot
-coefficient.  The step is fused (``_matmul``): each output row key is built
-once and the n products of an entry are summed into one int, stored once.
-The closing trace stays on ``MultiPoly.mul``, the seam through which
-``perfbench/tracer.py`` times and counts the kernel until the package
-records its own spans.  Signed traces are grouped by the Vandermonde pairs
-their cycle misses, and a pair shared by several groups multiplies their
-sum once.  Each division by (t_i - t_j) is a divided difference: running
-sums along the anti-diagonals of the (i, j) exponent plane, row by row.
-The t-quotient's coefficient q[k] is read back as F = -q[k] / c^(N + |k|)
-(two points: +q[k] / c^(2 + |k|)), the only Fraction on the path.
+coefficient.  The chain step and the closing trace stay n ``MultiPoly.mul``
+calls per entry merged by ``multipoly_sum``: ``MultiPoly.mul`` is the seam
+through which ``perfbench/tracer.py`` times and counts the kernel until the
+package records its own spans, and a chain step fused into one int per
+entry and row key won less than the benchmark's run-to-run spread.  Signed
+traces are grouped by the Vandermonde pairs their cycle misses, and a pair
+shared by several groups multiplies their sum once.  Each division by
+(t_i - t_j) is a divided difference: running sums along the anti-diagonals
+of the (i, j) exponent plane, row by row.  The t-quotient's coefficient
+q[k] is read back as F = -q[k] / c^(N + |k|) (two points:
++q[k] / c^(2 + |k|)), the only Fraction on the path.
 
 Certificates: every scaled coefficient must be an integer (a wrong c raises
 ArithmeticError rather than emitting a value), and every division must leave
@@ -73,13 +74,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Mapping, Sequence
 
 from .curve import MatrixPolynomial, SpectralCurveData, characteristic_data
 from .multipoly import (
-    MultiPoly, _low, _pack, _repack, multipoly_coset_factor, multipoly_exact_divide, multipoly_sum,
-    packing_width,
+    MultiPoly, multipoly_coset_factor, multipoly_exact_divide, multipoly_sum, packing_width,
 )
 from .projectors import projector_series
 
@@ -230,72 +229,22 @@ def _largest(ints) -> int:
 
 
 def _packed_slot(ints, nvars: int, var: int, width: int):
-    """An integer slot matrix as polynomials in t_var, packed at least ``width`` bits wide.
-
-    The rows are built directly, as ``MultiPoly.from_univariate`` would build
-    them: for var = 0 one row holding every coefficient, otherwise one row
-    {k * e_var: c_k} per nonzero c_k; the bound is max |c_k|.
-    ``_integer_slot`` has already made every coefficient an int.
-    """
-    out = []
-    for row in ints:
-        out_row = []
-        for coeffs in row:
-            bound = max(map(abs, coeffs), default=0)
-            entry_width = max(width, packing_width(bound))
-            if not bound:
-                rows = {}
-            elif var == 0:
-                rows = {(0,) * (nvars - 1): _pack(dict(enumerate(coeffs)), entry_width)}
-            else:
-                pre, post = (0,) * (var - 1), (0,) * (nvars - 1 - var)
-                rows = {pre + (k,) + post: c for k, c in enumerate(coeffs) if c}
-            out_row.append(MultiPoly._trusted(nvars, rows, entry_width, bound))
-        out.append(out_row)
-    return out
+    """An integer slot matrix as polynomials in t_var, packed at least ``width`` bits wide."""
+    return [[MultiPoly.from_univariate(nvars, var, coeffs, width) for coeffs in row]
+            for row in ints]
 
 
-def _matmul(a, b, var: int, cap: int):
-    """The chain step a * b under a total-degree cap, in one pass per output row.
-
-    ``b`` is a slot matrix univariate in u_var, var >= 1, a variable ``a``
-    lacks, so entry (i, j) holds at key e + p e_var the sum over k of
-    row_e(a_ik) c_kj[p].  For each row i and each row key e of its entries,
-    the n rows are truncated once per p to the u_0 digits the cap keeps,
-    and each output key is built once; the n products for column j are
-    summed into one int and stored once.  Entry (i, j) is bounded by
-    sum_k bound(a_ik) bound(b_kj), the bound of that sum, and a bound that
-    does not fit widens the whole product, its operands repacked first.
-    """
-    n, nvars, v = len(a), a[0][0].nvars, var - 1
-    coeffs = [[{e[v]: c for e, c in b[k][j].rows.items()} for j in range(n)] for k in range(n)]
-    top = max((max(col, default=0) for row in coeffs for col in row), default=0)
-    # cols[p][j] = (c_0j[p], ..., c_(n-1)j[p])
-    cols = [[tuple(coeffs[k][j].get(p, 0) for k in range(n)) for j in range(n)]
-            for p in range(top + 1)]
-    bounds = [[sum(a[i][k].bound * b[k][j].bound for k in range(n)
-                   if a[i][k].rows and b[k][j].rows) for j in range(n)] for i in range(n)]
-    width = max(packing_width(max(map(max, bounds))),
-                *(p.width for row in a for p in row), *(p.width for row in b for p in row))
-    out = []
-    for i in range(n):
-        rows = [_repack(p.rows, p.width, width) for p in a[i]]
-        out_rows = [{} for _ in range(n)]
-        for e in dict.fromkeys(key for r in rows for key in r):
-            factors = [r.get(e, 0) for r in rows]
-            keep = cap - sum(e)   # highest u_0 digit of a product at p = 0
-            pre, post = e[:v], e[v + 1:]
-            for p in range(min(top, keep) + 1):
-                nbits = (keep - p + 1) * width
-                factors = [_low(x, nbits) for x in factors]
-                key = pre + (p,) + post
-                for out_j, col in zip(out_rows, cols[p]):
-                    x = sum(map(mul, factors, col))
-                    if x:
-                        out_j[key] = x
-        out.append([MultiPoly._trusted(nvars, out_rows[j], width, bounds[i][j])
-                    for j in range(n)])
-    return out
+def _matmul(a, b, cap: int):
+    n = len(a)
+    nvars = a[0][0].nvars
+    return [
+        [
+            multipoly_sum(nvars, (a[i][k].mul(b[k][j], max_total_degree=cap)
+                                  for k in range(n) if a[i][k].rows and b[k][j].rows))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
 
 
 def _trace_of_product(a, b, cap: int) -> MultiPoly:
@@ -429,7 +378,7 @@ def _npoint_values(mats: Mapping, sheets: Sequence, kmax: int, c: int) -> dict:
         for s in rest:
             firsts.setdefault(labels[s], s)
         for s in firsts.values():
-            visit(prefix + (s,), _matmul(acc, slots[s], s, K))
+            visit(prefix + (s,), _matmul(acc, slots[s], K))
 
     visit((0,), slots[0])
     q = _times_missing(by_missing, npts, cap_dividend)

@@ -169,18 +169,28 @@ class MultiPoly:
                         width: int = 2) -> "MultiPoly":
         """Embed sum_k coeffs[k] * u_idx**k, packed at least ``width`` bits wide.
 
-        The correlator engine passes the width of its table's certified bound,
-        so that the table's products and sums never repack.
+        The rows are built directly: for idx = 0 one row holding every
+        coefficient, otherwise one row {k * e_idx: c_k} per nonzero c_k; the
+        bound is max |c_k|.  The correlator engine passes the width of its
+        table's certified bound, so that the table's products and sums never
+        repack.
         """
-        terms: Dict[Exponent, int] = {}
-        for k, c in enumerate(coeffs):
-            if c:
-                e = [0] * nvars
-                e[idx] = k
-                terms[tuple(e)] = c
-        poly = object.__new__(MultiPoly)
-        poly._set_terms(nvars, terms, width)
-        return poly
+        coeffs = list(coeffs)
+        if not 0 <= idx < nvars:
+            raise ValueError(f"variable index {idx} out of range for {nvars} variables")
+        for c in coeffs:
+            if type(c) is not int:
+                raise ValueError(f"coefficient {c!r} is not an int")
+        bound = max(map(abs, coeffs), default=0)
+        width = max(width, packing_width(bound))
+        if not bound:
+            rows = {}
+        elif idx == 0:
+            rows = {(0,) * (nvars - 1): _pack(dict(enumerate(coeffs)), width)}
+        else:
+            pre, post = (0,) * (idx - 1), (0,) * (nvars - 1 - idx)
+            rows = {pre + (k,) + post: c for k, c in enumerate(coeffs) if c}
+        return MultiPoly._trusted(nvars, rows, width, bound)
 
     # -- basic ring ops -------------------------------------------------------
     @property

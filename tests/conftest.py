@@ -18,11 +18,11 @@ import pytest
 
 from spectral_tau import MatrixPolynomial, characteristic_data, hyperelliptic_combination
 from spectral_tau.correlators import (
-    _cycle_sign_and_missing, _integer_slot, _largest, _trace_of_product,
+    _cycle_sign_and_missing, _integer_slot, _largest, _matmul, _packed_slot, _trace_of_product,
 )
 from spectral_tau.divisor import pole_divisor
 from spectral_tau.multipoly import (
-    InexactDivisionError, MultiPoly, multipoly_exact_divide, multipoly_sum, packing_width,
+    InexactDivisionError, MultiPoly, multipoly_exact_divide, packing_width,
 )
 from spectral_tau.periods import HyperellipticCurve, abel_u0, period_matrix, v_vectors
 from spectral_tau.polynomials import Poly
@@ -256,23 +256,7 @@ def dict_divide(numerator: dict, divisor: dict, trusted_total_degree: int) -> di
 
 # -- full-walk oracle for the N-point kernel -----------------------------------
 # The walk before equal slots were folded into orbits: every one of the (N-1)!
-# cyclic classes builds its own chain, trace and missing-pair product.  Its
-# chain step is the one before the step was fused: n MultiPoly.mul calls per
-# entry, merged by multipoly_sum.
-
-def chain_matmul(a, b, cap: int):
-    """a * b for n x n grids of MultiPoly, dropping monomials above total degree cap."""
-    n = len(a)
-    nvars = a[0][0].nvars
-    return [
-        [
-            multipoly_sum(nvars, (a[i][k].mul(b[k][j], max_total_degree=cap)
-                                  for k in range(n) if a[i][k].rows and b[k][j].rows))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
+# cyclic classes builds its own chain, trace and missing-pair product.
 
 def full_walk_values(slot_mats, kmax: int, c: int) -> dict:
     """{(k_1..k_N): Fraction} for slot i carrying slot_mats[i], over all classes."""
@@ -286,8 +270,7 @@ def full_walk_values(slot_mats, kmax: int, c: int) -> dict:
     bound = (math.factorial(npts - 1) * n ** npts * math.prod(map(_largest, ints))
              * 2 ** n_missing * math.prod(range(cap_dividend - n_pairs + 2, cap_dividend + 2)))
     width = packing_width(bound)
-    slots = [[[MultiPoly.from_univariate(npts, var, coeffs, width) for coeffs in row]
-              for row in m] for var, m in enumerate(ints)]
+    slots = [_packed_slot(m, npts, var, width) for var, m in enumerate(ints)]
     by_missing: dict = {}
 
     def visit(prefix: tuple, acc) -> None:
@@ -301,7 +284,7 @@ def full_walk_values(slot_mats, kmax: int, c: int) -> dict:
             by_missing[missing] = tr
             return
         for s in rest:
-            visit(prefix + (s,), chain_matmul(acc, slots[s], K))
+            visit(prefix + (s,), _matmul(acc, slots[s], K))
 
     visit((0,), slots[0])
     q = MultiPoly.zero(npts)

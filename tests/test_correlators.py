@@ -12,16 +12,13 @@ from spectral_tau import (
 )
 from spectral_tau import correlators
 from spectral_tau import multipoly
-from spectral_tau.correlators import (
-    _integer_slot, _series_scale, hyperelliptic_combination_from_tables,
-)
-from spectral_tau.multipoly import InexactDivisionError, MultiPoly
+from spectral_tau.correlators import _series_scale, hyperelliptic_combination_from_tables
+from spectral_tau.multipoly import InexactDivisionError
 from spectral_tau.polynomials import Poly
 from spectral_tau.serialize import correlator_table_from_json, correlator_table_to_json
 
 from conftest import (
-    chain_matmul, doc_w, full_walk_values, hyper_coeff, random_hyperelliptic,
-    random_matrix_polynomial,
+    doc_w, full_walk_values, hyper_coeff, random_hyperelliptic, random_matrix_polynomial,
 )
 
 
@@ -330,46 +327,6 @@ class TestOrbitWalk:
         except InexactDivisionError:
             pass
         assert len(calls) == 6
-
-
-class TestChainStep:
-    @pytest.mark.parametrize("var, nvars", [(0, 2), (0, 4), (1, 2), (2, 4), (3, 4)])
-    def test_packed_slot_matches_from_univariate(self, var, nvars):
-        """The directly packed slot equals MultiPoly.from_univariate, term for
-        term, at the same width and bound, zero entries included."""
-        w = random_matrix_polynomial(101, 3, 2)
-        eng = CorrelatorEngine(w)
-        ints = _integer_slot(eng.slot_matrix(2, 8), eng.scale(2))
-        ints[0][1] = [0] * 9
-        ints[1][2] = [0, 0, 5, 0, -3, 0, 0, 0, 0]
-        for width in (2, 64):
-            got = correlators._packed_slot(ints, nvars, var, width)
-            for got_row, row in zip(got, ints):
-                for poly, coeffs in zip(got_row, row):
-                    want = MultiPoly.from_univariate(nvars, var, coeffs, width)
-                    assert poly.terms == want.terms and poly.rows == want.rows
-                    assert (poly.width, poly.bound) == (want.width, want.bound)
-
-    @pytest.mark.parametrize("sheets", [(1, 2, 3), (2, 1, 1, 3), (1, 2, 3, 1, 2)])
-    def test_fused_step_matches_mul_and_sum(self, sheets):
-        """Every chain step of a walk equals n MultiPoly.mul calls merged by
-        multipoly_sum, term for term, with the same bound."""
-        w = random_matrix_polynomial(100, 3, 1)
-        eng = CorrelatorEngine(w)
-        npts = len(sheets)
-        K = npts * 2
-        mats = [eng.slot_matrix(a, K) for a in sheets]
-        c = eng.scale(*sheets)
-        slots = [correlators._packed_slot(_integer_slot(mat, c), npts, var, 8)
-                 for var, mat in enumerate(mats)]
-        acc = slots[0]
-        for var in range(1, npts - 1):
-            got = correlators._matmul(acc, slots[var], var, K)
-            want = chain_matmul(acc, slots[var], K)
-            for got_row, want_row in zip(got, want):
-                for g, h in zip(got_row, want_row):
-                    assert g.terms == h.terms and g.bound == h.bound
-            acc = got
 
 
 class TestKPEquation:

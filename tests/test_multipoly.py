@@ -251,6 +251,22 @@ def test_bound_past_the_width_widens():
         _certified(result)
 
 
+@pytest.mark.parametrize("nvars, idx", [(1, 0), (2, 0), (4, 0), (2, 1), (4, 2), (4, 3)])
+def test_from_univariate_matches_the_validating_constructor(nvars, idx):
+    """The directly built rows are MultiPoly's own packing of the same terms,
+    for empty, zero and gapped coefficient lists, at any requested width."""
+    for coeffs in ([], [0, 0], [0, 0, 5, 0, -3, 0, 0], [2 ** 40, -1, 7]):
+        terms = {tuple(k if v == idx else 0 for v in range(nvars)): c
+                 for k, c in enumerate(coeffs) if c}
+        want = MultiPoly(nvars, terms)
+        for width in (2, 64):
+            got = MultiPoly.from_univariate(nvars, idx, coeffs, width)
+            assert got.terms == want.terms and got.bound == want.bound
+            assert got.width == max(width, want.width)
+            _certified(got)
+        assert MultiPoly.from_univariate(nvars, idx, coeffs).rows == want.rows
+
+
 def test_pair_division_at_the_width_edge():
     edge = 2 ** 31 - 1
     for i, j in ((0, 1), (1, 2), (0, 2)):
@@ -323,6 +339,8 @@ def test_integer_contract_rejections():
         MultiPoly(2, {(1, 0): Fraction(1, 2)})
     with pytest.raises(ValueError):
         MultiPoly.from_univariate(2, 1, [1, Fraction(1, 2)], width=8)
+    with pytest.raises(ValueError):
+        MultiPoly.from_univariate(2, 2, [1, 1])
     num = MultiPoly(2, {(2, 0): 1, (0, 2): -1})
     for divisor in (
         MultiPoly(2, {(1, 0): 2, (0, 1): -2}),     # 2 (u_0 - u_1)
