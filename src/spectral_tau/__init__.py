@@ -20,20 +20,17 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "correlators": ("CorrelatorEngine", "CorrelatorTable", "FreeEnergyPolynomial",
-                    "correlator_n", "correlator_pair", "free_energy",
+    "correlators": ("CorrelatorEngine", "CorrelatorTable", "correlator_n", "correlator_pair",
                     "hyperelliptic_combination"),
-    "curve": ("MatrixPolynomial", "SpectralCurveData", "characteristic_data", "genus",
-              "validate"),
-    "divisor": ("DivisorPoint", "cofactor_row_sums", "d_polynomial", "hyperelliptic_divisor",
-                "pole_divisor"),
+    "curve": ("MatrixPolynomial", "SpectralCurveData", "characteristic_data", "genus"),
+    "divisor": ("DivisorPoint", "cofactor_row_sums", "d_polynomial", "pole_divisor"),
     "jets": ("JetPoint", "ResolventCoeffs", "jet_from_projectors", "resolvent_coefficients",
-             "tau_second_derivative", "validate_jet"),
+             "validate_jet"),
     "multipoly": ("MultiPoly", "multipoly_exact_divide"),
     "periods": ("HyperellipticCurve", "JacobianPoint", "ThetaContext", "VData", "abel_u0",
                 "jacobian_point", "period_matrix", "v_vectors"),
     "polynomials": ("Poly",),
-    "projectors": ("PhiData", "branch_series", "phi_coefficients", "projector_series"),
+    "projectors": ("projector_series",),
     "rationals": ("Rational", "format_rational", "parse_rational"),
     "series": ("TruncationError", "USeries"),
     "theta": ("log_theta_derivatives",),

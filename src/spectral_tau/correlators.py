@@ -434,57 +434,6 @@ def correlator_n(w: MatrixPolynomial, sheets: Sequence[int], kmax: int,
     return CorrelatorTable(npts, entries, kmax)
 
 
-@dataclass(frozen=True)
-class FreeEnergyPolynomial:
-    """Truncated free energy as a polynomial in the formal labels t^a_k.
-
-    ``coefficients`` maps a sorted monomial (tuple of (a, k) pairs, with
-    multiplicity) to its coefficient; the 1/N! of the defining sum and the
-    multinomial count of equal labels combine to F / prod(multiplicities!).
-    """
-
-    max_n: int
-    kmax: int
-    coefficients: Mapping[tuple[IndexPair, ...], Fraction]
-
-    def coefficient(self, pairs: Sequence[IndexPair]) -> Fraction:
-        key = tuple(sorted((int(a), int(k)) for a, k in pairs))
-        return self.coefficients.get(key, Fraction(0))
-
-
-def free_energy(w: MatrixPolynomial, max_n: int, kmax: int,
-                engine: CorrelatorEngine | None = None) -> FreeEnergyPolynomial:
-    """Assemble sum_{N=2}^{max_n} (1/N!) sum F t...t over the trusted box."""
-    if max_n < 2:
-        raise ValueError("max_n must be at least 2")
-    engine = engine or CorrelatorEngine(w)
-    n = w.n
-    labels = [(a, k) for a in range(1, n + 1) for k in range(kmax + 1)]
-    coeffs: dict[tuple[IndexPair, ...], Fraction] = {}
-    table_cache: dict[tuple[int, ...], CorrelatorTable] = {}
-    for npts in range(2, max_n + 1):
-        for mono in itertools.combinations_with_replacement(labels, npts):
-            a_tuple = tuple(a for a, _ in mono)
-            k_tuple = tuple(k for _, k in mono)
-            if a_tuple not in table_cache:
-                if npts == 2:
-                    table_cache[a_tuple] = correlator_pair(w, a_tuple[0], a_tuple[1], kmax, engine)
-                else:
-                    table_cache[a_tuple] = correlator_n(w, a_tuple, kmax, engine)
-            f = table_cache[a_tuple].value(tuple(zip(a_tuple, k_tuple)))
-            counts: dict[IndexPair, int] = {}
-            for p in mono:
-                counts[p] = counts.get(p, 0) + 1
-            denom = 1
-            for c in counts.values():
-                for i in range(2, c + 1):
-                    denom *= i
-            val = f / denom
-            if val:
-                coeffs[mono] = val
-    return FreeEnergyPolynomial(max_n, kmax, coeffs)
-
-
 # ---------------------------------------------------------------------------
 # hyperelliptic difference combination (n = 2)
 # ---------------------------------------------------------------------------
@@ -510,6 +459,7 @@ def hyperelliptic_combination(w: MatrixPolynomial, n_points: int, kmax: int,
     return _npoint_values({0: d}, (0,) * n_points, kmax, engine.scale(0))
 
 
+# Kept only for the --record cross-check of perfbench/workloads.py, which imports it by name.
 def hyperelliptic_combination_from_tables(w: MatrixPolynomial, n_points: int, kmax: int,
                                           engine: CorrelatorEngine | None = None) -> dict:
     """Same combination assembled literally from per-sheet tables (slow path)."""

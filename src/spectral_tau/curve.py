@@ -92,23 +92,6 @@ class MatrixPolynomial:
         lead = self.coefficient_of_power(self.m)
         return all(lead[i][j] == 0 for i in range(self.n) for j in range(self.n) if i != j)
 
-    def trace(self) -> Poly:
-        t = Poly.zero()
-        for i in range(self.n):
-            t = t + self.matrix[i][i]
-        return t
-
-    def conjugate_diagonal(self, d: Sequence[Fraction]) -> "MatrixPolynomial":
-        """D^-1 W D for diagonal D = diag(d)."""
-        if len(d) != self.n or any(Fraction(x) == 0 for x in d):
-            raise InvalidMatrixPolynomial("diagonal conjugation needs n nonzero entries")
-        d = [Fraction(x) for x in d]
-        entries = [
-            [self.matrix[i][j] * (d[j] / d[i]) for j in range(self.n)]
-            for i in range(self.n)
-        ]
-        return MatrixPolynomial.from_entries(entries, m=self.m)
-
 
 @dataclass(frozen=True)
 class SpectralCurveData:
@@ -215,11 +198,6 @@ def _faddeev_leverrier(w: MatrixPolynomial) -> tuple:
             adjugate.append(tuple(tuple(wn[i][j] + ak if i == j else wn[i][j] for j in range(n))
                                   for i in range(n)))
     return tuple(coeffs), tuple(adjugate)
-
-
-def validate(w: MatrixPolynomial) -> list[Diagnostic]:
-    """The checks of :func:`characteristic_data` on W(z), with the smoothness warning."""
-    return list(characteristic_data(w).diagnostics)
 
 
 def _structural(w: MatrixPolynomial) -> list[Diagnostic]:

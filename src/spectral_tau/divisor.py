@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -33,23 +32,6 @@ class DivisorPoint:
     w: complex
     residual_r: float
     residual_eig: float
-
-
-@dataclass(frozen=True)
-class DivisorComparisonPoint:
-    z: complex
-    w: complex
-    on_curve_residual: float
-    eigenvector_residual: float
-    matches_general: bool
-
-
-@dataclass(frozen=True)
-class HyperellipticDivisorReport:
-    general: tuple
-    specialized: tuple  # DivisorComparisonPoint for the printed closed-form roots
-    conventions_agree: bool
-    note: str
 
 
 def d_polynomial(w: MatrixPolynomial, curve: SpectralCurveData | None = None) -> Poly:
@@ -160,53 +142,3 @@ def _row_sum_value(qrow: list[Poly], z: complex, w_val: complex, n: int) -> comp
     for j in range(n):
         acc = acc * w_val + complex(qrow[j](z))
     return acc
-
-
-def hyperelliptic_divisor(a: Poly, b: Poly, c: Poly, tol: float = 1e-9) -> HyperellipticDivisorReport:
-    """General divisor of [[a,b],[c,-a]] plus a report on the printed closed form.
-
-    The eigenvector-pole conditions for this 2x2 shape read 2a = b - c with
-    w = -(b+c)/2; the printed specialization a = (b+c)/2, w = (c-b)/2 belongs
-    to the opposite sign convention for c and its points generically are not
-    on the curve w^2 = a^2 + bc.  Both root sets are reported with residuals
-    so the discrepancy stays visible instead of being silently patched.
-    """
-    w_mat = MatrixPolynomial.from_entries([[a, b], [c, -a]])
-    curve = characteristic_data(w_mat)
-    general = pole_divisor(w_mat, tol, curve)
-    q = cofactor_row_sums(w_mat, curve)
-    # printed closed form: roots of a - (b+c)/2, w = (c-b)/2
-    half = Fraction(1, 2)
-    special_poly = a - (b + c) * half
-    specialized = []
-    agree = True
-    if special_poly.degree() >= 1:
-        for z in np.roots(special_poly.float_coeffs_descending()):
-            z = _polish_root(special_poly, complex(z))
-            w_val = complex((c - b)(z)) / 2
-            res_curve = abs(curve.r_at(z, w_val))
-            res_eig = max(abs(_row_sum_value(q[i], z, w_val, 2)) for i in range(2))
-            match = any(
-                abs(p.z - z) < max(tol, 1e-7) and abs(p.w - w_val) < max(tol, 1e-7)
-                for p in general
-            )
-            agree = agree and match and res_curve < max(tol, 1e-7)
-            specialized.append(
-                DivisorComparisonPoint(
-                    z=complex(z), w=complex(w_val),
-                    on_curve_residual=float(res_curve),
-                    eigenvector_residual=float(res_eig),
-                    matches_general=bool(match),
-                )
-            )
-    note = (
-        "printed specialization matches the general algorithm"
-        if agree
-        else "printed specialization disagrees with the eigenvector-pole condition; "
-        "it corresponds to flipping the sign of c (the general points satisfy "
-        "2a = b - c, w = -(b+c)/2)"
-    )
-    return HyperellipticDivisorReport(
-        general=tuple(general), specialized=tuple(specialized),
-        conventions_agree=bool(agree), note=note,
-    )

@@ -100,10 +100,6 @@ def validate_jet(jet: JetPoint) -> list[ConstraintResidue]:
     return out
 
 
-def jet_is_valid(jet: JetPoint) -> bool:
-    return all(r.residue == 0 for r in validate_jet(jet))
-
-
 def _zero_matrix(n: int):
     return [[Fraction(0)] * n for _ in range(n)]
 
@@ -271,39 +267,3 @@ def jet_from_projectors(w: MatrixPolynomial, projectors=None) -> JetPoint:
                         f"projector data inconsistent with the jet structure at B3[{i + 1},{j + 1}], sheet {b}"
                     )
     return jet
-
-
-def tau_second_derivative(jet: JetPoint, a: int, b: int, level: int) -> Fraction:
-    """d^2 log tau / dt^a_0 dt^b_level at the base point, level in {0, 1, 2}."""
-    n = jet.n
-    if level not in (0, 1, 2):
-        raise JetError("level must be 0, 1 or 2")
-    if level == 0:
-        if a != b:
-            return -jet.value(a, b) * jet.value(b, a)
-        return sum((jet.value(a, s) * jet.value(s, a) for s in range(1, n + 1)), Fraction(0))
-    if level == 1:
-        if a != b:
-            return (
-                jet.deriv(a, b, b) * jet.value(b, a)
-                - jet.value(a, b) * jet.deriv(b, a, b)
-            )
-        return sum(
-            (
-                jet.value(a, s) * jet.deriv(s, a, s) - jet.deriv(a, s, s) * jet.value(s, a)
-                for s in range(1, n + 1) if s != a
-            ),
-            Fraction(0),
-        )
-    if a != b:
-        sum_bb = sum((jet.value(b, s) * jet.value(s, b) for s in range(1, n + 1)), Fraction(0))
-        return (
-            -jet.value(a, b) * jet.deriv2(b, a, b, b)
-            - jet.value(b, a) * jet.deriv2(a, b, b, b)
-            + jet.deriv(a, b, b) * jet.deriv(b, a, b)
-            - 3 * jet.value(a, b) * jet.value(b, a) * sum_bb
-        )
-    return -sum(
-        (tau_second_derivative(jet, s, a, 2) for s in range(1, n + 1) if s != a),
-        Fraction(0),
-    )

@@ -212,10 +212,6 @@ class MultiPoly:
             return 0
         return _digit(row, e[0], self.width)
 
-    def total_degree(self) -> int:
-        return max((r.bit_length() // self.width + sum(e) for e, r in self.rows.items()),
-                   default=-1)
-
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")

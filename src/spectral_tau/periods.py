@@ -302,10 +302,6 @@ class ThetaContext:
     quadrature_bound: float    # largest a priori error of an edge cycle period
     settings: QuadratureSettings = field(default_factory=QuadratureSettings)
 
-    @property
-    def base(self) -> complex:   # e1, the base point of the Abel map
-        return self.curve.branch_points[0]
-
     def symmetry_defect(self) -> float:
         b = self.b_matrix
         return float(np.max(np.abs(b - b.T))) / max(1.0, float(np.max(np.abs(b))))
@@ -317,6 +313,7 @@ def period_matrix(curve: HyperellipticCurve,
     return _period_matrix_at_clearance(curve, settings or QuadratureSettings(), ELLIPSE_FRACTION)
 
 
+# Split from period_matrix while perfbench/tracer.py times each basis attempt by this name.
 def _period_matrix_at_clearance(curve: HyperellipticCurve, settings: QuadratureSettings,
                                 fraction: float) -> ThetaContext:
     """The tree basis; ``fraction`` of each edge's clear ellipse enters its quadrature bound."""
@@ -405,11 +402,12 @@ def abel_u0(curve: HyperellipticCurve, ctx: ThetaContext, divisor_points) -> np.
     """The Jacobian point of the eigenvector line bundle.
 
     With A based at P_plus, u0 = alpha (sum_j A(Q_j) - A(P_minus) - (g-1) A(e1))
-    - K.  sigma fixes e1 = ctx.base and negates eta, so A(P_minus) = 2 A(e1) and,
-    modulo the lattice, u0 = alpha sum_j A_e1(Q_j) - K, where A_e1(Q_j) = H(e) +
-    (zeta leg from e) for the branch point e nearest to Q_j.  K, the vector of
-    Riemann constants for the base e1, is the half-period pi i m + B n / 2 of
-    (m, n) = ctx.riemann_characteristic (see ``_riemann_characteristic``).
+    - K, where e1 = curve.branch_points[0].  sigma fixes e1 and negates eta, so
+    A(P_minus) = 2 A(e1) and, modulo the lattice, u0 = alpha sum_j A_e1(Q_j) - K,
+    where A_e1(Q_j) = H(e) + (zeta leg from e) for the branch point e nearest to
+    Q_j.  K, the vector of Riemann constants for the base e1, is the
+    half-period pi i m + B n / 2 of (m, n) = ctx.riemann_characteristic (see
+    ``_riemann_characteristic``).
     """
     g = curve.g
     if len(divisor_points) != g + 1:

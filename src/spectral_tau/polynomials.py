@@ -7,6 +7,7 @@ empty coefficient list and has degree -1.  All arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -36,16 +37,6 @@ class Poly:
     @staticmethod
     def constant(c) -> "Poly":
         return Poly((Fraction(c),))
-
-    @staticmethod
-    def monomial(power: int, coeff=1) -> "Poly":
-        if power < 0:
-            raise ValueError("monomial power must be nonnegative")
-        return Poly((0,) * power + (Fraction(coeff),))
-
-    @staticmethod
-    def from_descending(coeffs: Sequence) -> "Poly":
-        return Poly(tuple(reversed([Fraction(c) for c in coeffs])))
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -115,18 +106,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Exact euclidean division over the field of rationals."""
         other = _coerce(other)
@@ -171,12 +150,6 @@ class Poly:
                 result = result * x + complex(c)
         return result
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by z**k (k >= 0)."""
-        if self.is_zero():
-            return self
-        return Poly((Fraction(0),) * k + self.coeffs)
-
     def float_coeffs_descending(self) -> list[float]:
         return [float(c) for c in reversed(self.coeffs)] if self.coeffs else [0.0]
 
@@ -205,12 +178,40 @@ def _coerce(x) -> Poly:
     return NotImplemented
 
 
+def _primitive(coeffs) -> list[int]:
+    """Integers proportional to the rational (or integer) coefficients, with gcd 1."""
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    content = gcd(*ints)
+    return [c // content for c in ints]
+
+
+def _pseudo_remainder(f: list[int], g: list[int]) -> list[int]:
+    """lc(g)^e f mod g for some e >= 0, by integer steps; ascending, zeros trimmed."""
+    r, top, lead = list(f), len(g) - 1, g[-1]
+    while len(r) > top:
+        c, shift = r[-1], len(r) - 1 - top
+        r = [lead * x for x in r]
+        for j, y in enumerate(g):
+            r[shift + j] -= c * y
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over Q[z]."""
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    return a.monic() if not a.is_zero() else a
+    """Monic gcd over Q[z], by a primitive remainder sequence over Z[z].
+
+    The inputs are scaled to primitive integer polynomials, and each
+    pseudo-remainder is divided by its content, so the remainders never carry
+    the common factors that make Euclid's Fractions over Q blow up (Collins,
+    J. ACM 14, 1967).  The last nonzero remainder is a gcd; it is returned
+    monic, and the gcd of two zeros is zero.
+    """
+    f, g = (_primitive(p) for p in sorted((a.coeffs, b.coeffs), key=len, reverse=True))
+    while g:
+        f, g = g, _primitive(_pseudo_remainder(f, g))
+    return Poly(f).monic()
 
 
 def is_squarefree(p: Poly) -> bool:

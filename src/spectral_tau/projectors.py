@@ -1,4 +1,4 @@
-"""Spectral projectors and branch expansions at infinity.
+"""Spectral projectors at infinity.
 
 Everything here is a :class:`~spectral_tau.series.USeries` in u = 1/z.  Write
 W(z) = z^m B(u) with B(u) = B_0 + B_1 u + ... + B_m u^m, where B_l is W's
@@ -22,12 +22,6 @@ Kronecker substitution (Harvey, J. Symb. Comput. 44, 2009), the packing of
 sum_l Delta^l L B_l t^l is one signed int with a digit per power of t, at a
 width certified from the coefficient bound, so the identities through
 u^order are a few big-int products whose low digits must vanish.
-
-The branch w_a(z) itself, a series of valuation -m solving R(z, w_a) = 0, is
-found by Newton iteration with quadratic convergence: R_w at the branch
-starts with prod_{b!=a}(b_a - b_b) u^(-m(n-1)), invertible when the leading
-entries are distinct, so each step doubles the number of correct
-coefficients.
 """
 
 from __future__ import annotations
@@ -45,6 +39,7 @@ class BranchError(Exception):
     pass
 
 
+# PhiData and phi_coefficients stay while perfbench/tracer.py wraps phi_coefficients by name.
 @dataclass(frozen=True)
 class PhiData:
     """Matrix coefficients b_0..b_{n-1} of Phi(z,w) = sum_i b_i(z) w^{n-1-i}."""
@@ -62,50 +57,12 @@ def phi_coefficients(curve: SpectralCurveData) -> PhiData:
     return PhiData(n=curve.n, b=curve.adjugate)
 
 
-def _horner(terms, w: USeries) -> USeries:
-    """terms[0] w^d + terms[1] w^(d-1) + ... + terms[d]."""
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc * w + t
-    return acc
-
-
-def _char_terms(curve: SpectralCurveData, length: int) -> list[USeries]:
-    """a_0 = 1, a_1(z), ..., a_n(z) as series of the given length."""
-    return [USeries.from_poly(curve.a(i), length) for i in range(curve.n + 1)]
-
-
 def _require_valid(curve: SpectralCurveData, sheet: int) -> None:
     fatal = curve.fatal_diagnostics()
     if fatal:
         raise BranchError(f"invalid input: {fatal[0].detail or fatal[0].name}")
     if not 1 <= sheet <= curve.n:
         raise BranchError(f"sheet index {sheet} out of range 1..{curve.n}")
-
-
-def branch_series(curve: SpectralCurveData, sheet: int, order: int) -> USeries:
-    """Branch w_sheet(z) as a series of valuation -m trusted through z^(m - order).
-
-    Solves R(z, w) = 0 for w = b0_sheet z^m + ..., b0_sheet the sheet label.
-    Each Newton step doubles the number of correct coefficients, so the
-    steps run at lengths 2, 4, ... up to order + 1, starting from the exact
-    leading term.  The zeros padding each iterate are a guess, not trusted
-    values; what certifies the result is R(z, w) = 0 on the whole window,
-    checked at the end, since R_w is invertible there and the root is
-    therefore unique.
-    """
-    _require_valid(curve, sheet)
-    n = curve.n
-    w = USeries(-curve.m, [curve.sheet_labels[sheet - 1]])
-    while len(w.coeffs) < order + 1:
-        length = min(2 * len(w.coeffs), order + 1)
-        terms = _char_terms(curve, length)
-        w = USeries(w.val, w.coeffs + (0,) * (length - len(w.coeffs)))
-        r_w = _horner([(n - i) * t for i, t in enumerate(terms[:n])], w)
-        w = w - _horner(terms, w) * r_w.inverse()
-    if not branch_residual(curve, w).is_zero():
-        raise BranchError("Newton iteration for the branch series failed to converge")
-    return w
 
 
 def _defects(lb, q, delta: int, k: int):
@@ -231,8 +188,3 @@ def all_projectors(w: MatrixPolynomial, order: int,
     if curve is None:
         curve = characteristic_data(w)
     return [projector_series(w, a, order, curve) for a in range(1, w.n + 1)]
-
-
-def branch_residual(curve: SpectralCurveData, branch: USeries) -> USeries:
-    """R(z, branch) as a series; zero within its window for a valid branch."""
-    return _horner(_char_terms(curve, len(branch.coeffs)), branch)

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 from .curve import InvalidMatrixPolynomial, MatrixPolynomial
 from .rationals import format_rational, parse_rational
 
-if TYPE_CHECKING:  # the two *_from_json constructors import them when called
+if TYPE_CHECKING:  # annotations only, so parsing input imports neither module
     from .correlators import CorrelatorTable
     from .jets import JetPoint
 
@@ -30,7 +30,7 @@ def parse_matrix_polynomial(data: dict) -> MatrixPolynomial:
         if key not in data:
             raise ParseError(f"missing field {key!r}")
     n, m = data["n"], data["m"]
-    if not isinstance(n, int) or not isinstance(m, int) or n < 2 or m < 1:
+    if any(type(x) is not int for x in (n, m)) or n < 2 or m < 1:  # a bool is no integer here
         raise ParseError("need integer n >= 2 and m >= 1")
     coeffs = data["coefficients"]
     if not isinstance(coeffs, list) or len(coeffs) != m + 1:
@@ -74,16 +74,6 @@ def correlator_table_to_json(table: CorrelatorTable) -> dict:
     return {"N": table.n_points, "entries": entries, "trusted_order": table.trusted_order}
 
 
-def correlator_table_from_json(data: dict) -> CorrelatorTable:
-    from .correlators import CorrelatorTable
-
-    entries = {}
-    for item in data["entries"]:
-        key = tuple((int(a), int(k)) for a, k in zip(item["a"], item["k"]))
-        entries[key] = parse_rational(item["value"])
-    return CorrelatorTable(int(data["N"]), entries, int(data["trusted_order"]))
-
-
 def divisor_points_to_json(points) -> list:
     return [
         {
@@ -112,15 +102,3 @@ def jet_to_json(jet: JetPoint) -> dict:
             for (i, j, b, c), v in sorted(jet.d2.items())
         ],
     }
-
-
-def jet_from_json(data: dict) -> JetPoint:
-    from .jets import JetPoint
-
-    y = {(int(e["i"]), int(e["j"])): parse_rational(e["value"]) for e in data["y"]}
-    d1 = {(int(e["i"]), int(e["j"]), int(e["b"])): parse_rational(e["value"]) for e in data["d1"]}
-    d2 = {
-        (int(e["i"]), int(e["j"]), int(e["b"]), int(e["c"])): parse_rational(e["value"])
-        for e in data["d2"]
-    }
-    return JetPoint(n=int(data["n"]), y=y, d1=d1, d2=d2)

@@ -3,38 +3,24 @@
 A :class:`USeries` holds the coefficients of u^val, ..., u^(end - 1), where
 ``end = val + len(coeffs)``.  Its length is its trust certificate: a
 coefficient below ``val`` is a true zero, and a coefficient at or past
-``end`` is unknown, so reading it raises :class:`TruncationError`.  A
-polynomial p(z) enters through :meth:`USeries.from_poly` with valuation
--deg p, so W(z), the characteristic coefficients a_i(z) and the branches
-w_a ~ b0_a z^m are all series of this one type.
+``end`` is unknown, so reading it raises :class:`TruncationError`.  The
+projector series and the expansion of 1/sqrt(Q) behind the theta check's
+V-vectors are values of this one type.
 
 Window rule: a sum or difference is trusted up to the smaller of the two
-ends; a product a*b up to min(a.end + b.val, b.end + a.val), that is, from
-a.val + b.val for the smaller of the two lengths; :meth:`inverse` and
-:meth:`inv_sqrt` keep the input's length.  So every result's window is a
-sound certificate of which coefficients are exact.
+ends, and :meth:`inv_sqrt` keeps the input's length.  So every result's
+window is a sound certificate of which coefficients are exact.
 
 There is no exact mode.  An exact polynomial would need an unbounded window,
-and every operation would then have to special-case it (an inverse of an
-exact non-monomial series has no natural length at all).  Giving each
-polynomial an explicit length when it becomes a series keeps one rule for
-every value.
-
-Coefficients are Python ints and Fractions.  A product scales each operand
-to integer numerators over the lcm of its denominators, convolves in ints and
-makes one Fraction per output coefficient; a product of two int series stays
-int.  Otherwise only division (in :meth:`inverse` and :meth:`inv_sqrt`) makes
-new Fractions.
+and every operation would then have to special-case it.  Giving each value
+an explicit length when it becomes a series keeps one rule for every value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Iterable
-
-from .polynomials import Poly
 
 
 class TruncationError(Exception):
@@ -45,31 +31,12 @@ class NotInvertibleError(Exception):
     """Raised when a series has no invertible leading coefficient."""
 
 
-def _numerators(coeffs) -> tuple[list[int], int]:
-    """Integers c_k and d with coeffs[k] == c_k / d, d the lcm of the denominators."""
-    d = lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
-
-
-def _convolve(a, b) -> list:
-    """First len(a) coefficients of the product of two equally long sequences."""
-    rb = b[::-1]
-    n = len(a)
-    return [sum(map(mul, a[:k + 1], rb[n - 1 - k:])) for k in range(n)]
-
-
 class USeries:
     __slots__ = ("val", "coeffs")
 
     def __init__(self, val: int, coeffs: Iterable[int | Fraction]):
         self.val = val
         self.coeffs = tuple(coeffs)
-
-    @staticmethod
-    def from_poly(p: Poly, length: int) -> "USeries":
-        """p(1/u) with ``length`` coefficients from u^(-deg p) on."""
-        d = max(p.degree(), 0)
-        return USeries(-d, [p.coeff(d - k) for k in range(length)])
 
     @property
     def end(self) -> int:
@@ -97,7 +64,7 @@ class USeries:
         """True when every trusted coefficient vanishes."""
         return not any(self.coeffs)
 
-    # -- ring operations ---------------------------------------------------
+    # -- sums and differences ----------------------------------------------
     def _combine(self, other: "USeries", op) -> "USeries":
         val, end = min(self.val, other.val), min(self.end, other.end)
         return USeries(val, map(op, self.coefficients(val, end), other.coefficients(val, end)))
@@ -108,40 +75,12 @@ class USeries:
     def __sub__(self, other: "USeries") -> "USeries":
         return self._combine(other, sub)
 
-    def __mul__(self, other) -> "USeries":
-        if isinstance(other, (int, Fraction)):
-            return USeries(self.val, [other * c for c in self.coeffs])
-        n = min(len(self.coeffs), len(other.coeffs))
-        a, b = self.coeffs[:n], other.coeffs[:n]
-        val = self.val + other.val
-        if all(type(c) is int for c in a + b):
-            return USeries(val, _convolve(a, b))
-        (na, da), (nb, db) = _numerators(a), _numerators(b)
-        d = da * db
-        return USeries(val, [Fraction(c, d) for c in _convolve(na, nb)])
-
-    __rmul__ = __mul__
-
     def _normalized(self) -> "USeries":
         """Drop leading zeros: the valuation rises, the end stays."""
         for k, c in enumerate(self.coeffs):
             if c:
                 return USeries(self.val + k, self.coeffs[k:])
         raise NotInvertibleError("series vanishes on its trusted window")
-
-    def inverse(self) -> "USeries":
-        """1/s, of valuation -val and the same length as s without leading zeros."""
-        s = self._normalized()
-        a = s.coeffs
-        inv0 = 1 / Fraction(a[0])
-        out = [inv0]
-        for k in range(1, len(a)):
-            acc = 0
-            for j in range(1, k + 1):
-                if a[j]:
-                    acc += a[j] * out[k - j]
-            out.append(-acc * inv0)
-        return USeries(-s.val, out)
 
     def inv_sqrt(self) -> "USeries":
         """s^(-1/2) for s = 1 + O(u), of the same length.

@@ -72,6 +72,7 @@ def _raw_values(u: np.ndarray, b: np.ndarray, derivs, radius: int, axes=None) ->
     return {d: complex(np.sum(np.prod(p[:, list(d)], axis=1) * terms)) for d in derivs}
 
 
+# A function of its own, not inlined into theta, while perfbench/tracer.py wraps it by name.
 def theta_with_derivatives(u, b, derivs=((),)) -> dict:
     """theta and the coordinate derivative multi-indices ``derivs`` at u, in one box."""
     b, u = np.asarray(b, dtype=complex), np.asarray(u, dtype=complex)
@@ -124,6 +125,7 @@ def log_derivatives(u, b, tuples, axes=None) -> tuple[complex, dict]:
     return values[()], {t: _assemble(values, t) for t in tuples}
 
 
+# No caller in the package: it stays while perfbench/tracer.py wraps it by name.
 def log_theta_derivatives(u, b, indices) -> complex:
     """d^N log theta / du_{i1}..du_{iN} via the set-partition expansion.
 

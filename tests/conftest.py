@@ -1,4 +1,5 @@
-"""Seeded instance generators and series-grid helpers shared by the test suite."""
+"""Seeded instance generators, series-grid helpers and the oracles shared by the
+test suite: code the package itself no longer runs, kept here to check it."""
 
 from __future__ import annotations
 
@@ -20,13 +21,14 @@ from spectral_tau import MatrixPolynomial, characteristic_data, hyperelliptic_co
 from spectral_tau.correlators import (
     _cycle_sign_and_missing, _integer_slot, _largest, _matmul, _packed_slot, _trace_of_product,
 )
-from spectral_tau.divisor import pole_divisor
+from spectral_tau.divisor import _polish_root, _row_sum_value, cofactor_row_sums, pole_divisor
+from spectral_tau.jets import JetError, validate_jet
 from spectral_tau.multipoly import (
     InexactDivisionError, MultiPoly, multipoly_exact_divide, packing_width,
 )
 from spectral_tau.periods import HyperellipticCurve, abel_u0, period_matrix, v_vectors
 from spectral_tau.polynomials import Poly
-from spectral_tau.projectors import _defects, branch_series
+from spectral_tau.projectors import BranchError, _defects, _require_valid
 from spectral_tau.serialize import parse_matrix_polynomial
 from spectral_tau.series import USeries
 from spectral_tau.theta import log_derivatives, reduce_mod_lattice
@@ -57,6 +59,92 @@ def random_matrix_polynomial(seed, n, m, traceless=False, distinct_range=8):
             return w
 
 
+# -- series arithmetic beyond the package's window type ---------------------------
+# USeries adds, subtracts and takes 1/sqrt; the oracles below also multiply,
+# invert and embed polynomials, under the same window rule: a product is
+# trusted from a.val + b.val for the shorter of the two lengths, and an inverse
+# keeps the length.  A product convolves integer numerators over the lcm of
+# each operand's denominators and makes one Fraction per coefficient; a
+# convolution of Fractions makes the projector oracles several times slower.
+
+def series_from_poly(p, length):
+    """p(1/u) with ``length`` coefficients from u^(-deg p) on."""
+    d = max(p.degree(), 0)
+    return USeries(-d, [p.coeff(d - k) for k in range(length)])
+
+
+def _numerators(coeffs):
+    """Integers c_k and d with coeffs[k] == c_k / d, d the lcm of the denominators."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def series_mul(a, b):
+    """a*b for series a and b, or a times the scalar b."""
+    if isinstance(b, (int, Fraction)):
+        return USeries(a.val, [b * c for c in a.coeffs])
+    n = min(len(a.coeffs), len(b.coeffs))
+    (x, dx), (y, dy) = (_numerators(s.coeffs[:n]) for s in (a, b))
+    return USeries(a.val + b.val, [Fraction(sum(x[i] * y[k - i] for i in range(k + 1)), dx * dy)
+                                   for k in range(n)])
+
+
+def series_inverse(s):
+    """1/s, of valuation -val and the same length as s without leading zeros."""
+    s = s._normalized()
+    a = s.coeffs
+    inv0 = 1 / Fraction(a[0])
+    out = [inv0]
+    for k in range(1, len(a)):
+        out.append(-sum((a[j] * out[k - j] for j in range(1, k + 1)), Fraction(0)) * inv0)
+    return USeries(-s.val, out)
+
+
+# -- Newton branch oracle ------------------------------------------------------
+# The branch w_a(z) at infinity, found before the projectors came from the
+# perturbation recursion; the projector checks compare against it.
+
+def _horner(terms, w):
+    """terms[0] w^d + terms[1] w^(d-1) + ... + terms[d]."""
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = series_mul(acc, w) + t
+    return acc
+
+
+def _char_terms(curve, length):
+    """a_0 = 1, a_1(z), ..., a_n(z) as series of the given length."""
+    return [series_from_poly(curve.a(i), length) for i in range(curve.n + 1)]
+
+
+def branch_series(curve, sheet, order):
+    """Branch w_sheet(z) as a series of valuation -m trusted through z^(m - order).
+
+    Solves R(z, w) = 0 for w = b0_sheet z^m + ... by Newton steps at lengths
+    2, 4, ... up to order + 1 from the exact leading term: R_w at the branch
+    starts with prod_{b!=a}(b_a - b_b) u^(-m(n-1)), invertible for distinct
+    leading entries, so each step doubles the correct coefficients.  The
+    result is certified by R(z, w) = 0 on the whole window.
+    """
+    _require_valid(curve, sheet)
+    n = curve.n
+    w = USeries(-curve.m, [curve.sheet_labels[sheet - 1]])
+    while len(w.coeffs) < order + 1:
+        length = min(2 * len(w.coeffs), order + 1)
+        terms = _char_terms(curve, length)
+        w = USeries(w.val, w.coeffs + (0,) * (length - len(w.coeffs)))
+        r_w = _horner([series_mul(t, n - i) for i, t in enumerate(terms[:n])], w)
+        w = w - series_mul(_horner(terms, w), series_inverse(r_w))
+    if not branch_residual(curve, w).is_zero():
+        raise BranchError("Newton iteration for the branch series failed to converge")
+    return w
+
+
+def branch_residual(curve, branch):
+    """R(z, branch) as a series; zero within its window for a valid branch."""
+    return _horner(_char_terms(curve, len(branch.coeffs)), branch)
+
+
 def adjugate_projector(w, sheet, order):
     """Pi_sheet = Phi(z, w_a) / R_w(z, w_a) through u^order: the adjugate Phi of
     w*1 - W(z) and R_w = dR/dw evaluated by Horner at the Newton branch w_a.
@@ -66,13 +154,14 @@ def adjugate_projector(w, sheet, order):
     n, length = curve.n, order + 1
 
     def at_branch(polys):
-        acc = USeries.from_poly(polys[0], length)
+        acc = series_from_poly(polys[0], length)
         for p in polys[1:]:
-            acc = acc * wa + USeries.from_poly(p, length)
+            acc = series_mul(acc, wa) + series_from_poly(p, length)
         return acc
 
-    t_inv = at_branch([Fraction(n - i) * curve.a(i) for i in range(n)]).inverse()
-    return tuple(tuple(at_branch([b[r][c] for b in curve.adjugate]) * t_inv for c in range(n))
+    t_inv = series_inverse(at_branch([Fraction(n - i) * curve.a(i) for i in range(n)]))
+    return tuple(tuple(series_mul(at_branch([b[r][c] for b in curve.adjugate]), t_inv)
+                       for c in range(n))
                  for r in range(n))
 
 
@@ -155,14 +244,14 @@ def grid_add(a, b):
 def grid_mul(a, b):
     n = len(a)
     return tuple(
-        tuple(reduce(add, (a[i][k] * b[k][j] for k in range(n))) for j in range(n))
+        tuple(reduce(add, (series_mul(a[i][k], b[k][j]) for k in range(n))) for j in range(n))
         for i in range(n)
     )
 
 
 def grid_scale(a, s):
-    """Every entry times the series s."""
-    return tuple(tuple(x * s for x in row) for row in a)
+    """Every entry times the series (or scalar) s."""
+    return tuple(tuple(series_mul(x, s) for x in row) for row in a)
 
 
 def grid_trace(a):
@@ -176,7 +265,7 @@ def coeff_matrix(a, k):
 
 def poly_grid(mat, length):
     """A matrix of z-polynomials as a grid of series of the given length."""
-    return tuple(tuple(USeries.from_poly(p, length) for p in row) for row in mat)
+    return tuple(tuple(series_from_poly(p, length) for p in row) for row in mat)
 
 
 # -- dict-convolution oracle for MultiPoly -------------------------------------
@@ -335,3 +424,137 @@ def scan_half_period(w, kmax: dict, tol: float) -> list:
                         and abs(logs[ks].imag) < tol for (n, ks), f in exact.items()):
             winners.append(label)
     return winners
+
+
+# -- oracles the package no longer carries ---------------------------------------
+
+def poly_gcd_q(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by Euclid over Q[z], the gcd before the integer remainder sequence."""
+    while not b.is_zero():
+        _, r = a.divmod(b)
+        a, b = b, r
+    return a.monic() if not a.is_zero() else a
+
+
+def total_degree(p: MultiPoly) -> int:
+    """Largest total degree of a term of p; -1 for zero."""
+    return max(map(sum, p.terms), default=-1)
+
+
+def matrix_trace(w: MatrixPolynomial) -> Poly:
+    return reduce(add, (w.matrix[i][i] for i in range(w.n)))
+
+
+def conjugate_diagonal(w: MatrixPolynomial, d) -> MatrixPolynomial:
+    """D^-1 W D for diagonal D = diag(d) with nonzero entries."""
+    d = [Fraction(x) for x in d]
+    assert len(d) == w.n and all(d)
+    return MatrixPolynomial.from_entries(
+        [[w.matrix[i][j] * (d[j] / d[i]) for j in range(w.n)] for i in range(w.n)], m=w.m)
+
+
+def jet_is_valid(jet) -> bool:
+    return all(r.residue == 0 for r in validate_jet(jet))
+
+
+def tau_second_derivative(jet, a: int, b: int, level: int) -> Fraction:
+    """d^2 log tau / dt^a_0 dt^b_level at the base point, level in {0, 1, 2}, in
+    closed form from the jet: the bridge the pair tables are checked against."""
+    n = jet.n
+    if level not in (0, 1, 2):
+        raise JetError("level must be 0, 1 or 2")
+    if level == 0:
+        if a != b:
+            return -jet.value(a, b) * jet.value(b, a)
+        return sum((jet.value(a, s) * jet.value(s, a) for s in range(1, n + 1)), Fraction(0))
+    if level == 1:
+        if a != b:
+            return (
+                jet.deriv(a, b, b) * jet.value(b, a)
+                - jet.value(a, b) * jet.deriv(b, a, b)
+            )
+        return sum(
+            (
+                jet.value(a, s) * jet.deriv(s, a, s) - jet.deriv(a, s, s) * jet.value(s, a)
+                for s in range(1, n + 1) if s != a
+            ),
+            Fraction(0),
+        )
+    if a != b:
+        sum_bb = sum((jet.value(b, s) * jet.value(s, b) for s in range(1, n + 1)), Fraction(0))
+        return (
+            -jet.value(a, b) * jet.deriv2(b, a, b, b)
+            - jet.value(b, a) * jet.deriv2(a, b, b, b)
+            + jet.deriv(a, b, b) * jet.deriv(b, a, b)
+            - 3 * jet.value(a, b) * jet.value(b, a) * sum_bb
+        )
+    return -sum(
+        (tau_second_derivative(jet, s, a, 2) for s in range(1, n + 1) if s != a),
+        Fraction(0),
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class DivisorComparisonPoint:
+    z: complex
+    w: complex
+    on_curve_residual: float
+    eigenvector_residual: float
+    matches_general: bool
+
+
+@dataclasses.dataclass(frozen=True)
+class HyperellipticDivisorReport:
+    general: tuple
+    specialized: tuple  # DivisorComparisonPoint for the printed closed-form roots
+    conventions_agree: bool
+    note: str
+
+
+def hyperelliptic_divisor(a: Poly, b: Poly, c: Poly, tol: float = 1e-9):
+    """General divisor of [[a,b],[c,-a]] plus a report on the printed closed form.
+
+    The eigenvector-pole conditions for this 2x2 shape read 2a = b - c with
+    w = -(b+c)/2; the printed specialization a = (b+c)/2, w = (c-b)/2 belongs
+    to the opposite sign convention for c and its points generically are not
+    on the curve w^2 = a^2 + bc.  Both root sets are reported with residuals
+    so the discrepancy stays visible instead of being silently patched.
+    """
+    w_mat = MatrixPolynomial.from_entries([[a, b], [c, -a]])
+    curve = characteristic_data(w_mat)
+    general = pole_divisor(w_mat, tol, curve)
+    q = cofactor_row_sums(w_mat, curve)
+    # printed closed form: roots of a - (b+c)/2, w = (c-b)/2
+    special_poly = a - (b + c) * Fraction(1, 2)
+    specialized = []
+    agree = True
+    if special_poly.degree() >= 1:
+        for z in np.roots(special_poly.float_coeffs_descending()):
+            z = _polish_root(special_poly, complex(z))
+            w_val = complex((c - b)(z)) / 2
+            res_curve = abs(curve.r_at(z, w_val))
+            res_eig = max(abs(_row_sum_value(q[i], z, w_val, 2)) for i in range(2))
+            match = any(
+                abs(p.z - z) < max(tol, 1e-7) and abs(p.w - w_val) < max(tol, 1e-7)
+                for p in general
+            )
+            agree = agree and match and res_curve < max(tol, 1e-7)
+            specialized.append(
+                DivisorComparisonPoint(
+                    z=complex(z), w=complex(w_val),
+                    on_curve_residual=float(res_curve),
+                    eigenvector_residual=float(res_eig),
+                    matches_general=bool(match),
+                )
+            )
+    note = (
+        "printed specialization matches the general algorithm"
+        if agree
+        else "printed specialization disagrees with the eigenvector-pole condition; "
+        "it corresponds to flipping the sign of c (the general points satisfy "
+        "2a = b - c, w = -(b+c)/2)"
+    )
+    return HyperellipticDivisorReport(
+        general=tuple(general), specialized=tuple(specialized),
+        conventions_agree=bool(agree), note=note,
+    )

@@ -25,15 +25,16 @@ from spectral_tau import (
     hyperelliptic_combination,
     jet_from_projectors,
     pole_divisor,
-    tau_second_derivative,
     validate_jet,
     verify_main_theorem,
 )
 from spectral_tau.polynomials import Poly
-from spectral_tau.projectors import all_projectors, branch_series
+from spectral_tau.projectors import all_projectors
 
 from conftest import (
+    branch_series,
     coeff_matrix,
+    conjugate_diagonal,
     grid_add,
     grid_mul,
     grid_scale,
@@ -42,6 +43,7 @@ from conftest import (
     poly_grid,
     random_hyperelliptic,
     random_matrix_polynomial,
+    tau_second_derivative,
 )
 
 
@@ -244,7 +246,7 @@ def test_acceptance_4_summation_and_symmetry():
             assert t12.value(((1, k1), (2, k2))) == t21.value(((2, k2), (1, k1)))
         # diagonal conjugation invariance
         d = [Fraction(2 + i, 1 + (i % 2)) for i in range(n)]
-        w2 = w.conjugate_diagonal(d)
+        w2 = conjugate_diagonal(w, d)
         engine2 = CorrelatorEngine(w2)
         assert (
             correlator_pair(w, 1, 2, 1, engine).entries

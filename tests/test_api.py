@@ -6,6 +6,21 @@ import sys
 import spectral_tau
 
 
+def test_public_names_are_pinned():
+    """The public surface, spelled out: adding or dropping a name edits this list."""
+    assert spectral_tau.__all__ == [
+        "CorrelatorEngine", "CorrelatorTable", "DivisorPoint", "HyperellipticCurve",
+        "JacobianPoint", "JetPoint", "MatrixPolynomial", "MultiPoly", "Poly", "Rational",
+        "ResolventCoeffs", "SpectralCurveData", "ThetaContext", "TruncationError", "USeries",
+        "VData", "VerificationReport", "abel_u0", "characteristic_data", "cofactor_row_sums",
+        "correlator_n", "correlator_pair", "d_polynomial", "format_rational", "genus",
+        "hyperelliptic_combination", "jacobian_point", "jet_from_projectors",
+        "log_theta_derivatives", "multipoly_exact_divide", "parse_rational", "period_matrix",
+        "pole_divisor", "projector_series", "resolvent_coefficients", "v_vectors",
+        "validate_jet", "verify_main_theorem",
+    ]
+
+
 def test_every_exported_name_resolves():
     for name in spectral_tau.__all__:
         assert getattr(spectral_tau, name) is not None, name

@@ -91,6 +91,16 @@ class TestRun:
         assert status == 2
         assert report["errors"]
 
+    @pytest.mark.parametrize("field, value", [("m", True), ("n", True), ("n", False)])
+    def test_boolean_size_is_input_error(self, tmp_path, capsys, field, value):
+        """JSON true equals 1 as a Python int; a boolean n or m still exits 2."""
+        data = json.loads(THREE.read_text())  # n = 3, m = 1: "m": true used to parse as m = 1
+        data[field] = value
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(data))
+        assert main(["curve-info", "--input", str(path)]) == 2
+        assert "need integer n >= 2 and m >= 1" in json.loads(capsys.readouterr().out)["errors"][0]
+
     def test_kmax_cap_enforced(self):
         status, report = run(JobSpec("correlators", str(G1), kmax=99))
         assert status == 2

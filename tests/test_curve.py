@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 import spectral_tau.curve as curve_module
 from spectral_tau import (
     CorrelatorEngine, MatrixPolynomial, characteristic_data, correlator_n, correlator_pair, genus,
-    hyperelliptic_combination, validate, verify_main_theorem,
+    hyperelliptic_combination, verify_main_theorem,
 )
 from spectral_tau.curve import InvalidMatrixPolynomial
-from spectral_tau.polynomials import Poly, is_squarefree, poly_gcd, poly_matrix_det
+from spectral_tau.polynomials import Poly, is_squarefree, poly_gcd, poly_matrix_det, resultant_w
 
-from conftest import doc_w, random_matrix_polynomial
+from conftest import (
+    conjugate_diagonal, doc_w, matrix_trace, poly_gcd_q, random_matrix_polynomial,
+)
 
 
 def diag_instance():
@@ -25,6 +27,12 @@ def offdiag_instance():
     return MatrixPolynomial.from_entries([[z2, Poly([0, 1])], [Poly([1]), -z2]])
 
 
+def singular_instance():
+    """w^2 = z^4 + z^2: the curve has a node over z = 0."""
+    z, z2 = Poly([0, 1]), Poly([0, 0, 1])
+    return MatrixPolynomial.from_entries([[z2, z], [z, -z2]])
+
+
 class TestPolyBasics:
     def test_divmod_exact(self):
         p = Poly([2, 3, 1])  # (z+1)(z+2)
@@ -35,6 +43,32 @@ class TestPolyBasics:
         p = Poly([1, 1]) * Poly([2, 1])
         q = Poly([1, 1]) * Poly([3, 1])
         assert poly_gcd(p, q) == Poly([1, 1])
+
+    @given(*[st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=5), max_size=5)
+             .map(Poly)] * 3)
+    @settings(max_examples=150, deadline=None)
+    def test_gcd_matches_euclid_over_q(self, common, f, g):
+        """Non-coprime inputs built as products: the integer remainder sequence
+        gives Euclid's monic gcd over Q, and the common factor divides it."""
+        a, b = common * f, common * g
+        got = poly_gcd(a, b)
+        assert got == poly_gcd_q(a, b) == poly_gcd(b, a)
+        if not got.is_zero():
+            assert got.leading() == 1
+            if not common.is_zero():
+                assert got.divmod(common)[1].is_zero()
+
+    @pytest.mark.parametrize("instance", ["n2m1", "n2m3", "n3m1", "n3m2", "n4m1", "n4m2",
+                                          "reducible", "singular"])
+    def test_discriminant_gcd_matches_euclid_over_q(self, instance):
+        """gcd(D, D') of the smoothness check's discriminant, as Euclid over Q finds it:
+        conftest seed 100 at each n, m, and two curves whose D is not squarefree."""
+        w = {"reducible": diag_instance, "singular": singular_instance}.get(
+            instance, lambda: random_matrix_polynomial(100, int(instance[1]), int(instance[3])))()
+        curve = characteristic_data(w)
+        pw = [Poly.one(), *curve.char_coeffs]
+        disc = resultant_w(pw, [Fraction(curve.n - i) * a for i, a in enumerate(pw[:curve.n])])
+        assert poly_gcd(disc, disc.derivative()) == poly_gcd_q(disc, disc.derivative())
 
     def test_squarefree(self):
         assert is_squarefree(Poly([0, 1]) * Poly([1, 1]))
@@ -49,14 +83,14 @@ class TestCharacteristicData:
     def test_diagonal(self):
         curve = characteristic_data(diag_instance())
         assert curve.a(1).is_zero()
-        assert curve.a(2) == -(Poly([0, 0, 1]) ** 2)
+        assert curve.a(2) == -(Poly([0, 0, 1]) * Poly([0, 0, 1]))
 
     def test_offdiagonal_vs_cofactor(self):
         w = offdiag_instance()
         curve = characteristic_data(w)
         # 2x2 oracle: det(w - W) = w^2 - tr W w + det W
         det_w = w.matrix[0][0] * w.matrix[1][1] - w.matrix[0][1] * w.matrix[1][0]
-        assert curve.a(1) == -w.trace()
+        assert curve.a(1) == -matrix_trace(w)
         assert curve.a(2) == det_w
         assert curve.a(2) == Poly([0, -1, 0, 0, -1])  # -z^4 - z
 
@@ -64,12 +98,12 @@ class TestCharacteristicData:
         for seed in range(5):
             w = random_matrix_polynomial(seed, 3, 2)
             curve = characteristic_data(w)
-            assert curve.a(1) == -w.trace()
+            assert curve.a(1) == -matrix_trace(w)
 
     def test_conjugation_invariance(self):
         w = random_matrix_polynomial(11, 3, 1)
         curve = characteristic_data(w)
-        w2 = w.conjugate_diagonal([Fraction(2), Fraction(-3, 2), Fraction(5)])
+        w2 = conjugate_diagonal(w, [Fraction(2), Fraction(-3, 2), Fraction(5)])
         curve2 = characteristic_data(w2)
         assert curve.char_coeffs == curve2.char_coeffs
 
@@ -99,18 +133,18 @@ class TestValidate:
     def test_repeated_leading_entries_fatal(self):
         z2 = Poly([0, 0, 1])
         w = MatrixPolynomial.from_entries([[z2, Poly([1])], [Poly([1]), z2]])
-        diags = {d.name: d for d in validate(w)}
+        diags = {d.name: d for d in characteristic_data(w).diagnostics}
         assert not diags["leading_entries_distinct"].passed
         assert diags["leading_entries_distinct"].fatal
 
     def test_nondiagonal_leading_fatal(self):
         z2 = Poly([0, 0, 1])
         w = MatrixPolynomial.from_entries([[z2, z2], [Poly([1]), -z2]])
-        diags = {d.name: d for d in validate(w)}
+        diags = {d.name: d for d in characteristic_data(w).diagnostics}
         assert not diags["leading_coefficient_diagonal"].passed
 
     def test_five_checks_in_order(self):
-        assert [d.name for d in validate(offdiag_instance())] == [
+        assert [d.name for d in characteristic_data(offdiag_instance()).diagnostics] == [
             "leading_coefficient_diagonal", "leading_entries_distinct", "genus_positive",
             "char_coeff_degrees", "smoothness_squarefree_discriminant"]
 

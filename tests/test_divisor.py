@@ -6,14 +6,16 @@ from spectral_tau import (
     MatrixPolynomial,
     cofactor_row_sums,
     d_polynomial,
-    hyperelliptic_divisor,
     pole_divisor,
 )
 from spectral_tau.divisor import DivisorError, expected_d_degree
 from spectral_tau.curve import characteristic_data, genus
 from spectral_tau.polynomials import Poly, poly_matrix_det
 
-from conftest import power_matrices, random_hyperelliptic, random_matrix_polynomial
+from conftest import (
+    conjugate_diagonal, hyperelliptic_divisor, power_matrices, random_hyperelliptic,
+    random_matrix_polynomial,
+)
 
 
 class TestDPolynomial:
@@ -90,7 +92,7 @@ class TestPoleDivisor:
     def test_conjugation_keeps_count(self):
         w = random_matrix_polynomial(61, 3, 1)
         pts = pole_divisor(w)
-        w2 = w.conjugate_diagonal([Fraction(5), Fraction(1, 2), Fraction(-3)])
+        w2 = conjugate_diagonal(w, [Fraction(5), Fraction(1, 2), Fraction(-3)])
         pts2 = pole_divisor(w2)
         assert len(pts) == len(pts2)
 
