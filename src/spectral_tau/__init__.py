@@ -27,8 +27,8 @@ _EXPORTS = {
     "jets": ("JetPoint", "ResolventCoeffs", "jet_from_projectors", "resolvent_coefficients",
              "validate_jet"),
     "multipoly": ("MultiPoly", "multipoly_exact_divide"),
-    "periods": ("HyperellipticCurve", "JacobianPoint", "ThetaContext", "VData", "abel_u0",
-                "jacobian_point", "period_matrix", "v_vectors"),
+    "periods": ("HyperellipticCurve", "ThetaContext", "VData", "abel_u0", "jacobian_point",
+                "period_matrix", "v_vectors"),
     "polynomials": ("Poly",),
     "projectors": ("projector_series",),
     "rationals": ("Rational", "format_rational", "parse_rational"),

@@ -1,9 +1,16 @@
 """Command-line front end.
 
-Subcommands: curve-info, correlators, divisor, jet, verify-theta.  Input is
-the matrix-polynomial JSON schema; output is a deterministic JSON report on
-stdout or --output.  Exit status: 0 success, 1 verification failure or a
-failed numerical stage (divisor, periods, theta), 2 input error.
+Every subcommand takes --input (the matrix-polynomial JSON schema) and
+--output (the report file; stdout without it), and only the flags it reads:
+
+    curve-info, jet   nothing more
+    correlators       --kmax --max-n --indices
+    divisor           --tol
+    verify-theta      --kmax --max-n --tol
+
+The report is deterministic JSON.  Exit status: 0 success, 1 verification
+failure or a failed numerical stage (divisor, periods, theta), 2 input error
+(a flag a subcommand does not take is argparse's usage error, also 2).
 
 Each handler imports the modules it runs, so the exact subcommands
 (curve-info, correlators, jet) start without numpy and the numerical
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -53,41 +61,42 @@ def _load_input(job: JobSpec):
     return parse_matrix_polynomial(data)
 
 
-def _parse_indices(text: str):
+# Each check raises ParseError (exit status 2) with a message that starts with its flag.
+
+def _check_range(flag, value, low, cap):
+    if value < low:
+        raise ParseError(f"{flag}: {value} is below {low}")
+    if value > cap:
+        raise ParseError(f"{flag}: {value} exceeds the caps (at most {cap})")
+
+
+def _check_sizes(job: JobSpec) -> None:
+    """--kmax in 0..KMAX_CAP and --max-n in 0..MAXN_CAP."""
+    _check_range("--kmax", job.kmax, 0, KMAX_CAP)
+    _check_range("--max-n", job.max_n, 0, MAXN_CAP)
+
+
+def _checked_tol(job: JobSpec) -> float:
+    if not (math.isfinite(job.tol) and job.tol > 0):
+        raise ParseError(f"--tol: {job.tol} is not a finite number > 0")
+    return job.tol
+
+
+def _checked_indices(text: str, n: int) -> tuple:
+    """The pairs (a, k) of "a1,k1;a2,k2;...": 2..MAXN_CAP of them, a in 1..n, k in 0..KMAX_CAP."""
     pairs = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        a, k = chunk.split(",")
-        pairs.append((int(a), int(k)))
-    return tuple(pairs)
-
-
-def _checked_indices(job: JobSpec, n: int):
-    """Range-check --kmax, --max-n and --indices; returns the index pairs or None.
-
-    Sheets lie in 1..n, orders k and --kmax in 0..KMAX_CAP, and --max-n and
-    the number of index pairs are at most MAXN_CAP.  A value out of range
-    raises ParseError (exit status 2) naming its flag.
-    """
-    def check(flag, value, low, cap):
-        if value < low:
-            raise ParseError(f"{flag}: {value} is below {low}")
-        if value > cap:
-            raise ParseError(f"{flag}: {value} exceeds the caps (at most {cap})")
-
-    check("--kmax", job.kmax, 0, KMAX_CAP)
-    check("--max-n", job.max_n, 0, MAXN_CAP)
-    if not job.indices:
-        return None
-    pairs = _parse_indices(job.indices)
-    check("--indices: number of pairs", len(pairs), 2, MAXN_CAP)
+    for chunk in filter(None, (c.strip() for c in text.split(";"))):
+        try:
+            a, k = map(int, chunk.split(","))
+        except ValueError:
+            raise ParseError(f"--indices: {chunk!r} is not a pair a,k of integers") from None
+        pairs.append((a, k))
+    _check_range("--indices: number of pairs", len(pairs), 2, MAXN_CAP)
     for a, k in pairs:
         if not 1 <= a <= n:
             raise ParseError(f"--indices: sheet {a} outside 1..{n}")
-        check("--indices: order k", k, 0, KMAX_CAP)
-    return pairs
+        _check_range("--indices: order k", k, 0, KMAX_CAP)
+    return tuple(pairs)
 
 
 def _cmd_curve_info(job: JobSpec) -> dict:
@@ -114,7 +123,8 @@ def _cmd_correlators(job: JobSpec) -> dict:
     from .correlators import CorrelatorEngine, correlator_n, correlator_pair
 
     w = _load_input(job)
-    pairs = _checked_indices(job, w.n)
+    _check_sizes(job)
+    pairs = _checked_indices(job.indices, w.n) if job.indices else None
     engine = CorrelatorEngine(w)
     tables = []
     if pairs:
@@ -142,9 +152,10 @@ def _cmd_divisor(job: JobSpec) -> dict:
     from .divisor import DivisorError, d_polynomial, expected_d_degree, pole_divisor
 
     w = _load_input(job)
+    tol = _checked_tol(job)
     curve = characteristic_data(w)
     try:
-        points = pole_divisor(w, job.tol, curve)
+        points = pole_divisor(w, tol, curve)
         dpoly = d_polynomial(w, curve)
     except DivisorError as exc:
         raise StageError(str(exc)) from exc
@@ -179,28 +190,38 @@ def _cmd_verify_theta(job: JobSpec) -> dict:
     from .verify import verify_main_theorem
 
     w = _load_input(job)
-    _checked_indices(job, w.n)
+    _check_sizes(job)
+    tol = _checked_tol(job)
     kmax = {n: job.kmax for n in range(3, max(4, job.max_n) + 1)}
     try:
-        report = verify_main_theorem(w, kmax=kmax, tol=max(job.tol, 1e-12))
+        report = verify_main_theorem(w, kmax=kmax, tol=max(tol, 1e-12))
     except (DivisorError, PeriodError, ThetaError) as exc:
         raise StageError(str(exc)) from exc
     return report.to_json_dict()
 
 
+# subcommand -> (handler, the flags it reads besides --input and --output)
 _COMMANDS = {
-    "curve-info": _cmd_curve_info,
-    "correlators": _cmd_correlators,
-    "divisor": _cmd_divisor,
-    "jet": _cmd_jet,
-    "verify-theta": _cmd_verify_theta,
+    "curve-info": (_cmd_curve_info, ()),
+    "correlators": (_cmd_correlators, ("--kmax", "--max-n", "--indices")),
+    "divisor": (_cmd_divisor, ("--tol",)),
+    "jet": (_cmd_jet, ()),
+    "verify-theta": (_cmd_verify_theta, ("--kmax", "--max-n", "--tol")),
+}
+
+# flag -> (JobSpec field, which also holds its default; type; help)
+_FLAGS = {
+    "--kmax": ("kmax", int, f"largest order k, 0..{KMAX_CAP}"),
+    "--max-n": ("max_n", int, f"largest number of points N, 0..{MAXN_CAP}"),
+    "--tol": ("tol", float, "tolerance, a finite number > 0"),
+    "--indices": ("indices", str, 'index pairs "a1,k1;a2,k2;..." for a single correlator'),
 }
 
 
 def run(job: JobSpec) -> tuple[int, dict]:
     """Dispatch a job; returns (exit_status, report)."""
     try:
-        report = _COMMANDS[job.command](job)
+        report = _COMMANDS[job.command][0](job)
     except (ParseError, FileNotFoundError, json.JSONDecodeError, ValueError, KeyError) as exc:
         return 2, {"errors": [str(exc)]}
     except StageError as exc:
@@ -225,29 +246,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact spectral-curve correlators and theta-function verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--input", required=True, help="matrix polynomial JSON file")
-        p.add_argument("--output", default=None, help="write the JSON report here")
-        p.add_argument("--kmax", type=int, default=2)
-        p.add_argument("--max-n", type=int, default=2, dest="max_n")
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--indices", default=None,
-                       help='index pairs "a1,k1;a2,k2;..." for a single correlator')
+        p.add_argument("--input", dest="input_path", metavar="INPUT", required=True,
+                       help="matrix polynomial JSON file")
+        p.add_argument("--output", dest="output_path", metavar="OUTPUT", default=None,
+                       help="write the JSON report here")
+        for flag in flags:
+            field, kind, text = _FLAGS[flag]
+            p.add_argument(flag, dest=field, type=kind, default=getattr(JobSpec, field), help=text)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    job = JobSpec(
-        command=args.command,
-        input_path=args.input,
-        output_path=args.output,
-        kmax=args.kmax,
-        max_n=args.max_n,
-        tol=args.tol,
-        indices=args.indices,
-    )
+    job = JobSpec(**vars(build_parser().parse_args(argv)))
     status, report = run(job)
     _emit(report, job.output_path)
     return status

@@ -224,7 +224,7 @@ def _structural(w: MatrixPolynomial) -> list[Diagnostic]:
     diags.append(
         Diagnostic(
             "leading_entries_distinct", distinct, fatal=True,
-            detail="" if distinct else f"repeated leading entries {entries}",
+            detail="" if distinct else "leading diagonal entries must be pairwise distinct",
         )
     )
     g_ok = genus(w.m, w.n) > 0

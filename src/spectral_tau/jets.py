@@ -163,9 +163,10 @@ def resolvent_coefficients(jet: JetPoint, sheet: int) -> ResolventCoeffs:
 def jet_from_projectors(w: MatrixPolynomial, projectors=None) -> JetPoint:
     """Read the jet off the first three projector coefficients of every sheet.
 
-    Values come from B_1 = -[E_a, Y], first derivatives from the off-diagonal
-    of B_2, own second derivatives from the row/column cases of B_3; every
-    quantity readable along more than one route is compared exactly and a
+    Values come from the rows of B_1 = -[E_a, Y], first derivatives from the
+    off-diagonal of B_2, own second derivatives from the row/column cases of
+    B_3 (two routes, compared).  Then every entry of B_1, B_2 and B_3 of every
+    sheet is compared with :func:`resolvent_coefficients` of the jet; a
     mismatch raises (it means the input is degenerate or outside the flow
     class the closed forms describe).
     """
@@ -173,55 +174,17 @@ def jet_from_projectors(w: MatrixPolynomial, projectors=None) -> JetPoint:
     if projectors is None:
         projectors = all_projectors(w, 3)
     coeff = lambda a, k: tuple(tuple(s[k] for s in row) for row in projectors[a - 1])
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
 
-    y: dict[tuple[int, int], Fraction] = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            from_row = -coeff(i, 1)[i - 1][j - 1]   # (B_{i,1})_{ij} = -y_ij
-            from_col = coeff(j, 1)[i - 1][j - 1]    # (B_{j,1})_{ij} = +y_ij
-            if from_row != from_col:
-                raise JetError(
-                    f"projector data inconsistent with the jet structure at y[{i},{j}]"
-                )
-            y[(i, j)] = from_row
-
-    d1: dict[tuple[int, int, int], Fraction] = {}
-    for b in range(1, n + 1):
-        mat2 = coeff(b, 2)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i != j:
-                    d1[(i, j, b)] = -mat2[i - 1][j - 1]
-        # diagonal entries of B2 are determined by the values; cross-check
-        for i in range(1, n + 1):
-            if i == b:
-                expected = sum(
-                    (y.get((b, s), Fraction(0)) * y.get((s, b), Fraction(0))
-                     for s in range(1, n + 1) if s != b),
-                    Fraction(0),
-                )
-            else:
-                expected = -y[(i, b)] * y[(b, i)]
-            if mat2[i - 1][i - 1] != expected:
-                raise JetError(
-                    f"projector data inconsistent with the jet structure at B2 diag ({i},{i}), sheet {b}"
-                )
+    y = {(i, j): -coeff(i, 1)[i - 1][j - 1] for i, j in pairs}   # (B_{i,1})_ij = -y_ij
+    d1 = {(i, j, b): -coeff(b, 2)[i - 1][j - 1] for i, j in pairs for b in range(1, n + 1)}
 
     def own_second(i: int, j: int, b: int) -> Fraction:
         """d^2 y_ij / d(x^b)^2 for b in {i, j}, read from sheet b's B3."""
-        mat3 = coeff(b, 3)
-        sum_bb = sum(
-            (y.get((b, s), Fraction(0)) * y.get((s, b), Fraction(0))
-             for s in range(1, n + 1) if s != b),
-            Fraction(0),
-        )
+        sum_bb = sum((y[(b, s)] * y[(s, b)] for s in range(1, n + 1) if s != b), Fraction(0))
         if b == i:
-            return -mat3[i - 1][j - 1] - 2 * y[(i, j)] * sum_bb
-        if b == j:
-            return mat3[i - 1][j - 1] - 2 * y[(i, j)] * sum_bb
-        raise JetError("own_second expects b in {i, j}")
+            return -coeff(b, 3)[i - 1][j - 1] - 2 * y[(i, j)] * sum_bb
+        return coeff(b, 3)[i - 1][j - 1] - 2 * y[(i, j)] * sum_bb
 
     d2: dict[tuple[int, int, int, int], Fraction] = {}
 
@@ -234,36 +197,33 @@ def jet_from_projectors(w: MatrixPolynomial, projectors=None) -> JetPoint:
             )
         d2[(i, j, b, c)] = val
 
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            # derivatives with at least one index outside {i, j}: product rule
-            for b in range(1, n + 1):
-                for c in range(1, n + 1):
-                    if c in (i, j):
-                        continue
-                    val = d1[(i, c, b)] * y[(c, j)] + y[(i, c)] * d1[(c, j, b)]
-                    put_d2(i, j, b, c, val)
-            put_d2(i, j, i, i, own_second(i, j, i))
-            put_d2(i, j, j, j, own_second(i, j, j))
-            # the mixed (i, j) entry follows from the vanishing derivative sum
-            mixed = -sum(
-                (d2[(i, j, *sorted((c, i)))] for c in range(1, n + 1) if c != j),
-                Fraction(0),
-            )
-            put_d2(i, j, i, j, mixed)
+    for i, j in pairs:
+        # derivatives with at least one index outside {i, j}: product rule
+        for b in range(1, n + 1):
+            for c in range(1, n + 1):
+                if c in (i, j):
+                    continue
+                val = d1[(i, c, b)] * y[(c, j)] + y[(i, c)] * d1[(c, j, b)]
+                put_d2(i, j, b, c, val)
+        put_d2(i, j, i, i, own_second(i, j, i))
+        put_d2(i, j, j, j, own_second(i, j, j))
+        # the mixed (i, j) entry follows from the vanishing derivative sum
+        mixed = -sum(
+            (d2[(i, j, *sorted((c, i)))] for c in range(1, n + 1) if c != j),
+            Fraction(0),
+        )
+        put_d2(i, j, i, j, mixed)
 
     jet = JetPoint(n=n, y=y, d1=d1, d2=d2)
-
-    # final cross-route check: the B3 entries away from the sheet must match
     for b in range(1, n + 1):
-        mat3 = coeff(b, 3)
         rc = resolvent_coefficients(jet, b)
-        for i in range(n):
-            for j in range(n):
-                if rc.b3[i][j] != mat3[i][j]:
-                    raise JetError(
-                        f"projector data inconsistent with the jet structure at B3[{i + 1},{j + 1}], sheet {b}"
-                    )
+        for k, closed in enumerate((rc.b1, rc.b2, rc.b3), start=1):
+            read = coeff(b, k)
+            for i in range(n):
+                for j in range(n):
+                    if closed[i][j] != read[i][j]:
+                        raise JetError(
+                            f"projector data inconsistent with the jet structure at "
+                            f"B{k}[{i + 1},{j + 1}], sheet {b}"
+                        )
     return jet

@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .curve import MatrixPolynomial, SpectralCurveData, characteristic_data
 from .polynomials import Poly, is_squarefree
 from .series import USeries
-from .theta import reduce_mod_lattice, theta
+from .theta import reduce_mod_lattice
 
 
 class PeriodError(Exception):
@@ -40,6 +40,7 @@ class PeriodError(Exception):
 
 
 ELLIPSE_FRACTION = 0.5   # share (in log rho) of a segment's clear ellipse used by its bound
+QUADRATURE_TARGET = 1e-16   # a priori error of a segment rule, relative to its integrand's bound
 
 
 @dataclass(frozen=True)
@@ -86,11 +87,6 @@ class HyperellipticCurve:
 
     def scale(self) -> float:
         return max(1.0, max(abs(e) for e in self.branch_points))
-
-
-@dataclass
-class QuadratureSettings:
-    target: float = 1e-16   # a priori error of a segment rule, relative to its integrand's bound
 
 
 def _bernstein(u) -> np.ndarray:
@@ -300,26 +296,24 @@ class ThetaContext:
     riemann_characteristic: tuple   # (m, n) in {0,1}^g: K = pi i m + B n / 2, base e1
     clearance: float           # smallest log rho of a tree edge's clear ellipse
     quadrature_bound: float    # largest a priori error of an edge cycle period
-    settings: QuadratureSettings = field(default_factory=QuadratureSettings)
 
     def symmetry_defect(self) -> float:
         b = self.b_matrix
         return float(np.max(np.abs(b - b.T))) / max(1.0, float(np.max(np.abs(b))))
 
 
-def period_matrix(curve: HyperellipticCurve,
-                  settings: QuadratureSettings | None = None) -> ThetaContext:
+def period_matrix(curve: HyperellipticCurve) -> ThetaContext:
     """A-periods, normalization and the Riemann matrix of the curve, from one spanning tree."""
-    return _period_matrix_at_clearance(curve, settings or QuadratureSettings(), ELLIPSE_FRACTION)
+    return _period_matrix_at_clearance(curve, QUADRATURE_TARGET, ELLIPSE_FRACTION)
 
 
 # Split from period_matrix while perfbench/tracer.py times each basis attempt by this name.
-def _period_matrix_at_clearance(curve: HyperellipticCurve, settings: QuadratureSettings,
+def _period_matrix_at_clearance(curve: HyperellipticCurve, target: float,
                                 fraction: float) -> ThetaContext:
     """The tree basis; ``fraction`` of each edge's clear ellipse enters its quadrature bound."""
     g, points = curve.g, np.array(curve.branch_points)
     edges = _spanning_tree(points)
-    cycles = [_edge_cycle(points, i, j, fraction, settings.target) for i, j in edges]
+    cycles = [_edge_cycle(points, i, j, fraction, target) for i, j in edges]
     periods = np.array([c[0] for c in cycles])
     k = _intersections(edges, cycles)
     rows = _symplectic_basis(k)
@@ -342,7 +336,7 @@ def _period_matrix_at_clearance(curve: HyperellipticCurve, settings: QuadratureS
         curve=curve, edges=tuple(edges), a_periods=a_mat, alpha=alpha, b_matrix=b_matrix,
         half_periods=np.vstack([np.zeros(g), paths @ periods / 2]),
         riemann_characteristic=_riemann_characteristic(chars), clearance=min(c[4] for c in cycles),
-        quadrature_bound=float(max(c[3] for c in cycles)), settings=settings)
+        quadrature_bound=float(max(c[3] for c in cycles)))
 
 
 @dataclass(frozen=True)
@@ -361,23 +355,17 @@ def v_vectors(curve: HyperellipticCurve, ctx: ThetaContext, kmax: int) -> VData:
         for k in range(kmax + 1)))
 
 
-@dataclass(frozen=True)
-class JacobianPoint:
-    u0: np.ndarray
-    theta_value: complex
+def jacobian_point(curve: HyperellipticCurve, ctx: ThetaContext, divisor_points) -> np.ndarray:
+    """abel_u0 reduced into the fundamental region.
+
+    Whether theta vanishes there (a special divisor) is checked by
+    ``verify_main_theorem``, from the lattice pass that evaluates the identities.
+    """
+    return reduce_mod_lattice(abel_u0(curve, ctx, divisor_points), ctx.b_matrix)
 
 
-def jacobian_point(curve: HyperellipticCurve, ctx: ThetaContext, divisor_points) -> JacobianPoint:
-    """abel_u0 reduced into the fundamental region, with the nonspeciality check."""
-    u0 = reduce_mod_lattice(abel_u0(curve, ctx, divisor_points), ctx.b_matrix)
-    value = theta(u0, ctx.b_matrix)
-    if abs(value) <= 1e-10:
-        raise PeriodError("theta vanishes at the divisor point; divisor is special")
-    return JacobianPoint(u0=u0, theta_value=complex(value))
-
-
-def _zeta_leg(curve: HyperellipticCurve, settings: QuadratureSettings, e: complex,
-              z: complex, w: complex | None = None) -> tuple[np.ndarray, complex]:
+def _zeta_leg(curve: HyperellipticCurve, e: complex, z: complex,
+              w: complex | None = None) -> tuple[np.ndarray, complex]:
     """Integral of eta from the branch point e to the point over z, and w there.
 
     With z = e + zeta^2, w = zeta h(zeta) and h^2 = prod_k (zeta^2 - (e_k - e)),
@@ -388,7 +376,7 @@ def _zeta_leg(curve: HyperellipticCurve, settings: QuadratureSettings, e: comple
     m = zeta / 2                               # zeta(t) = m (1 + t), t in [-1, 1]
     s = np.sqrt(np.array([b - e for b in curve.branch_points if b != e]))
     u = (np.concatenate([s, -s]) - m) / m
-    x, wts, _, _ = _rule(u, False, ELLIPSE_FRACTION, settings.target)
+    x, wts, _, _ = _rule(u, False, ELLIPSE_FRACTION, QUADRATURE_TARGET)
     roots, dprod = _root_product(np.append(x, 1.0), u)
     h = np.sqrt(m ** (4 * g + 2) * dprod) * roots
     val = m * (_powers(e + (m * (1 + x)) ** 2, g) / h[:-1]) @ wts
@@ -420,7 +408,7 @@ def abel_u0(curve: HyperellipticCurve, ctx: ThetaContext, divisor_points) -> np.
         total += ctx.half_periods[k]
         if abs(z - e) < 1e-7 * curve.scale():
             continue  # the branch point itself: one point, no sheet to choose
-        leg, w_end = _zeta_leg(curve, ctx.settings, e, z, w)
+        leg, w_end = _zeta_leg(curve, e, z, w)
         if abs(w_end - w) > 1e-6 * max(1.0, abs(w)):
             raise PeriodError(f"Abel leg did not land on the requested sheet "
                               f"(got {w_end:.6g}, want {w:.6g})")

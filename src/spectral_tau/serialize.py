@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .curve import InvalidMatrixPolynomial, MatrixPolynomial
+from .curve import InvalidMatrixPolynomial, MatrixPolynomial, characteristic_data
 from .rationals import format_rational, parse_rational
 
 if TYPE_CHECKING:  # annotations only, so parsing input imports neither module
@@ -23,7 +23,12 @@ class ParseError(ValueError):
 
 
 def parse_matrix_polynomial(data: dict) -> MatrixPolynomial:
-    """Parse and validate the matrix-polynomial schema (exact entries only)."""
+    """Parse and validate the matrix-polynomial schema (exact entries only).
+
+    A W that fails a fatal structural check of :func:`characteristic_data`
+    (leading coefficient not diagonal, or with repeated entries) is a ParseError
+    carrying that check's detail.
+    """
     if not isinstance(data, dict):
         raise ParseError("top level must be an object")
     for key in ("n", "m", "coefficients"):
@@ -51,16 +56,14 @@ def parse_matrix_polynomial(data: dict) -> MatrixPolynomial:
                     raise ParseError(f"coefficients[{k}][{i}][{j}]: {exc}") from exc
             parsed.append(prow)
         matrices.append(parsed)
-    lead = matrices[0]
-    if any(lead[i][j] != 0 for i in range(n) for j in range(n) if i != j):
-        raise ParseError("leading coefficient must be diagonal")
-    diag = [lead[i][i] for i in range(n)]
-    if len(set(diag)) != n:
-        raise ParseError("leading diagonal entries must be pairwise distinct")
     try:
-        return MatrixPolynomial.from_power_matrices(n, m, matrices)
+        w = MatrixPolynomial.from_power_matrices(n, m, matrices)
     except InvalidMatrixPolynomial as exc:
         raise ParseError(str(exc)) from exc
+    fatal = characteristic_data(w).fatal_diagnostics()
+    if fatal:
+        raise ParseError(fatal[0].detail)
+    return w
 
 
 def correlator_table_to_json(table: CorrelatorTable) -> dict:

@@ -33,7 +33,7 @@ from .curve import MatrixPolynomial, characteristic_data
 from .divisor import pole_divisor
 from .periods import (
     HyperellipticCurve,
-    QuadratureSettings,
+    PeriodError,
     jacobian_point,
     period_matrix,
     v_consistency_defect,
@@ -83,27 +83,24 @@ class VerificationReport:
         }
 
 
-def verify_main_theorem(w: MatrixPolynomial, kmax=None, tol: float = 1e-6,
-                        settings: QuadratureSettings | None = None) -> VerificationReport:
+def verify_main_theorem(w: MatrixPolynomial, kmax=None, tol: float = 1e-6) -> VerificationReport:
     """Check F = (-1)^N T for N = 3..6 at the eigenvector point u0.
 
-    ``kmax`` is an int (the same bound for N = 3 and 4) or a mapping
-    {N: k_N} over any of N = 3..6; the default is {3: 2, 4: 1}.  Among the
-    ``checks``, ``quasi_periodicity_defect`` is the largest relative defect of
-    theta(u0 + B e_j) = exp(-B_jj / 2 - u0_j) theta(u0) over the g columns of
-    B; the 2 pi i directions are not checked, since there every lattice term
-    is unchanged.
+    ``kmax`` is a mapping {N: k_N} over any of N = 3..6, or None for
+    {3: 2, 4: 1}.  One lattice pass at u0 gives theta(u0) and every T; a
+    theta(u0) below ``theta.DIVISOR_GUARD`` means the divisor is special and
+    raises PeriodError.  Among the ``checks``, ``quasi_periodicity_defect`` is
+    the largest relative defect of theta(u0 + B e_j) = exp(-B_jj / 2 - u0_j)
+    theta(u0) over the g columns of B; the 2 pi i directions are not checked,
+    since there every lattice term is unchanged.
     """
-    if kmax is None:
-        kmax_by_n = {3: 2, 4: 1}
-    elif isinstance(kmax, int):
-        kmax_by_n = {3: kmax, 4: kmax}
-    else:
-        kmax_by_n = {int(k): int(v) for k, v in dict(kmax).items()}
+    kmax_by_n = {3: 2, 4: 1} if kmax is None else {int(k): int(v) for k, v in kmax.items()}
+    wanted = [(n, ks) for n, k_bound in sorted(kmax_by_n.items())
+              for ks in itertools.combinations_with_replacement(range(k_bound + 1), n)]
 
     spectral = characteristic_data(w)
     curve = HyperellipticCurve.from_matrix_polynomial(w, spectral)
-    ctx = period_matrix(curve, settings)
+    ctx = period_matrix(curve)
     checks: dict = {}
     checks["b_symmetry_defect"] = ctx.symmetry_defect()
     checks["period_quadrature_bound"] = ctx.quadrature_bound
@@ -112,14 +109,16 @@ def verify_main_theorem(w: MatrixPolynomial, kmax=None, tol: float = 1e-6,
     vdata = v_vectors(curve, ctx, top_k)
     checks["v_consistency_defect"] = v_consistency_defect(curve, ctx, vdata, top_k)
 
-    divisor_points = pole_divisor(w, curve=spectral)
-    point = jacobian_point(curve, ctx, divisor_points)
-    u0 = point.u0
-    theta_u0 = point.theta_value
+    u0 = jacobian_point(curve, ctx, pole_divisor(w, curve=spectral))
+    # one lattice pass at u0 gives theta(u0) and T = d^N log theta along
+    # V^(k1)..V^(kN) for every identity
+    b = ctx.b_matrix
+    theta_u0, logs = log_derivatives(u0, b, [ks for _, ks in wanted], vdata.vectors)
+    if not logs:
+        raise PeriodError("theta vanishes at the divisor point; divisor is special")
     checks["theta_at_u0"] = float(abs(theta_u0))
 
     # quasi-periodicity at u0 in each B direction (the 2 pi i ones: see the docstring)
-    b = ctx.b_matrix
     qp_defect = 0.0
     for j in range(curve.g):
         shifted = theta(u0 + b[:, j], b)
@@ -132,12 +131,6 @@ def verify_main_theorem(w: MatrixPolynomial, kmax=None, tol: float = 1e-6,
     exact: dict[int, dict] = {}
     for n_points, k_bound in sorted(kmax_by_n.items()):
         exact[n_points] = hyperelliptic_combination(w, n_points, k_bound, engine)
-    wanted = [(n, ks) for n, k_bound in sorted(kmax_by_n.items())
-              for ks in itertools.combinations_with_replacement(range(k_bound + 1), n)]
-
-    # one lattice pass at u0 gives T = d^N log theta along V^(k1)..V^(kN) for every
-    # identity; jacobian_point has ruled out theta(u0) = 0
-    logs = log_derivatives(u0, b, [ks for _, ks in wanted], vdata.vectors)[1]
     identities = []
     for n_points, ks in wanted:
         f_val, t = exact[n_points][ks], logs[ks]

@@ -10,9 +10,9 @@ def test_public_names_are_pinned():
     """The public surface, spelled out: adding or dropping a name edits this list."""
     assert spectral_tau.__all__ == [
         "CorrelatorEngine", "CorrelatorTable", "DivisorPoint", "HyperellipticCurve",
-        "JacobianPoint", "JetPoint", "MatrixPolynomial", "MultiPoly", "Poly", "Rational",
-        "ResolventCoeffs", "SpectralCurveData", "ThetaContext", "TruncationError", "USeries",
-        "VData", "VerificationReport", "abel_u0", "characteristic_data", "cofactor_row_sums",
+        "JetPoint", "MatrixPolynomial", "MultiPoly", "Poly", "Rational", "ResolventCoeffs",
+        "SpectralCurveData", "ThetaContext", "TruncationError", "USeries", "VData",
+        "VerificationReport", "abel_u0", "characteristic_data", "cofactor_row_sums",
         "correlator_n", "correlator_pair", "d_polynomial", "format_rational", "genus",
         "hyperelliptic_combination", "jacobian_point", "jet_from_projectors",
         "log_theta_derivatives", "multipoly_exact_divide", "parse_rational", "period_matrix",

@@ -1,4 +1,6 @@
+import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from spectral_tau.cli import JobSpec, main, run
+from spectral_tau.cli import JobSpec, build_parser, main, run
 from spectral_tau.serialize import ParseError, parse_matrix_polynomial
 
 from conftest import random_matrix_polynomial
@@ -115,6 +117,14 @@ class TestRun:
         ("correlators", {"max_n": 7}, "caps"),
         ("verify-theta", {"kmax": -1}, "--kmax: -1"),
         ("verify-theta", {"kmax": 17}, "caps"),
+        ("divisor", {"tol": math.nan}, "--tol: nan"),
+        ("divisor", {"tol": -1.0}, "--tol: -1.0"),
+        ("divisor", {"tol": math.inf}, "--tol: inf"),
+        ("divisor", {"tol": 0.0}, "--tol: 0.0"),
+        ("verify-theta", {"tol": math.nan}, "--tol: nan"),
+        ("correlators", {"indices": "1,2,3;1,0"}, "--indices: '1,2,3' is not a pair"),
+        ("correlators", {"indices": "a,0;1,0"}, "--indices: 'a,0' is not a pair"),
+        ("correlators", {"indices": "1;2"}, "--indices: '1' is not a pair"),
     ])
     def test_range_checked(self, command, kwargs, flag):
         status, report = run(JobSpec(command, str(G1), **kwargs))
@@ -137,6 +147,28 @@ class TestRun:
         assert report["success"] is True
         assert [r["N"] for r in report["identities"]] == [3, 4, 5, 6]
         assert all(r["passed"] for r in report["identities"])
+
+
+class TestFlags:
+    def test_flags_are_pinned(self):
+        """Each subcommand takes only the flags its handler reads: adding one edits this table."""
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {name: sorted(o for a in p._actions for o in a.option_strings
+                              if o not in ("-h", "--help"))
+                 for name, p in sub.choices.items()}
+        assert flags == {
+            "curve-info": ["--input", "--output"],
+            "correlators": ["--indices", "--input", "--kmax", "--max-n", "--output"],
+            "divisor": ["--input", "--output", "--tol"],
+            "jet": ["--input", "--output"],
+            "verify-theta": ["--input", "--kmax", "--max-n", "--output", "--tol"],
+        }
+
+    def test_flag_the_subcommand_does_not_read_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["curve-info", "--input", str(G1), "--kmax", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --kmax 1" in capsys.readouterr().err
 
 
 class TestStageErrors:

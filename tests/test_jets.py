@@ -14,6 +14,7 @@ from spectral_tau.jets import JetError, JetPoint
 from spectral_tau.polynomials import Poly
 from spectral_tau.projectors import all_projectors
 from spectral_tau.rationals import parse_rational
+from spectral_tau.series import USeries
 from spectral_tau.serialize import jet_to_json
 
 from conftest import coeff_matrix, jet_is_valid, random_matrix_polynomial, tau_second_derivative
@@ -133,6 +134,34 @@ class TestJetExtraction:
         assert read("y", "ij") == dict(jet.y)
         assert read("d1", "ijb") == dict(jet.d1)
         assert read("d2", "ijbc") == dict(jet.d2)
+
+
+class TestJetRejectsInconsistentProjectors:
+    """One unit added to one projector entry that the jet is not read from is caught
+    by the comparison with the closed forms."""
+
+    @staticmethod
+    def raised(projectors, a, k, i, j):
+        """A copy of the projector grids with 1 added to u^k of sheet a's entry (i, j)."""
+        grids = [[list(row) for row in grid] for grid in projectors]
+        entry = grids[a - 1][i - 1][j - 1]
+        coeffs = list(entry.coeffs)
+        coeffs[k - entry.val] += 1
+        grids[a - 1][i - 1][j - 1] = USeries(entry.val, coeffs)
+        return [tuple(map(tuple, grid)) for grid in grids]
+
+    @pytest.mark.parametrize("a, k, i, j", [
+        (1, 1, 2, 3),   # B1 outside row and column a
+        (2, 1, 1, 2),   # B1 column route: (B_{2,1})_12 = +y_12
+        (2, 2, 1, 1),   # B2 diagonal: -y_12 y_21
+        (1, 3, 2, 3),   # B3 with i, j != a
+    ])
+    def test_raised_entry_raises(self, a, k, i, j):
+        w = random_matrix_polynomial(80, 3, 2)
+        projectors = all_projectors(w, 3)
+        assert jet_is_valid(jet_from_projectors(w, projectors))
+        with pytest.raises(JetError, match=rf"B{k}\[{i},{j}\], sheet {a}$"):
+            jet_from_projectors(w, self.raised(projectors, a, k, i, j))
 
 
 class TestTauBridge:

@@ -65,7 +65,7 @@ def test_period_quadrature_bound_reported(name):
 
 @pytest.mark.parametrize("name, g", [("hyperelliptic-g1.json", 1), ("hyperelliptic-g2.json", 2)])
 def test_one_lattice_pass_per_shift(monkeypatch, name, g):
-    """The identities at u0 cost one lattice pass; theta at u0 and the g
+    """The identities and theta at u0 cost one lattice pass; the g
     quasi-periodicity checks in the B directions cost one each."""
     calls = []
     raw = theta_module._raw_values
@@ -76,7 +76,7 @@ def test_one_lattice_pass_per_shift(monkeypatch, name, g):
 
     monkeypatch.setattr(theta_module, "_raw_values", counted)
     assert verify_main_theorem(doc_w(name), kmax={3: 2, 4: 1}, tol=1e-6).success
-    assert len(calls) == g + 2
+    assert len(calls) == g + 1
 
 
 def test_g1_oracle_mpmath():
@@ -89,7 +89,7 @@ def test_g1_oracle_mpmath():
     ctx = period_matrix(curve)
     b = ctx.b_matrix
     vectors = v_vectors(curve, ctx, 1).vectors
-    u = jacobian_point(curve, ctx, pole_divisor(w)).u0
+    u = jacobian_point(curve, ctx, pole_divisor(w))
     with mp.workdps(30):
         # theta(u) = jtheta(3, u/(2i), e^(B/2)), so d/du = (2i)^-1 d/dz
         z, q = mp.mpc(u[0]) / mp.mpc(0, 2), mp.exp(mp.mpc(b[0, 0]) / 2)
@@ -130,7 +130,7 @@ def test_perturbed_f_fails_only_its_identity(monkeypatch, capsys):
 
     monkeypatch.setattr(verify_module, "hyperelliptic_combination", perturbed)
     name = "hyperelliptic-g1.json"
-    rep = verify_main_theorem(doc_w(name), kmax=1, tol=1e-6)
+    rep = verify_main_theorem(doc_w(name), kmax={3: 1, 4: 1}, tol=1e-6)
     assert not rep.success
     assert rep.shift_used == ((1,), (1,))
     assert [(r.n_points, r.k_tuple) for r in rep.identities] == [
@@ -143,3 +143,18 @@ def test_perturbed_f_fails_only_its_identity(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert status == 1 and report["success"] is False
     assert [r["passed"] for r in report["identities"]] == [r.passed for r in rep.identities]
+
+
+def test_special_divisor_is_a_period_error(monkeypatch):
+    """At the odd half-period pi i + B/2 of the g1 example theta vanishes: the
+    identities' lattice pass at u0 finds it, and the CLI exits 1 with only errors."""
+    from spectral_tau.cli import JobSpec, run
+    from spectral_tau.periods import PeriodError
+
+    monkeypatch.setattr(verify_module, "jacobian_point",
+                        lambda curve, ctx, points: np.array([np.pi * 1j + ctx.b_matrix[0, 0] / 2]))
+    message = "theta vanishes at the divisor point; divisor is special"
+    with pytest.raises(PeriodError, match=message):
+        verify_main_theorem(doc_w("hyperelliptic-g1.json"), kmax={3: 1, 4: 0}, tol=1e-6)
+    path = Path(__file__).resolve().parent.parent / "docs" / "examples" / "hyperelliptic-g1.json"
+    assert run(JobSpec("verify-theta", str(path))) == (1, {"errors": [message]})
