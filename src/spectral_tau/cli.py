@@ -120,29 +120,21 @@ def _cmd_curve_info(job: JobSpec) -> dict:
 def _cmd_correlators(job: JobSpec) -> dict:
     import itertools
 
-    from .correlators import CorrelatorEngine, correlator_n, correlator_pair
+    from .correlators import CorrelatorEngine, correlator_n
 
     w = _load_input(job)
     _check_sizes(job)
     pairs = _checked_indices(job.indices, w.n) if job.indices else None
     engine = CorrelatorEngine(w)
-    tables = []
     if pairs:
-        sheets = tuple(a for a, _ in pairs)
-        kneed = max(k for _, k in pairs)
-        if len(pairs) == 2:
-            table = correlator_pair(w, sheets[0], sheets[1], kneed, engine)
-        else:
-            table = correlator_n(w, sheets, kneed, engine)
+        table = correlator_n(w, tuple(a for a, _ in pairs), max(k for _, k in pairs), engine)
         return {
             "N": len(pairs),
             "indices": [[a, k] for a, k in pairs],
             "value": format_rational(table.value(pairs)),
         }
-    for a1 in range(1, w.n + 1):
-        for a2 in range(a1, w.n + 1):
-            tables.append(correlator_table_to_json(correlator_pair(w, a1, a2, job.kmax, engine)))
-    for npts in range(3, job.max_n + 1):
+    tables = []
+    for npts in range(2, max(2, job.max_n) + 1):
         for sheets in itertools.combinations_with_replacement(range(1, w.n + 1), npts):
             tables.append(correlator_table_to_json(correlator_n(w, sheets, job.kmax, engine)))
     return {"tables": tables}

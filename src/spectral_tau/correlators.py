@@ -1,15 +1,14 @@
 """Exact rational correlators of the spectral-curve tau-function.
 
-The two-point table comes from expanding
-
-    (tr[Pi_a(z1) Pi_b(z2)] - delta_ab) / (z1 - z2)^2
-
-and the N-point tables (N >= 3) from the cyclic permutation sum
+Every table, N >= 2, comes from one formula, the cyclic permutation sum
 
     -(1/N) sum_s tr[Pi_{a_s1}(z_s1) ... Pi_{a_sN}(z_sN)] / prod_cyc (z_si - z_sj),
 
-both read off in the variables u_i = 1/z_i with the coefficient of
-prod u_i^(k_i+2) giving F^{a1..aN}_{k1..kN}.
+read off in the variables u_i = 1/z_i with the coefficient of
+prod u_i^(k_i+2) giving F^{a1..aN}_{k1..kN}.  At N = 2 the one cycle meets
+its one pair twice, so the formula is tr[Pi_a(z1) Pi_b(z2)] / (z1 - z2)^2,
+and the term -delta_ab / (z1 - z2)^2 regularizes the diagonal: the kernel
+subtracts delta_ab from the trace before it divides.
 
 The expansion runs in Python integers.  Substituting u = c*t makes every
 projector coefficient a_k c^k an integer; c is derived from the computed
@@ -56,15 +55,16 @@ traces are grouped by the Vandermonde pairs their cycle misses, and a pair
 shared by several groups multiplies their sum once.  Each division by
 (t_i - t_j) is a divided difference: running sums along the anti-diagonals
 of the (i, j) exponent plane, row by row.  The t-quotient's coefficient
-q[k] is read back as F = -q[k] / c^(N + |k|) (two points:
-+q[k] / c^(2 + |k|)), the only Fraction on the path.
+q[k] is read back as F = -q[k] / c^(N + |k|), the only Fraction on the
+path.
 
 Certificates: every scaled coefficient must be an integer (a wrong c raises
 ArithmeticError rather than emitting a value), and every division must leave
 a zero remainder up to its trusted total degree (InexactDivisionError
-otherwise).  With per-variable truncation K the quotient layers are
-certified through total degree K - N, so K = N*(kmax+1) certifies the full
-requested box of indices.
+otherwise).  The subtracted delta_ab is given, not read off the trace, so
+the remainder at the constant term certifies it.  With per-variable
+truncation K the quotient layers are certified through total degree K - N,
+so K = N*(kmax+1) certifies the full requested box of indices.
 """
 
 from __future__ import annotations
@@ -254,33 +254,6 @@ def _trace_of_product(a, b, cap: int) -> MultiPoly:
                                          if a[i][k].rows and b[k][i].rows))
 
 
-def _pair_table_values(mat1, mat2, subtract: int, kmax: int, c: int) -> dict:
-    """(tr[M1(u1) M2(u2)] - subtract) / (u2 - u1)^2 in the box k1, k2 <= kmax.
-
-    Runs in t = u / c; the quotient's t-coefficients q[k] give
-    F = q[k] / c^(2 + |k|).
-    """
-    K = len(mat1[0][0]) - 1
-    n = len(mat1)
-    ints1, ints2 = _integer_slot(mat1, c), _integer_slot(mat2, c)
-    # the trace sums n^2 single products, the two divisions sum anti-diagonals
-    # of at most K + 1 and K coefficients
-    bound = (n * n * _largest(ints1) * _largest(ints2) + subtract) * (K + 1) * K
-    width = packing_width(bound)
-    num = _trace_of_product(_packed_slot(ints1, 2, 0, width),
-                            _packed_slot(ints2, 2, 1, width), K)
-    if subtract:
-        num = num - MultiPoly.constant(2, subtract)
-    d = MultiPoly.pair_difference(2, 1, 0)
-    q = multipoly_exact_divide(num, d, K)
-    q = multipoly_exact_divide(q, d, K - 1)
-    return {
-        (k1, k2): Fraction(q.coeff((k1, k2)), c ** (2 + k1 + k2))
-        for k1 in range(kmax + 1)
-        for k2 in range(kmax + 1)
-    }
-
-
 def _cycle_sign_and_missing(perm: Sequence[int], npts: int):
     """Sign and set of complement pairs for the cyclic denominator of one permutation.
 
@@ -325,17 +298,22 @@ def _times_missing(groups: dict, npts: int, cap: int) -> MultiPoly:
     return q
 
 
-def _npoint_values(mats: Mapping, sheets: Sequence, kmax: int, c: int) -> dict:
+def _npoint_values(mats: Mapping, sheets: Sequence, kmax: int, c: int,
+                   subtract: int) -> dict:
     """F-values for slot i carrying ``mats[sheets[i]]``, scaled by c.
 
-    Returns {(k_1..k_N): Fraction} for the full box k_i <= kmax, in the slot
-    order of ``sheets``.
+    ``subtract`` (delta_ab at N = 2) is taken from each class's trace before
+    it is signed.  Returns {(k_1..k_N): Fraction} for the full box
+    k_i <= kmax, in the slot order of ``sheets``.
     """
     npts = len(sheets)
-    if npts < 3:
-        raise ValueError("n-point expansion needs at least 3 slots")
+    if npts < 2:
+        raise ValueError("n-point expansion needs at least 2 slots")
+    # the Vandermonde pairs the numerator is divided by; at N = 2 the one
+    # cycle meets its one pair twice
+    divisors = [(0, 1)] * 2 if npts == 2 else list(itertools.combinations(range(npts), 2))
     K = npts * (kmax + 1)
-    n_missing = npts * (npts - 1) // 2 - npts
+    n_missing = len(divisors) - npts
     cap_dividend = K + n_missing
     if any(len(mat[0][0]) < K + 1 for mat in mats.values()):
         raise ValueError("slot matrices carry fewer trusted orders than required")
@@ -347,12 +325,13 @@ def _npoint_values(mats: Mapping, sheets: Sequence, kmax: int, c: int) -> dict:
     labels = [sheets[i] for i in order]
     # A certified bound on every coefficient the table computes, in the
     # kernel's own bound rules: a chain entry sums n single products per
-    # step, a trace n^2, the (N-1)! classes add up, each missing pair doubles
-    # the bound, and the division by the t-th pair sums anti-diagonals of at
-    # most cap_dividend - t + 1 coefficients.
-    n, n_pairs = len(ints[labels[0]]), npts * (npts - 1) // 2
-    bound = (math.factorial(npts - 1) * n ** npts * math.prod(_largest(ints[a]) for a in labels)
-             * 2 ** n_missing * math.prod(range(cap_dividend - n_pairs + 2, cap_dividend + 2)))
+    # step, a trace n^2 (and the subtracted constant), the (N-1)! classes add
+    # up, each missing pair doubles the bound, and the division by the t-th
+    # divisor sums anti-diagonals of at most cap_dividend - t + 1 coefficients.
+    n = len(ints[labels[0]])
+    bound = ((math.factorial(npts - 1) * n ** npts * math.prod(_largest(ints[a]) for a in labels)
+              * 2 ** n_missing + subtract)
+             * math.prod(range(cap_dividend - len(divisors) + 2, cap_dividend + 2)))
     width = packing_width(bound)
     slots = [_packed_slot(ints[a], npts, var, width) for var, a in enumerate(labels)]
 
@@ -368,6 +347,8 @@ def _npoint_values(mats: Mapping, sheets: Sequence, kmax: int, c: int) -> dict:
         rest = [s for s in range(npts) if s not in prefix]
         if len(rest) == 1:
             tr = _trace_of_product(acc, slots[rest[0]], K)
+            if subtract:
+                tr = tr - MultiPoly.constant(npts, subtract)
             sign, missing = _cycle_sign_and_missing(prefix + (rest[0],), npts)
             tr = tr if sign > 0 else -tr
             if missing in by_missing:
@@ -388,11 +369,8 @@ def _npoint_values(mats: Mapping, sheets: Sequence, kmax: int, c: int) -> dict:
         block = [s for s in range(1, npts) if labels[s] == a]
         for m in range(1, len(block)):
             q = multipoly_coset_factor(q, block[:m], block[m])
-    trusted = cap_dividend
-    for p in range(npts):
-        for r in range(p + 1, npts):
-            q = multipoly_exact_divide(q, MultiPoly.pair_difference(npts, p, r), trusted)
-            trusted -= 1
+    for trusted, pair in zip(range(cap_dividend, -1, -1), divisors):
+        q = multipoly_exact_divide(q, MultiPoly.pair_difference(npts, *pair), trusted)
     return {
         ks: Fraction(-q.coeff(tuple(ks[i] for i in order)), c ** (npts + sum(ks)))
         for ks in itertools.product(range(kmax + 1), repeat=npts)
@@ -405,29 +383,27 @@ def _npoint_values(mats: Mapping, sheets: Sequence, kmax: int, c: int) -> dict:
 
 def correlator_pair(w: MatrixPolynomial, a1: int, a2: int, kmax: int,
                     engine: CorrelatorEngine | None = None) -> CorrelatorTable:
-    """F^{a1 a2}_{k1 k2} for all k1, k2 <= kmax, exactly."""
-    engine = engine or CorrelatorEngine(w)
-    K = 2 * (kmax + 1)
-    m1 = engine.slot_matrix(a1, K)
-    m2 = engine.slot_matrix(a2, K)
-    vals = _pair_table_values(m1, m2, 1 if a1 == a2 else 0, kmax, engine.scale(a1, a2))
-    entries = {
-        ((a1, k1), (a2, k2)): v for (k1, k2), v in vals.items()
-    }
-    return CorrelatorTable(2, entries, kmax)
+    """F^{a1 a2}_{k1 k2} for all k1, k2 <= kmax, exactly: ``correlator_n`` at N = 2."""
+    return correlator_n(w, (a1, a2), kmax, engine)
 
 
 def correlator_n(w: MatrixPolynomial, sheets: Sequence[int], kmax: int,
                  engine: CorrelatorEngine | None = None) -> CorrelatorTable:
-    """F^{a1..aN}_{k1..kN} for N = len(sheets) >= 3 and all k_i <= kmax."""
+    """F^{a1..aN}_{k1..kN} for N = len(sheets) >= 2 and all k_i <= kmax.
+
+    At N = 2 the table carries the -delta_ab / (z1 - z2)^2 term.  A sheet
+    outside 1..n raises ValueError before any work.
+    """
     sheets = tuple(int(a) for a in sheets)
-    if len(sheets) < 3:
-        raise ValueError("correlator_n needs at least 3 sheet indices")
+    for a in sheets:
+        if not 1 <= a <= w.n:
+            raise ValueError(f"sheet {a} outside 1..{w.n}")
     engine = engine or CorrelatorEngine(w)
     npts = len(sheets)
     K = npts * (kmax + 1)
     mats = {a: engine.slot_matrix(a, K) for a in sheets}
-    vals = _npoint_values(mats, sheets, kmax, engine.scale(*sheets))
+    delta = int(npts == 2 and sheets[0] == sheets[1])
+    vals = _npoint_values(mats, sheets, kmax, engine.scale(*sheets), delta)
     entries = {
         tuple((sheets[i], ks[i]) for i in range(npts)): v for ks, v in vals.items()
     }
@@ -445,18 +421,15 @@ def hyperelliptic_combination(w: MatrixPolynomial, n_points: int, kmax: int,
     Sheet 1 (the branch with the monic leading coefficient) carries weight +1
     and sheet 2 weight -1, realizing the difference of the two time families.
     By linearity of the trace this equals one expansion with every projector
-    slot replaced by Pi_1 - Pi_2.
+    slot replaced by Pi_1 - Pi_2; at N = 2 the signed -delta_ab terms add up
+    to tr (Pi_1 - Pi_2)^2 = 2.
     """
     if w.n != 2:
         raise ValueError("hyperelliptic combination needs n = 2")
     engine = engine or CorrelatorEngine(w)
-    if n_points == 2:
-        K = 2 * (kmax + 1)
-        d = engine.difference_matrix(K)
-        return _pair_table_values(d, d, 2, kmax, engine.scale(0))
-    K = n_points * (kmax + 1)
-    d = engine.difference_matrix(K)
-    return _npoint_values({0: d}, (0,) * n_points, kmax, engine.scale(0))
+    d = engine.difference_matrix(n_points * (kmax + 1))
+    return _npoint_values({0: d}, (0,) * n_points, kmax, engine.scale(0),
+                          2 if n_points == 2 else 0)
 
 
 # Kept only for the --record cross-check of perfbench/workloads.py, which imports it by name.
@@ -468,15 +441,8 @@ def hyperelliptic_combination_from_tables(w: MatrixPolynomial, n_points: int, km
     engine = engine or CorrelatorEngine(w)
     out: dict = {}
     for a_tuple in itertools.product((1, 2), repeat=n_points):
-        sign = 1
-        for a in a_tuple:
-            if a == 2:
-                sign = -sign
-        if n_points == 2:
-            table = correlator_pair(w, a_tuple[0], a_tuple[1], kmax, engine)
-        else:
-            table = correlator_n(w, a_tuple, kmax, engine)
+        sign = (-1) ** a_tuple.count(2)
+        table = correlator_n(w, a_tuple, kmax, engine)
         for ks in itertools.product(range(kmax + 1), repeat=n_points):
-            v = table.value(tuple(zip(a_tuple, ks)))
-            out[ks] = out.get(ks, Fraction(0)) + (v if sign > 0 else -v)
+            out[ks] = out.get(ks, Fraction(0)) + sign * table.value(tuple(zip(a_tuple, ks)))
     return out

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import MatrixPolynomial, SpectralCurveData, characteristic_data
+from .curve import InvalidMatrixPolynomial, MatrixPolynomial, SpectralCurveData, characteristic_data
 from .polynomials import Poly, is_squarefree
 from .series import USeries
 from .theta import reduce_mod_lattice
@@ -73,16 +73,20 @@ class HyperellipticCurve:
     @staticmethod
     def from_matrix_polynomial(w: MatrixPolynomial,
                                curve: SpectralCurveData | None = None) -> "HyperellipticCurve":
+        """The curve of a 2x2 traceless W with leading diagonal (1, -1) and m >= 2;
+        any other W is an input error, InvalidMatrixPolynomial."""
         if w.n != 2:
-            raise PeriodError("hyperelliptic pipeline needs n = 2")
+            raise InvalidMatrixPolynomial("hyperelliptic pipeline needs n = 2")
         if curve is None:
             curve = characteristic_data(w)
         if not curve.a(1).is_zero():
-            raise PeriodError("hyperelliptic pipeline needs tr W = 0")
+            raise InvalidMatrixPolynomial("hyperelliptic pipeline needs tr W = 0")
         q = -curve.a(2)
         if q.degree() != 2 * w.m or q.leading() != 1:
-            raise PeriodError("curve must be w^2 = monic Q of degree 2m "
-                              "(normalize the leading entries to (1, -1))")
+            raise InvalidMatrixPolynomial("curve must be w^2 = monic Q of degree 2m "
+                                          "(normalize the leading entries to (1, -1))")
+        if w.m < 2:
+            raise InvalidMatrixPolynomial("Q must have even degree >= 4")
         return HyperellipticCurve.from_q(q)
 
     def scale(self) -> float:

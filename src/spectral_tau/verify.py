@@ -84,17 +84,24 @@ class VerificationReport:
 
 
 def verify_main_theorem(w: MatrixPolynomial, kmax=None, tol: float = 1e-6) -> VerificationReport:
-    """Check F = (-1)^N T for N = 3..6 at the eigenvector point u0.
+    """Check F = (-1)^N T at the eigenvector point u0 for every N in ``kmax``.
 
-    ``kmax`` is a mapping {N: k_N} over any of N = 3..6, or None for
-    {3: 2, 4: 1}.  One lattice pass at u0 gives theta(u0) and every T; a
-    theta(u0) below ``theta.DIVISOR_GUARD`` means the divisor is special and
-    raises PeriodError.  Among the ``checks``, ``quasi_periodicity_defect`` is
+    ``kmax`` is a non-empty mapping {N: k_N} with every N >= 3 (the theorem
+    starts at the third derivative) and every k_N >= 0, or None for {3: 2, 4: 1};
+    any other mapping raises ValueError naming the bad entry before any stage
+    runs.  One lattice pass at u0 gives theta(u0) and every T; a theta(u0)
+    below ``theta.DIVISOR_GUARD`` means the divisor is special and raises
+    PeriodError.  Among the ``checks``, ``quasi_periodicity_defect`` is
     the largest relative defect of theta(u0 + B e_j) = exp(-B_jj / 2 - u0_j)
     theta(u0) over the g columns of B; the 2 pi i directions are not checked,
     since there every lattice term is unchanged.
     """
     kmax_by_n = {3: 2, 4: 1} if kmax is None else {int(k): int(v) for k, v in kmax.items()}
+    if not kmax_by_n:
+        raise ValueError("kmax: needs at least one entry {N: k_N}")
+    for n_points, k_bound in kmax_by_n.items():
+        if n_points < 3 or k_bound < 0:
+            raise ValueError(f"kmax: entry {n_points}: {k_bound} needs N >= 3 and k_N >= 0")
     wanted = [(n, ks) for n, k_bound in sorted(kmax_by_n.items())
               for ks in itertools.combinations_with_replacement(range(k_bound + 1), n)]
 

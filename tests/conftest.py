@@ -343,6 +343,37 @@ def dict_divide(numerator: dict, divisor: dict, trusted_total_degree: int) -> di
     return {e: c for e, c in quotient.items() if c}
 
 
+# -- pair-table oracle for N = 2 --------------------------------------------------
+# The two-point kernel before every table ran through the cyclic walk: its own
+# bound, one trace, the constant subtracted by hand and two divisions.
+
+def pair_table_values(mat1, mat2, subtract: int, kmax: int, c: int) -> dict:
+    """(tr[M1(u1) M2(u2)] - subtract) / (u2 - u1)^2 in the box k1, k2 <= kmax.
+
+    Runs in t = u / c; the quotient's t-coefficients q[k] give
+    F = q[k] / c^(2 + |k|).
+    """
+    K = len(mat1[0][0]) - 1
+    n = len(mat1)
+    ints1, ints2 = _integer_slot(mat1, c), _integer_slot(mat2, c)
+    # the trace sums n^2 single products, the two divisions sum anti-diagonals
+    # of at most K + 1 and K coefficients
+    bound = (n * n * _largest(ints1) * _largest(ints2) + subtract) * (K + 1) * K
+    width = packing_width(bound)
+    num = _trace_of_product(_packed_slot(ints1, 2, 0, width),
+                            _packed_slot(ints2, 2, 1, width), K)
+    if subtract:
+        num = num - MultiPoly.constant(2, subtract)
+    d = MultiPoly.pair_difference(2, 1, 0)
+    q = multipoly_exact_divide(num, d, K)
+    q = multipoly_exact_divide(q, d, K - 1)
+    return {
+        (k1, k2): Fraction(q.coeff((k1, k2)), c ** (2 + k1 + k2))
+        for k1 in range(kmax + 1)
+        for k2 in range(kmax + 1)
+    }
+
+
 # -- full-walk oracle for the N-point kernel -----------------------------------
 # The walk before equal slots were folded into orbits: every one of the (N-1)!
 # cyclic classes builds its own chain, trace and missing-pair product.

@@ -148,6 +148,23 @@ class TestRun:
         assert [r["N"] for r in report["identities"]] == [3, 4, 5, 6]
         assert all(r["passed"] for r in report["identities"])
 
+    @pytest.mark.parametrize("lead, rest, message", [
+        (["1", "-1"], [[["1", "1"], ["2", "0"]], [["0", "1"], ["0", "0"]]],
+         "hyperelliptic pipeline needs tr W = 0"),
+        (["2", "-2"], [[["0", "1"], ["2", "0"]], [["0", "1"], ["0", "0"]]],
+         "curve must be w^2 = monic Q of degree 2m (normalize the leading entries to (1, -1))"),
+        (["1", "-1"], [[["0", "1"], ["2", "0"]]], "Q must have even degree >= 4"),
+        (None, None, "hyperelliptic pipeline needs n = 2"),
+    ], ids=["not-traceless", "lead-2", "genus-0", "three-sheet"])
+    def test_verify_theta_input_it_does_not_take(self, tmp_path, lead, rest, message):
+        # a W the hyperelliptic pipeline does not take is an input error
+        path = THREE
+        if lead is not None:
+            path = tmp_path / "w.json"
+            coeffs = [[[lead[0], "0"], ["0", lead[1]]]] + rest
+            path.write_text(json.dumps({"n": 2, "m": len(rest), "coefficients": coeffs}))
+        assert run(JobSpec("verify-theta", str(path))) == (2, {"errors": [message]})
+
 
 class TestFlags:
     def test_flags_are_pinned(self):

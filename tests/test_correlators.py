@@ -18,8 +18,8 @@ from spectral_tau.rationals import parse_rational
 from spectral_tau.serialize import correlator_table_to_json
 
 from conftest import (
-    conjugate_diagonal, doc_w, full_walk_values, hyper_coeff, random_hyperelliptic,
-    random_matrix_polynomial,
+    conjugate_diagonal, doc_w, full_walk_values, hyper_coeff, pair_table_values,
+    random_hyperelliptic, random_matrix_polynomial,
 )
 
 
@@ -63,6 +63,59 @@ class TestPairTable:
         for k1 in range(2):
             for k2 in range(2):
                 assert t12.value(((1, k1), (2, k2))) == t21.value(((2, k2), (1, k1)))
+
+    @staticmethod
+    def assert_pairs_match_oracle(w, kmax):
+        eng = CorrelatorEngine(w)
+        for a in range(1, w.n + 1):
+            for b in range(a, w.n + 1):
+                table = correlator_pair(w, a, b, kmax, eng)
+                mats = [eng.slot_matrix(s, 2 * (kmax + 1)) for s in (a, b)]
+                want = pair_table_values(*mats, int(a == b), kmax, eng.scale(a, b))
+                assert {(k1, k2): v for ((_, k1), (_, k2)), v in table.entries.items()} == want
+
+    @pytest.mark.parametrize("name", ["hyperelliptic-g1.json", "hyperelliptic-g2.json",
+                                      "three-sheet-m1.json"])
+    @pytest.mark.parametrize("kmax", range(5))
+    def test_docs_examples_match_pair_oracle(self, name, kmax):
+        self.assert_pairs_match_oracle(doc_w(name), kmax)
+
+    @pytest.mark.parametrize("n, m, kmax", [(3, 1, 2), (3, 2, 2), (4, 1, 2), (4, 1, 8)],
+                             ids=["n3m1", "n3m2", "n4m1", "n4m1-k8"])
+    def test_random_match_pair_oracle(self, n, m, kmax):
+        # n4m1 at kmax 8 is the shape of the cli-exact benchmark's pair tables
+        self.assert_pairs_match_oracle(random_matrix_polynomial(100, n, m), kmax)
+
+    @pytest.mark.parametrize("name", ["hyperelliptic-g1.json", "hyperelliptic-g2.json"])
+    def test_hyperelliptic_pair_matches_oracle(self, name):
+        w = doc_w(name)
+        eng = CorrelatorEngine(w)
+        for kmax in range(4):
+            d = eng.difference_matrix(2 * (kmax + 1))
+            want = pair_table_values(d, d, 2, kmax, eng.scale(0))
+            assert hyperelliptic_combination(w, 2, kmax, eng) == want
+
+    def test_delta_is_certified(self):
+        # delta_ab is given to the kernel, not read off the trace: without it
+        # the constant term of tr[Pi_a Pi_a] = 1 is a remainder of the division
+        w = doc_w("hyperelliptic-g1.json")
+        eng = CorrelatorEngine(w)
+        mats = {1: eng.slot_matrix(1, 2)}
+        with pytest.raises(InexactDivisionError):
+            correlators._npoint_values(mats, (1, 1), 0, eng.scale(1), 0)
+
+    @pytest.mark.parametrize("sheets, bad", [((1, 3), 3), ((-1, 1, 2), -1)])
+    def test_sheet_outside_range_is_a_value_error(self, sheets, bad, monkeypatch):
+        def no_projectors(*args, **kwargs):
+            raise AssertionError("projectors computed before the sheet check")
+
+        monkeypatch.setattr(correlators, "projector_series", no_projectors)
+        w = doc_w("hyperelliptic-g2.json")
+        with pytest.raises(ValueError, match=f"^sheet {bad} outside 1..2$"):
+            correlator_n(w, sheets, 0)
+        if len(sheets) == 2:
+            with pytest.raises(ValueError, match=f"^sheet {bad} outside 1..2$"):
+                correlator_pair(w, *sheets, 0)
 
 
 class TestNPoint:

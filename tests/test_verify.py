@@ -145,6 +145,24 @@ def test_perturbed_f_fails_only_its_identity(monkeypatch, capsys):
     assert [r["passed"] for r in report["identities"]] == [r.passed for r in rep.identities]
 
 
+@pytest.mark.parametrize("kmax, message", [
+    ({2: 1}, "entry 2: 1"), ({}, "at least one entry"), ({3: -1}, "entry 3: -1"),
+    ({1: 0}, "entry 1: 0"), ({3: 1, 4: -2}, "entry 4: -2"),
+])
+def test_kmax_is_checked_before_any_stage(monkeypatch, kmax, message):
+    def no_periods(*args, **kwargs):
+        raise AssertionError("period_matrix ran before kmax was checked")
+
+    monkeypatch.setattr(verify_module, "period_matrix", no_periods)
+    with pytest.raises(ValueError, match=f"^kmax: .*{message}"):
+        verify_main_theorem(doc_w("hyperelliptic-g1.json"), kmax=kmax)
+
+
+def test_kmax_takes_any_n_from_three():
+    rep = verify_main_theorem(doc_w("hyperelliptic-g1.json"), kmax={3: 0, 7: 0}, tol=1e-6)
+    assert rep.success and [r.n_points for r in rep.identities] == [3, 7]
+
+
 def test_special_divisor_is_a_period_error(monkeypatch):
     """At the odd half-period pi i + B/2 of the g1 example theta vanishes: the
     identities' lattice pass at u0 finds it, and the CLI exits 1 with only errors."""
