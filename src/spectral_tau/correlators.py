@@ -40,7 +40,7 @@ Polynomials, ch. I.3), 1 + 2 + ... + (|block| - 1) relabelings in place of
 digits stay, and so does the width, whose bound already counts all (N-1)!
 classes.  Each coset factor subtracts its relabeled rows into one dict
 (``multipoly_coset_factor``).  In the hyperelliptic combination every slot
-is Pi_1 - Pi_2, so G is the whole S_(N-1) and the walk is one chain.  With
+carries one matrix, so G is the whole S_(N-1) and the walk is one chain.  With
 distinct sheets G is trivial and every class is walked.
 
 The walk goes depth-first over prefixes, so each partial chain product is
@@ -65,6 +65,22 @@ otherwise).  The subtracted delta_ab is given, not read off the trace, so
 the remainder at the constant term certifies it.  With per-variable
 truncation K the quotient layers are certified through total degree K - N,
 so K = N*(kmax+1) certifies the full requested box of indices.
+
+The hyperelliptic combination (n = 2, every slot Pi_1 - Pi_2) needs no
+projector series for N >= 3.  With W = z^m B(u) and b_1, b_2 the diagonal
+of B(0), Cayley-Hamilton gives Pi_1 - Pi_2 = M(u) s(u), where
+M = (2B - tr B) / (b_1 - b_2) is a polynomial matrix of degree m with
+M(0) = diag(1, -1) and s = qt^(-1/2) with
+qt = ((tr B)^2 - 4 det B) / (b_1 - b_2)^2 = 1 + O(u), so M^2 = qt (the
+matrix-resolvent normal form of Bertola, Dubrovin & Yang, Physica D 327,
+2016).  The numerator over the Vandermonde is then prod_i s(u_i), a
+symmetric unit series, times the one built from M, so the kernel walks M
+and divides its numerator alone, and the box of the quotient is multiplied
+by prod_i s afterwards, in integers.  M s must equal the certified
+projector difference through u^kmax, the orders the box reads.  At N = 2
+the table carries the regularizing -2, and with D = Pi_1 - Pi_2,
+(tr D(x) D(y) - 2) / (x - y)^2 is not prod s times a polynomial, so N = 2
+walks D itself.
 """
 
 from __future__ import annotations
@@ -80,7 +96,8 @@ from .curve import MatrixPolynomial, SpectralCurveData, characteristic_data
 from .multipoly import (
     MultiPoly, multipoly_coset_factor, multipoly_exact_divide, multipoly_sum, packing_width,
 )
-from .projectors import projector_series
+from .projectors import _integer_coefficients, projector_series
+from .series import USeries
 
 IndexPair = tuple[int, int]  # (sheet, k)
 
@@ -300,11 +317,12 @@ def _times_missing(groups: dict, npts: int, cap: int) -> MultiPoly:
 
 def _npoint_values(mats: Mapping, sheets: Sequence, kmax: int, c: int,
                    subtract: int) -> dict:
-    """F-values for slot i carrying ``mats[sheets[i]]``, scaled by c.
+    """The t-quotient for slot i carrying ``mats[sheets[i]]``, scaled by c.
 
     ``subtract`` (delta_ab at N = 2) is taken from each class's trace before
-    it is signed.  Returns {(k_1..k_N): Fraction} for the full box
-    k_i <= kmax, in the slot order of ``sheets``.
+    it is signed.  Returns {(k_1..k_N): q[k]}, the integer quotient
+    coefficients of the full box k_i <= kmax in the slot order of
+    ``sheets``; ``_values`` turns them into F.
     """
     npts = len(sheets)
     if npts < 2:
@@ -371,15 +389,23 @@ def _npoint_values(mats: Mapping, sheets: Sequence, kmax: int, c: int,
             q = multipoly_coset_factor(q, block[:m], block[m])
     for trusted, pair in zip(range(cap_dividend, -1, -1), divisors):
         q = multipoly_exact_divide(q, MultiPoly.pair_difference(npts, *pair), trusted)
-    return {
-        ks: Fraction(-q.coeff(tuple(ks[i] for i in order)), c ** (npts + sum(ks)))
-        for ks in itertools.product(range(kmax + 1), repeat=npts)
-    }
+    return {ks: q.coeff(tuple(ks[i] for i in order))
+            for ks in itertools.product(range(kmax + 1), repeat=npts)}
+
+
+def _values(quotient: Mapping, c: int) -> dict:
+    """F = -q[k] / c^(N + |k|) for each integer t-quotient coefficient q[k]."""
+    return {ks: Fraction(-q, c ** (len(ks) + sum(ks))) for ks, q in quotient.items()}
 
 
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
+
+def _require_kmax(kmax) -> None:
+    if isinstance(kmax, bool) or not isinstance(kmax, int) or kmax < 0:
+        raise ValueError(f"kmax must be an int >= 0, got {kmax!r}")
+
 
 def correlator_pair(w: MatrixPolynomial, a1: int, a2: int, kmax: int,
                     engine: CorrelatorEngine | None = None) -> CorrelatorTable:
@@ -394,6 +420,7 @@ def correlator_n(w: MatrixPolynomial, sheets: Sequence[int], kmax: int,
     At N = 2 the table carries the -delta_ab / (z1 - z2)^2 term.  A sheet
     outside 1..n raises ValueError before any work.
     """
+    _require_kmax(kmax)
     sheets = tuple(int(a) for a in sheets)
     for a in sheets:
         if not 1 <= a <= w.n:
@@ -403,7 +430,8 @@ def correlator_n(w: MatrixPolynomial, sheets: Sequence[int], kmax: int,
     K = npts * (kmax + 1)
     mats = {a: engine.slot_matrix(a, K) for a in sheets}
     delta = int(npts == 2 and sheets[0] == sheets[1])
-    vals = _npoint_values(mats, sheets, kmax, engine.scale(*sheets), delta)
+    c = engine.scale(*sheets)
+    vals = _values(_npoint_values(mats, sheets, kmax, c, delta), c)
     entries = {
         tuple((sheets[i], ks[i]) for i in range(npts)): v for ks, v in vals.items()
     }
@@ -414,6 +442,24 @@ def correlator_n(w: MatrixPolynomial, sheets: Sequence[int], kmax: int,
 # hyperelliptic difference combination (n = 2)
 # ---------------------------------------------------------------------------
 
+def _normal_form(w: MatrixPolynomial, order: int):
+    """(M, s) with Pi_1 - Pi_2 = M(u) s(u) for n = 2: M's m + 1 coefficients, s through u^order.
+
+    M = (2B - tr B) / (b_1 - b_2) and s = qt^(-1/2), as in the module
+    docstring, from the integer matrices L B_l.
+    """
+    lb, _ = _integer_coefficients(w)  # L B_l, integers
+    m, gap = w.m, lb[0][0][0] - lb[0][1][1]
+    mat = [[[Fraction(2 * b[i][j] - (b[0][0] + b[1][1]) * (i == j), gap) for b in lb]
+            for j in range(2)] for i in range(2)]
+    # (tr B)^2 - 4 det B = (B_11 - B_22)^2 + 4 B_12 B_21
+    diff = [b[0][0] - b[1][1] for b in lb]
+    disc = [Fraction(sum(diff[l] * diff[k - l] + 4 * lb[l][0][1] * lb[k - l][1][0]
+                         for l in range(max(0, k - m), min(k, m) + 1)), gap * gap)
+            for k in range(order + 1)]
+    return mat, list(USeries(0, disc).inv_sqrt().coeffs)
+
+
 def hyperelliptic_combination(w: MatrixPolynomial, n_points: int, kmax: int,
                               engine: CorrelatorEngine | None = None) -> dict:
     """Signed sheet sums sum_{a-tuples} prod_i s_{a_i} F^{a...}_{k...}.
@@ -421,15 +467,42 @@ def hyperelliptic_combination(w: MatrixPolynomial, n_points: int, kmax: int,
     Sheet 1 (the branch with the monic leading coefficient) carries weight +1
     and sheet 2 weight -1, realizing the difference of the two time families.
     By linearity of the trace this equals one expansion with every projector
-    slot replaced by Pi_1 - Pi_2; at N = 2 the signed -delta_ab terms add up
-    to tr (Pi_1 - Pi_2)^2 = 2.
+    slot replaced by Pi_1 - Pi_2.
+
+    For N >= 3 the kernel walks M of Pi_1 - Pi_2 = M s (``_normal_form``;
+    see the module docstring), zero-padded to the K + 1 orders its window
+    guard asks for, and the box of its integer quotient is multiplied by
+    prod_i s(c t_i) one axis at a time; M and s share one scale c.  M s
+    must equal ``engine.difference_matrix(kmax)`` through u^kmax, or
+    ArithmeticError is raised.  N = 2 walks Pi_1 - Pi_2 itself with the
+    subtracted 2: the signed -delta_ab terms add up to tr (Pi_1 - Pi_2)^2.
     """
+    _require_kmax(kmax)
     if w.n != 2:
         raise ValueError("hyperelliptic combination needs n = 2")
     engine = engine or CorrelatorEngine(w)
-    d = engine.difference_matrix(n_points * (kmax + 1))
-    return _npoint_values({0: d}, (0,) * n_points, kmax, engine.scale(0),
-                          2 if n_points == 2 else 0)
+    if n_points == 2:
+        d = engine.difference_matrix(2 * (kmax + 1))
+        c = engine.scale(0)
+        return _values(_npoint_values({0: d}, (0, 0), kmax, c, 2), c)
+    mat, s = _normal_form(w, kmax)
+    d = engine.difference_matrix(kmax)
+    for i, j in itertools.product(range(2), repeat=2):
+        for k in range(kmax + 1):
+            if sum(a * s[k - l] for l, a in enumerate(mat[i][j][: k + 1])) != d[i][j][k]:
+                raise ArithmeticError(
+                    f"M s differs from Pi_1 - Pi_2 at entry ({i + 1}, {j + 1}), u^{k}")
+    K = n_points * (kmax + 1)
+    mat = [[(entry + [0] * K)[: K + 1] for entry in row] for row in mat]
+    c = _series_scale([mat, [[s]]])
+    s_ints = _integer_slot([[s]], c)[0][0]
+    q = _npoint_values({0: mat}, (0,) * n_points, kmax, c, 0)
+    # times prod_i s(c t_i), one axis at a time
+    for axis in range(n_points):
+        q = {ks: sum(q[ks[:axis] + (j,) + ks[axis + 1:]] * s_ints[ks[axis] - j]
+                     for j in range(ks[axis] + 1))
+             for ks in q}
+    return _values(q, c)
 
 
 # Kept only for the --record cross-check of perfbench/workloads.py, which imports it by name.

@@ -23,6 +23,7 @@ of the vector of Riemann constants that it determines.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -107,6 +108,14 @@ def _root_product(x, u):
     return np.prod(np.sqrt((np.asarray(x)[:, None] - u) / d), axis=1), np.prod(d)
 
 
+@functools.lru_cache
+def _gauss_legendre(n: int):
+    """The n-node Gauss-Legendre nodes and weights, computed once per n, read-only."""
+    x, wts = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = wts.flags.writeable = False
+    return x, wts
+
+
 def _rule(u, chebyshev: bool, fraction: float, target: float):
     """(nodes, weights, r, error factor) for a segment with square-root branch points u.
 
@@ -125,7 +134,7 @@ def _rule(u, chebyshev: bool, fraction: float, target: float):
     if n > 1 << 16:
         raise PeriodError(f"segment needs {n} quadrature nodes; branch points too close")
     x, wts = ((np.cos((2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n)), np.full(n, np.pi / n))
-              if chebyshev else np.polynomial.legendre.leggauss(n))
+              if chebyshev else _gauss_legendre(n))
     low = float(np.prod(np.sqrt((rhos - r) * (1 - 1 / (r * rhos)) / 2)))
     return x, wts, r, c / (r ** (2 * n) - 1) / low
 

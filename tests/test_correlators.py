@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -222,6 +223,87 @@ class TestHyperellipticCombination:
         assert comb2[(1, 1)] == f11
 
 
+NORMAL_FORM_INSTANCES = {
+    "g1-doc": lambda: doc_w("hyperelliptic-g1.json"),
+    "g2-doc": lambda: doc_w("hyperelliptic-g2.json"),
+    "g1-s100": lambda: random_hyperelliptic(100, 1)[0],
+    "g2-s100": lambda: random_hyperelliptic(100, 2)[0],
+    "g2-s105": lambda: random_hyperelliptic(105, 2)[0],
+    "g3-s101": lambda: random_hyperelliptic(101, 3)[0],
+    # not traceless, and b_1 - b_2 is not 2
+    **{f"n2m{m}-s{seed}": (lambda seed=seed, m=m: random_matrix_polynomial(seed, 2, m))
+       for seed in (100, 101, 102) for m in (2, 3)},
+}
+
+
+class TestNormalForm:
+    """N >= 3 tables walk M(u) of Pi_1 - Pi_2 = M(u) s(u) instead of the projectors."""
+
+    @pytest.mark.parametrize("name, npts, kmax", [
+        (name, npts, kmax) for name in NORMAL_FORM_INSTANCES
+        for npts, kmax in ((3, 0), (3, 2), (4, 1), (5, 0))
+    ] + [("g1-doc", 4, 2), ("g2-doc", 4, 2), ("g2-doc", 5, 1), ("n2m3-s102", 4, 2)])
+    def test_matches_per_sheet_tables(self, name, npts, kmax):
+        w = NORMAL_FORM_INSTANCES[name]()
+        got = hyperelliptic_combination(w, npts, kmax)
+        assert got == hyperelliptic_combination_from_tables(w, npts, kmax)
+
+    @pytest.mark.parametrize("name", ["g2-doc", "g3-s101", "n2m3-s100"])
+    def test_normal_form(self, name):
+        # M(0) = diag(1, -1), M has degree m, and (M s)^2 = (Pi_1 - Pi_2)^2 = 1
+        w = NORMAL_FORM_INSTANCES[name]()
+        order = 2 * w.m + 3
+        mat, s = correlators._normal_form(w, order)
+        assert [[entry[0] for entry in row] for row in mat] == [[1, 0], [0, -1]]
+        assert all(len(entry) == w.m + 1 for row in mat for entry in row)
+        ms = [[[sum(a * s[k - l] for l, a in enumerate(entry[: k + 1])) for k in range(order + 1)]
+               for entry in row] for row in mat]
+        for i in range(2):
+            for j in range(2):
+                square = [sum(ms[i][t][l] * ms[t][j][k - l] for t in range(2) for l in range(k + 1))
+                          for k in range(order + 1)]
+                assert square == [int(i == j)] + [0] * order
+
+    @pytest.mark.parametrize("mutate", [
+        lambda mat, s: (mat, [-x for x in s]),
+        lambda mat, s: ([[[2 * x for x in entry] for entry in row] for row in mat], s),
+        lambda mat, s: (mat, s[:1] + [x + 1 for x in s[1:]]),
+    ], ids=["s-other-branch", "M-times-gap", "s-shifted"])
+    def test_certificate_ties_m_s_to_the_projectors(self, mutate, monkeypatch):
+        normal_form = correlators._normal_form
+        monkeypatch.setattr(correlators, "_normal_form",
+                            lambda w, order: mutate(*normal_form(w, order)))
+        with pytest.raises(ArithmeticError, match="differs from Pi_1 - Pi_2"):
+            hyperelliptic_combination(doc_w("hyperelliptic-g2.json"), 3, 1)
+
+    def test_projectors_only_through_kmax(self, monkeypatch):
+        orders = []
+        projector_series = correlators.projector_series
+
+        def recorded(w, sheet, order, curve=None):
+            orders.append(order)
+            return projector_series(w, sheet, order, curve)
+
+        monkeypatch.setattr(correlators, "projector_series", recorded)
+        hyperelliptic_combination(doc_w("hyperelliptic-g2.json"), 5, 1)
+        assert orders == [1, 1]
+
+
+@pytest.mark.parametrize("kmax", [-1, -2, True, 1.0, "1", None])
+def test_kmax_is_checked_before_any_work(kmax, monkeypatch):
+    def no_curve(*args, **kwargs):
+        raise AssertionError("curve data computed before the kmax check")
+
+    monkeypatch.setattr(correlators, "characteristic_data", no_curve)
+    w = doc_w("hyperelliptic-g2.json")
+    message = "^" + re.escape(f"kmax must be an int >= 0, got {kmax!r}") + "$"
+    for call in (lambda: correlator_n(w, (1, 2, 1), kmax), lambda: correlator_pair(w, 1, 2, kmax),
+                 lambda: hyperelliptic_combination(w, 3, kmax),
+                 lambda: hyperelliptic_combination(w, 2, kmax)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 class TestIntegerEngine:
     @pytest.mark.parametrize("name, expected", [
         ("three-sheet-m1.json", 1),
@@ -262,11 +344,14 @@ class TestIntegerEngine:
         assert eng.scale(1) == 180
 
     def test_wrong_scale_raises(self, monkeypatch):
+        # on the g2 example M and s are integral through u^kmax, so scale 1
+        # is right for the N >= 3 combination there; this curve's are not
         w = doc_w("hyperelliptic-g2.json")
+        w_random = random_hyperelliptic(100, 2)[0]
         eng = CorrelatorEngine(w)
         monkeypatch.setattr(correlators, "_series_scale", lambda mats: 1)
-        with pytest.raises(ArithmeticError):
-            hyperelliptic_combination(w, 3, 1, eng)
+        with pytest.raises(ArithmeticError, match="non-integral"):
+            hyperelliptic_combination(w_random, 3, 1)
         with pytest.raises(ArithmeticError):
             correlator_pair(w, 1, 2, 1, eng)
 

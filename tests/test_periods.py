@@ -31,6 +31,15 @@ def real_branch_ctx():
     return curve, period_matrix(curve)
 
 
+def test_gauss_legendre_rule_is_computed_once_and_read_only():
+    x, wts = periods._gauss_legendre(24)
+    want_x, want_wts = np.polynomial.legendre.leggauss(24)
+    assert np.array_equal(x, want_x) and np.array_equal(wts, want_wts)
+    assert periods._gauss_legendre(24)[0] is x
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+
+
 class TestPeriodMatrix:
     def test_agm_oracle_a_period(self, real_branch_ctx):
         curve, ctx = real_branch_ctx

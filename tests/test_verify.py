@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,43 @@ def test_perturbed_f_fails_only_its_identity(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert status == 1 and report["success"] is False
     assert [r["passed"] for r in report["identities"]] == [r.passed for r in rep.identities]
+
+
+@pytest.mark.parametrize("seed, g", [(100, 2), (106, 3)])
+def test_high_orders_pass(seed, g):
+    rep = verify_main_theorem(random_hyperelliptic(seed, g)[0],
+                              kmax={n: 2 for n in range(3, 7)}, tol=1e-9)
+    assert len(rep.identities) == 74
+    assert rep.success
+
+
+def test_im_t_is_judged_relative_to_f():
+    # F = -14359559/8: Im T = 3e-9 is above tol but 1e-15 of |F|, and
+    # rel_err = |T - F| / |F| already bounds it
+    rep = verify_main_theorem(random_hyperelliptic(106, 3)[0], kmax={4: 2}, tol=1e-9)
+    r = {r.k_tuple: r for r in rep.identities}[(2, 2, 2, 2)]
+    assert r.f_exact == Fraction(-14359559, 8)
+    assert abs(r.t_value.imag) > 1e-9 > r.rel_err
+    assert r.passed and rep.success
+
+
+@pytest.mark.parametrize("factor, passed", [(2.0, False), (0.5, True)])
+def test_verdict_bounds_im_t(factor, passed, monkeypatch):
+    # Im T = factor * tol * max(1, |F|) on every identity: |(-1)^N T - F| is a
+    # complex modulus, so rel_err is at least factor * tol
+    tol = 1e-6
+    log_derivatives = verify_module.log_derivatives
+
+    def shifted(*args):
+        theta_u0, logs = log_derivatives(*args)
+        return theta_u0, {ks: t + 1j * factor * tol * max(1.0, abs(t.real))
+                          for ks, t in logs.items()}
+
+    monkeypatch.setattr(verify_module, "log_derivatives", shifted)
+    rep = verify_main_theorem(doc_w("hyperelliptic-g2.json"), kmax={3: 2, 4: 1}, tol=tol)
+    assert [r.passed for r in rep.identities] == [passed] * len(rep.identities)
+    # |F| reaches 10 here, so at factor 0.5 some Im T passes above tol
+    assert max(abs(r.t_value.imag) for r in rep.identities) > tol
 
 
 @pytest.mark.parametrize("kmax, message", [
