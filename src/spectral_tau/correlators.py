@@ -77,7 +77,9 @@ matrix-resolvent normal form of Bertola, Dubrovin & Yang, Physica D 327,
 symmetric unit series, times the one built from M, so the kernel walks M
 and divides its numerator alone, and the box of the quotient is multiplied
 by prod_i s afterwards, in integers.  M s must equal the certified
-projector difference through u^kmax, the orders the box reads.  At N = 2
+projector difference through u^kmax, the orders the box reads.  The engine
+builds M and s and runs that certificate once per order it is asked for
+beyond the last, so the N of one verify share one normal form.  At N = 2
 the table carries the regularizing -2, and with D = Pi_1 - Pi_2,
 (tr D(x) D(y) - 2) / (x - y)^2 is not prod s times a polynomial, so N = 2
 walks D itself.
@@ -132,6 +134,8 @@ class CorrelatorEngine:
         self._projectors: dict[int, tuple] = {}
         self._proj_order = -1
         self._scales: dict = {}
+        self._normal = None     # (M, s) of _normal_form, certified through u^_normal_order
+        self._normal_order = -1
 
     def projector(self, sheet: int, order: int) -> tuple:
         """Pi_sheet as an n x n grid of series trusted through at least u^order."""
@@ -177,6 +181,26 @@ class CorrelatorEngine:
         p2 = self.projector(2, order)
         return [[(s1 - s2).coefficients(0, order + 1) for s1, s2 in zip(r1, r2)]
                 for r1, r2 in zip(p1, p2)]
+
+    def normal_form(self, order: int):
+        """(M, s) with Pi_1 - Pi_2 = M(u) s(u) for n = 2, s through u^order.
+
+        ``_normal_form`` runs at the largest order asked so far, and s is
+        sliced for smaller ones.  Each such run is certified once: M s must
+        equal ``difference_matrix(order)`` entry by entry through u^order, or
+        ArithmeticError is raised.
+        """
+        if order > self._normal_order:
+            mat, s = _normal_form(self.w, order)
+            d = self.difference_matrix(order)
+            for i, j in itertools.product(range(2), repeat=2):
+                for k in range(order + 1):
+                    if sum(a * s[k - l] for l, a in enumerate(mat[i][j][: k + 1])) != d[i][j][k]:
+                        raise ArithmeticError(
+                            f"M s differs from Pi_1 - Pi_2 at entry ({i + 1}, {j + 1}), u^{k}")
+            self._normal, self._normal_order = (mat, s), order
+        mat, s = self._normal
+        return mat, s[: order + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -469,13 +493,15 @@ def hyperelliptic_combination(w: MatrixPolynomial, n_points: int, kmax: int,
     By linearity of the trace this equals one expansion with every projector
     slot replaced by Pi_1 - Pi_2.
 
-    For N >= 3 the kernel walks M of Pi_1 - Pi_2 = M s (``_normal_form``;
-    see the module docstring), zero-padded to the K + 1 orders its window
-    guard asks for, and the box of its integer quotient is multiplied by
-    prod_i s(c t_i) one axis at a time; M and s share one scale c.  M s
-    must equal ``engine.difference_matrix(kmax)`` through u^kmax, or
-    ArithmeticError is raised.  N = 2 walks Pi_1 - Pi_2 itself with the
-    subtracted 2: the signed -delta_ab terms add up to tr (Pi_1 - Pi_2)^2.
+    For N >= 3 the kernel walks M of Pi_1 - Pi_2 = M s (see the module
+    docstring), zero-padded to the K + 1 orders its window guard asks for,
+    and the box of its integer quotient is multiplied by prod_i s(c t_i) one
+    axis at a time; M and s share one scale c, taken per call.  M and s come
+    from ``engine.normal_form(kmax)``, which builds and certifies the normal
+    form once per engine and order (ArithmeticError when M s is not
+    Pi_1 - Pi_2 through u^kmax), so the N of one verify share it.  N = 2
+    walks Pi_1 - Pi_2 itself with the subtracted 2: the signed -delta_ab
+    terms add up to tr (Pi_1 - Pi_2)^2.
     """
     _require_kmax(kmax)
     if w.n != 2:
@@ -485,13 +511,7 @@ def hyperelliptic_combination(w: MatrixPolynomial, n_points: int, kmax: int,
         d = engine.difference_matrix(2 * (kmax + 1))
         c = engine.scale(0)
         return _values(_npoint_values({0: d}, (0, 0), kmax, c, 2), c)
-    mat, s = _normal_form(w, kmax)
-    d = engine.difference_matrix(kmax)
-    for i, j in itertools.product(range(2), repeat=2):
-        for k in range(kmax + 1):
-            if sum(a * s[k - l] for l, a in enumerate(mat[i][j][: k + 1])) != d[i][j][k]:
-                raise ArithmeticError(
-                    f"M s differs from Pi_1 - Pi_2 at entry ({i + 1}, {j + 1}), u^{k}")
+    mat, s = engine.normal_form(kmax)
     K = n_points * (kmax + 1)
     mat = [[(entry + [0] * K)[: K + 1] for entry in row] for row in mat]
     c = _series_scale([mat, [[s]]])

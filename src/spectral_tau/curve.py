@@ -10,19 +10,21 @@ entries, run with the curve, and the leading diagonal of W labels the
 sheets.  A single Faddeev-LeVerrier pass yields the a_k together with the
 adjugate Phi(z, w) of w*1 - W(z), whose coefficient matrices feed the
 divisor; it runs on the first read of either, so the correlator engine,
-which needs only the checks, never pays it.  The smoothness check (a
-determinant over Q[z]) runs on the first read of
-``SpectralCurveData.diagnostics``, since only reports read it.
+which needs only the checks, never pays it.  The pass runs over Z[z], on
+W times the lcm of its denominators, and makes one Fraction per output
+coefficient.  The smoothness check (a determinant, by Bareiss steps over
+Z[z]) runs on the first read of ``SpectralCurveData.diagnostics``, since
+only reports read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
-from .polynomials import Poly, is_squarefree, resultant_w
+from .polynomials import Poly, _cleared, _int_add, _int_mul, is_squarefree, resultant_w
 
 PolyMatrix = tuple  # n x n tuple of tuples of Poly
 
@@ -179,25 +181,42 @@ def characteristic_data(w: MatrixPolynomial) -> SpectralCurveData:
 def _faddeev_leverrier(w: MatrixPolynomial) -> tuple:
     """((a_1, ..., a_n), (N_0, ..., N_{n-1})): characteristic polynomial and adjugate.
 
-    One Faddeev-LeVerrier pass, which stays in Q[z] throughout: N_0 = 1 and,
-    for k = 1..n, a_k = -tr(W N_{k-1})/k and N_k = W N_{k-1} + a_k 1.  Then
-    det(w*1 - W) = w^n + a_1 w^{n-1} + ... + a_n, and N_k = sum_{j<=k} a_j W^(k-j)
-    are the coefficients of the adjugate (N_n = 0 is Cayley-Hamilton).
+    One Faddeev-LeVerrier pass over Z[z], on V = L W with L the lcm of W's
+    denominators: N_0 = 1 and, for k = 1..n, alpha_k = -tr(V N_{k-1})/k and
+    N_k = V N_{k-1} + alpha_k 1.  The alpha_k are the coefficients of
+    det(w*1 - V) in Z[z], so every division by k is exact, and a remainder
+    raises ArithmeticError.  Then det(w*1 - W) = w^n + a_1 w^{n-1} + ... + a_n
+    with a_k = alpha_k / L^k, and N_k(W) = sum_{j<=k} a_j W^(k-j) = N_k(V) / L^k
+    are the coefficients of the adjugate (N_n = 0 is Cayley-Hamilton); one
+    Fraction is made per output coefficient.
     """
-    n, mat = w.n, w.matrix
-    zero = Poly.zero()
-    coeffs = []
-    adjugate = [tuple(tuple(Poly.one() if i == j else zero for j in range(n)) for i in range(n))]
+    n = w.n
+    scale, flat = _cleared(p for row in w.matrix for p in row)
+    v = [flat[i * n:(i + 1) * n] for i in range(n)]
+    nk = [[[1] if i == j else [] for j in range(n)] for i in range(n)]
+    alphas, numerators = [], []
     for k in range(1, n + 1):
-        nk = adjugate[-1]
-        wn = [[sum((mat[i][s] * nk[s][j] for s in range(n)), zero) for j in range(n)]
-              for i in range(n)]
-        ak = sum((wn[i][i] for i in range(n)), zero) * Fraction(-1, k)
-        coeffs.append(ak)
+        numerators.append(nk)
+        vn = [[reduce(_int_add, (_int_mul(v[i][s], nk[s][j]) for s in range(n)), [])
+               for j in range(n)] for i in range(n)]
+        alpha = []
+        for c in reduce(_int_add, (vn[i][i] for i in range(n)), []):
+            q, r = divmod(-c, k)
+            if r:
+                raise ArithmeticError(
+                    f"Faddeev-LeVerrier: tr(V N_{k - 1}) is not divisible by {k}")
+            alpha.append(q)
+        alphas.append(alpha)
         if k < n:
-            adjugate.append(tuple(tuple(wn[i][j] + ak if i == j else wn[i][j] for j in range(n))
-                                  for i in range(n)))
-    return tuple(coeffs), tuple(adjugate)
+            nk = [[_int_add(vn[i][j], alpha) if i == j else vn[i][j] for j in range(n)]
+                  for i in range(n)]
+
+    def rational(ints, k):
+        return Poly(Fraction(c, scale ** k) for c in ints)
+
+    return (tuple(rational(alpha, k) for k, alpha in enumerate(alphas, 1)),
+            tuple(tuple(tuple(rational(entry, k) for entry in row) for row in mat)
+                  for k, mat in enumerate(numerators)))
 
 
 def _structural(w: MatrixPolynomial) -> list[Diagnostic]:

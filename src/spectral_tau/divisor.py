@@ -41,7 +41,11 @@ def d_polynomial(w: MatrixPolynomial, curve: SpectralCurveData | None = None) ->
     + a_k, so these rows are a unit-triangular Q[z]-combination of the rows
     e W^k: D = e wedge e W wedge ... wedge e W^(n-1).
     """
-    q = cofactor_row_sums(w, curve)
+    return _det_transposed(cofactor_row_sums(w, curve))
+
+
+def _det_transposed(q: list[list[Poly]]) -> Poly:
+    """D = det Q^T from the cofactor row sums q of :func:`cofactor_row_sums`."""
     return poly_matrix_det([list(col) for col in zip(*q)])
 
 
@@ -65,8 +69,8 @@ def cofactor_row_sums(w: MatrixPolynomial,
             for i in range(n)]
 
 
-def _polish_root(p: Poly, z: complex, steps: int = 8) -> complex:
-    dp = p.derivative()
+def _polish_root(p: Poly, dp: Poly, z: complex, steps: int = 8) -> complex:
+    """Newton steps on p from z; ``dp`` is p's derivative."""
     for _ in range(steps):
         d = dp(z)
         if d == 0:
@@ -87,7 +91,8 @@ def pole_divisor(w: MatrixPolynomial, tol: float = 1e-9,
     if fatal:
         raise DivisorError(f"invalid input: {fatal[0].detail or fatal[0].name}")
     n = w.n
-    dpoly = d_polynomial(w, curve)
+    q = cofactor_row_sums(w, curve)
+    dpoly = _det_transposed(q)
     expected = expected_d_degree(w)
     if dpoly.is_zero():
         raise DivisorError("degenerate divisor configuration: D(z) vanishes identically")
@@ -99,14 +104,14 @@ def pole_divisor(w: MatrixPolynomial, tol: float = 1e-9,
             stacklevel=2,
         )
     roots = np.roots(dpoly.float_coeffs_descending())
-    roots = [_polish_root(dpoly, complex(z)) for z in roots]
+    dprime = dpoly.derivative()
+    roots = [_polish_root(dpoly, dprime, complex(z)) for z in roots]
     if len(roots) >= 2:
         min_dist = min(abs(a - b) for a, b in itertools.combinations(roots, 2))
         if min_dist <= tol:
             raise DivisorError(
                 f"repeated roots of D(z) within tolerance (min distance {min_dist:.3e})"
             )
-    q = cofactor_row_sums(w, curve)
     points = []
     for z in sorted(roots, key=lambda t: (t.real, t.imag)):
         c_full = np.array(

@@ -39,6 +39,7 @@ the same row.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import add, itemgetter
 from typing import Dict, Iterable, Tuple
 
@@ -148,7 +149,10 @@ class MultiPoly:
         return poly
 
     # -- constructors -------------------------------------------------------
+    # zero and pair_difference are built once per argument tuple and shared:
+    # no operation changes a MultiPoly's rows, width or bound after it is made.
     @staticmethod
+    @lru_cache(maxsize=None)
     def zero(nvars: int) -> "MultiPoly":
         return MultiPoly(nvars, {})
 
@@ -157,6 +161,7 @@ class MultiPoly:
         return MultiPoly(nvars, {(0,) * nvars: c})
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def pair_difference(nvars: int, i: int, j: int) -> "MultiPoly":
         """u_i - u_j."""
         if i == j:
@@ -321,14 +326,18 @@ def _mul_terms(rows: Rows, terms, apart: bool, width: int, cap: int | None) -> R
 
 def multipoly_sum(nvars: int, polys: Iterable[MultiPoly]) -> MultiPoly:
     """Sum of polynomials in ``nvars`` variables, accumulated row by row."""
-    polys = [p for p in polys if p.rows]
-    if len(polys) < 2:
-        return polys[0] if polys else MultiPoly.zero(nvars)
-    bound = sum(p.bound for p in polys)
-    width = max(packing_width(bound), *(p.width for p in polys))
+    kept, bound, width = [], 0, 2
+    for p in polys:
+        if p.rows:
+            kept.append(p)
+            bound += p.bound
+            width = max(width, p.width)
+    if len(kept) < 2:
+        return kept[0] if kept else MultiPoly.zero(nvars)
+    width = max(width, packing_width(bound))
     out: Rows = {}
     get = out.get
-    for p in polys:
+    for p in kept:
         rows = _repack(p.rows, p.width, width)
         if not out:
             out.update(rows)

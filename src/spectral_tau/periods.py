@@ -60,9 +60,10 @@ class HyperellipticCurve:
         if not is_squarefree(q_poly):
             raise PeriodError("Q must be squarefree")
         coeffs = np.array(q_poly.float_coeffs_descending(), dtype=complex)
+        derivative = np.polyder(coeffs)
         roots = np.roots(coeffs)
         for _ in range(60):  # Newton polish by complex Horner
-            step = np.polyval(coeffs, roots) / np.polyval(np.polyder(coeffs), roots)
+            step = np.polyval(coeffs, roots) / np.polyval(derivative, roots)
             roots -= step
             if np.all(np.abs(step) < 1e-15 * np.maximum(1.0, np.abs(roots))):
                 break
@@ -144,10 +145,16 @@ def _powers(z, g: int) -> np.ndarray:
     return z[None, :] ** np.arange(g - 1, -1, -1)[:, None]
 
 
+def _others(points: np.ndarray, *drop: int) -> np.ndarray:
+    """The rows but those at the indices ``drop``, in order, as np.delete gives
+    them, without its per-call argument handling."""
+    return points[[k for k in range(len(points)) if k not in drop]]
+
+
 def _edge_coordinates(points: np.ndarray, i: int, j: int):
     """mid, half and the other branch points u in the chart z = mid + half x of edge (i, j)."""
     mid, half = (points[i] + points[j]) / 2, (points[j] - points[i]) / 2
-    return mid, half, (np.delete(points, [i, j]) - mid) / half
+    return mid, half, (_others(points, i, j) - mid) / half
 
 
 def _crosses(p, q, r, s) -> bool:
@@ -187,7 +194,7 @@ def _edge_cycle(points: np.ndarray, i: int, j: int, fraction: float, target: flo
     period = half * (_powers(mid + half * x, g) / phi[:-2]) @ wts
     zr = abs(mid) + abs(half) * (r + 1 / r) / 2
     bound = err * max(1.0, zr) ** (g - 1) / abs(half) ** g
-    h0 = [np.sqrt(np.prod(points[v] - np.delete(points, v))) for v in (i, j)]   # h(0)^2 = Q'
+    h0 = [np.sqrt(np.prod(points[v] - _others(points, v))) for v in (i, j)]   # h(0)^2 = Q'
     return period, phi[-2] / h0[0], -phi[-1] / h0[1], bound, math.log(r) / fraction
 
 
@@ -211,7 +218,8 @@ def _symplectic_basis(k: np.ndarray) -> np.ndarray:
     One edge cycle whose complementary minor is 1 is dropped (the rest is a basis
     of H_1); pairs are found by Euclid on the pairings and projected out."""
     n = len(k)
-    drop = [j for j in range(n) if round(np.linalg.det(np.delete(np.delete(k, j, 0), j, 1))) == 1]
+    # the minor without row and column j, transposed (the same determinant)
+    drop = [j for j in range(n) if round(np.linalg.det(_others(_others(k, j).T, j))) == 1]
     if not drop:
         raise PeriodError("edge cycles do not span a unimodular lattice")
     vecs = [v for j, v in enumerate(np.eye(n, dtype=np.int64)) if j != drop[0]]

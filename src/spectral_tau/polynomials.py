@@ -1,30 +1,42 @@
 """Dense univariate polynomials over the rationals.
 
 Coefficients are stored ascending by power of z.  The zero polynomial is the
-empty coefficient list and has degree -1.  All arithmetic is exact.
+empty coefficient list and has degree -1.  All arithmetic is exact, and a
+coefficient becomes a Fraction once: one that already is one is kept as it
+is.  The gcd and the determinant run over Z[z], on int coefficient lists
+with the denominators cleared (:func:`_cleared`), and make their Fractions
+at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 
-def _normalize(coeffs: Iterable[Fraction]) -> tuple[Fraction, ...]:
-    c = [Fraction(x) for x in coeffs]
-    while c and c[-1] == 0:
+_ZERO = Fraction(0)
+
+
+def _normalize(coeffs: Iterable[Fraction | int]) -> tuple[Fraction, ...]:
+    c = [x if type(x) is Fraction else Fraction(x) for x in coeffs]
+    while c and not c[-1]:
         c.pop()
     return tuple(c)
 
 
 class Poly:
-    """Polynomial in z with Fraction coefficients, ascending order."""
+    """Polynomial in z with Fraction coefficients, ascending order.
 
-    __slots__ = ("coeffs",)
+    ``_complex`` holds the coefficients as complex numbers, highest power
+    first, made on the first evaluation at a point that is not rational.
+    """
+
+    __slots__ = ("coeffs", "_complex")
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        self.coeffs = _normalize(Fraction(c) for c in coeffs)
+        self.coeffs = _normalize(coeffs)
+        self._complex = None
 
     @staticmethod
     def zero() -> "Poly":
@@ -47,7 +59,7 @@ class Poly:
     def coeff(self, power: int) -> Fraction:
         if 0 <= power < len(self.coeffs):
             return self.coeffs[power]
-        return Fraction(0)
+        return _ZERO
 
     def leading(self) -> Fraction:
         if not self.coeffs:
@@ -106,31 +118,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact euclidean division over the field of rationals."""
-        other = _coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree()
-        lead = other.leading()
-        q = [Fraction(0)] * max(0, len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            factor = c / lead
-            q[i - d] = factor
-            for j, oc in enumerate(other.coeffs):
-                rem[i - d + j] -= factor * oc
-        return Poly(q), Poly(rem)
-
-    def exact_div(self, other: "Poly") -> "Poly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("polynomial division is not exact")
-        return q
-
     def derivative(self) -> "Poly":
         return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1))
 
@@ -141,13 +128,17 @@ class Poly:
         return Poly(tuple(c / lead for c in self.coeffs))
 
     def __call__(self, x):
-        """Evaluate by Horner.  Works for Fraction and complex arguments."""
-        result = 0 * x if self.coeffs else 0
-        for c in reversed(self.coeffs):
-            if isinstance(x, Fraction):
+        """Evaluate by Horner: exactly at an int or Fraction, in complex floats elsewhere."""
+        if isinstance(x, (int, Fraction)):
+            result = Fraction(0)
+            for c in reversed(self.coeffs):
                 result = result * x + c
-            else:
-                result = result * x + complex(c)
+            return result
+        if self._complex is None:
+            self._complex = tuple(complex(c) for c in reversed(self.coeffs))
+        result = 0 * x if self._complex else 0
+        for c in self._complex:
+            result = result * x + c
         return result
 
     def float_coeffs_descending(self) -> list[float]:
@@ -220,35 +211,86 @@ def is_squarefree(p: Poly) -> bool:
     return poly_gcd(p, p.derivative()).degree() == 0
 
 
-def poly_matrix_det(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a square Poly matrix by fraction-free (Bareiss) elimination.
+def _cleared(polys: Iterable[Poly]) -> tuple[int, list[list[int]]]:
+    """(L, the int coefficient lists of L p): L is the lcm of the denominators of the polys."""
+    polys = list(polys)
+    scale = lcm(*(c.denominator for p in polys for c in p.coeffs))
+    return scale, [[c.numerator * (scale // c.denominator) for c in p.coeffs] for p in polys]
 
-    Divisions by previous pivots are exact in Q[z]; a nonzero remainder would
-    mean corrupted input and raises.
+
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    """a * b over Z[z]; a product of nonzero lists keeps a nonzero top coefficient."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _int_add(a: list[int], b: list[int], sign: int = 1) -> list[int]:
+    """a + sign * b over Z[z], zeros trimmed."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] += sign * y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _int_exact_div(a: list[int], b: list[int]) -> list[int]:
+    """a / b over Z[z]; raises ValueError unless b divides a there.
+
+    Each step floor-divides by b's top coefficient; a step that is not
+    exact leaves a nonzero coefficient behind, which the remainder check sees.
+    """
+    rem, d, lead = list(a), len(b) - 1, b[-1]
+    q = [0] * max(0, len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        if rem[i]:
+            f = q[i - d] = rem[i] // lead
+            for j, y in enumerate(b):
+                rem[i - d + j] -= f * y
+    if any(rem):
+        raise ValueError("polynomial division is not exact")
+    return q
+
+
+def poly_matrix_det(rows: Sequence[Sequence[Poly]]) -> Poly:
+    """Determinant of a square Poly matrix by fraction-free (Bareiss) elimination over Z[z].
+
+    Each row is scaled by the lcm of its denominators, the elimination runs
+    on int coefficient lists, and the determinant is divided by the product
+    of the row scales once, one Fraction per coefficient.  The divisions by
+    previous pivots are exact in Z[z]; a nonzero remainder would mean
+    corrupted input and raises.
     """
     n = len(rows)
-    m = [[p for p in row] for row in rows]
-    if any(len(row) != n for row in m):
+    if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
     if n == 0:
         return Poly.one()
+    scales, m = zip(*(_cleared(row) for row in rows))
+    m = list(m)
     sign = 1
-    prev = Poly.one()
+    prev = [1]
     for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot_row = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+        if not m[k][k]:
+            pivot_row = next((i for i in range(k + 1, n) if m[i][k]), None)
             if pivot_row is None:
                 return Poly.zero()
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = Poly.zero()
+                num = _int_add(_int_mul(m[i][j], m[k][k]), _int_mul(m[i][k], m[k][j]), -1)
+                m[i][j] = _int_exact_div(num, prev)
+            m[i][k] = []
         prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    scale = sign * prod(scales)
+    return Poly(Fraction(c, scale) for c in m[n - 1][n - 1])
 
 
 def resultant_w(pcoeffs: Sequence[Poly], qcoeffs: Sequence[Poly]) -> Poly:

@@ -65,59 +65,50 @@ def _require_valid(curve: SpectralCurveData, sheet: int) -> None:
         raise BranchError(f"sheet index {sheet} out of range 1..{curve.n}")
 
 
-def _defects(lb, q, delta: int, k: int):
-    """Order-k defects of [B, Pi] = 0 and diag(Pi^2) = diag(Pi), in integers.
-
-    ``lb`` holds the integer matrices L B_l and ``q`` the numerators Q_0..Q_k.
-    Returns the matrix sum_l Delta^l [L B_l, Q_(k-l)] (L Delta^k times the
-    defect of the first) and the vector diag(sum_j Q_j Q_(k-j)) - diag(Q_k)
-    (Delta^k times that of the second); both vanish on a projector series.
-    """
-    n = len(q[0])
-    rn = range(n)
-    comm = [[0] * n for _ in rn]
-    for l in range(min(k, len(lb) - 1) + 1):
-        x, y, s = lb[l], q[k - l], delta ** l
-        for i in rn:
-            xi, yi, ci = x[i], y[i], comm[i]
-            for j in rn:
-                ci[j] += s * sum(xi[t] * y[t][j] - yi[t] * x[t][j] for t in rn)
-    idem = [sum(q[j][i][t] * q[k - j][t][i] for j in range(k + 1) for t in rn) - q[k][i][i]
-            for i in rn]
-    return comm, idem
-
-
 def _projector_numerators(lb, delta: int, a: int, order: int) -> list:
     """Q_0 = E_a, ..., Q_order with Pi_a = sum_k Q_k (u / Delta)^k.
 
-    Order k solves the defects of :func:`_defects` taken with Q_k = 0: the
-    commutator's (i, j) entry is cancelled by (L b_i - L b_j) (Q_k)_ij, and
-    the idempotency defect d_i by (Q_k)_ii = -d_a at i = a and d_i elsewhere.
+    Order k solves the order-k identities of the module docstring, scaled to
+    integers, from the terms that do not hold Q_k: the commutator
+    C = sum_{l=1..min(k,m)} Delta^l [L B_l, Q_(k-l)] and the idempotency sum
+    d_i = sum_{j=1..k-1} (Q_j Q_(k-j))_ii.  Then (L b_i - L b_j) (Q_k)_ij
+    cancels -C_ij off the diagonal, and (Q_k)_ii is -d_a at i = a and d_i
+    elsewhere, since Q_0 Q_k + Q_k Q_0 - Q_k has the diagonal (Q_k)_aa
+    at a and -(Q_k)_ii elsewhere.
     """
-    n = len(lb[0])
-    gap = [[lb[0][i][i] - lb[0][j][j] for j in range(n)] for i in range(n)]
-    q = [[[int(i == j == a) for j in range(n)] for i in range(n)]]
-    zero = [[0] * n for _ in range(n)]
+    n, m = len(lb[0]), len(lb) - 1
+    rn = range(n)
+    gap = [[lb[0][i][i] - lb[0][j][j] for j in rn] for i in rn]
+    q = [[[int(i == j == a) for j in rn] for i in rn]]
     for k in range(1, order + 1):
-        comm, idem = _defects(lb, q + [zero], delta, k)
+        comm = [[0] * n for _ in rn]
+        for l in range(1, min(k, m) + 1):
+            x, y, s = lb[l], q[k - l], delta ** l
+            for i in rn:
+                xi, yi, ci = x[i], y[i], comm[i]
+                for j in rn:
+                    ci[j] += s * sum(xi[t] * y[t][j] - yi[t] * x[t][j] for t in rn)
+        idem = [sum(q[j][i][t] * q[k - j][t][i] for j in range(1, k) for t in rn) for i in rn]
         q.append([[(-idem[i] if i == a else idem[i]) if i == j else -comm[i][j] // gap[i][j]
-                   for j in range(n)] for i in range(n)])
+                   for j in rn] for i in rn])
     return q
 
 
 def _first_defect(lb, q, delta: int):
-    """The least k <= order at which an identity of :func:`_defects` fails, or None.
+    """The least k <= order at which an order-k identity fails, or None.
 
     ``q`` holds Q_0..Q_order.  Each entry of Q(t) = sum_k Q_k t^k and of
     B(t) = sum_l Delta^l L B_l t^l is packed into one signed Kronecker int,
     one digit per power of t.  The t^k digits of [B(t), Q(t)] and of
-    diag(Q(t)^2) - diag(Q(t)) are the order-k defects of :func:`_defects`,
-    so they must vanish through k = order.  Every digit of the full
-    products is within 2n(m+1) max|Delta^l L B_l| max|Q| (the commutator
-    sums at most 2n(m+1) products per power) or n(order+1) max|Q|^2 +
-    max|Q| (the idempotency), and the width is certified from the larger
-    bound, so every digit decodes exactly and the low order + 1 digits are
-    zero exactly when those defects are.
+    diag(Q(t)^2) - diag(Q(t)) are the order-k defects,
+    sum_l Delta^l [L B_l, Q_(k-l)] (L Delta^k times that of [B, Pi] = 0)
+    and diag(sum_j Q_j Q_(k-j)) - diag(Q_k) (Delta^k times that of
+    diag(Pi^2) = diag(Pi)), so they must vanish through k = order.  Every
+    digit of the full products is within 2n(m+1) max|Delta^l L B_l| max|Q|
+    (the commutator sums at most 2n(m+1) products per power) or
+    n(order+1) max|Q|^2 + max|Q| (the idempotency), and the width is
+    certified from the larger bound, so every digit decodes exactly and the
+    low order + 1 digits are zero exactly when those defects are.
     """
     n, order, m = len(q[0]), len(q) - 1, len(lb) - 1
     rn = range(n)

@@ -64,12 +64,22 @@ def _raw_values(u: np.ndarray, b: np.ndarray, derivs, radius: int, axes=None) ->
     """Box sums of theta and its derivatives ``derivs`` at u.
 
     A derivative is a tuple of row indices of ``axes`` (default: the
-    coordinate axes); row v contributes the factor <v, n>.
+    coordinate axes); row v contributes the factor <v, n>.  Each tuple's
+    product of factors is its prefix's product times its last factor, so a
+    prefix shared by several tuples is multiplied out once.
     """
     n = _lattice(len(u), radius)
     terms = np.exp(0.5 * np.einsum("ki,ij,kj->k", n, b, n) + n @ u)
     p = n if axes is None else n @ np.asarray(axes).T
-    return {d: complex(np.sum(np.prod(p[:, list(d)], axis=1) * terms)) for d in derivs}
+    products = {(): np.ones(len(n))}
+
+    def product(d):
+        # left to right from the prefix's product, as np.prod multiplies
+        if d not in products:
+            products[d] = product(d[:-1]) * p[:, d[-1]]
+        return products[d]
+
+    return {d: complex(np.sum(product(d) * terms)) for d in derivs}
 
 
 # A function of its own, not inlined into theta, while perfbench/tracer.py wraps it by name.

@@ -28,7 +28,7 @@ from spectral_tau.multipoly import (
 )
 from spectral_tau.periods import HyperellipticCurve, abel_u0, period_matrix, v_vectors
 from spectral_tau.polynomials import Poly
-from spectral_tau.projectors import BranchError, _defects, _require_valid
+from spectral_tau.projectors import BranchError, _require_valid
 from spectral_tau.serialize import parse_matrix_polynomial
 from spectral_tau.series import USeries
 from spectral_tau.theta import log_derivatives, reduce_mod_lattice
@@ -165,12 +165,49 @@ def adjugate_projector(w, sheet, order):
                  for r in range(n))
 
 
+def order_defects(lb, q, delta: int, k: int):
+    """Order-k defects of [B, Pi] = 0 and diag(Pi^2) = diag(Pi), in integers.
+
+    ``lb`` holds the integer matrices L B_l and ``q`` the numerators Q_0..Q_k.
+    Returns the matrix sum_l Delta^l [L B_l, Q_(k-l)] (L Delta^k times the
+    defect of the first) and the vector diag(sum_j Q_j Q_(k-j)) - diag(Q_k)
+    (Delta^k times that of the second); both vanish on a projector series.
+    """
+    n = len(q[0])
+    rn = range(n)
+    comm = [[0] * n for _ in rn]
+    for l in range(min(k, len(lb) - 1) + 1):
+        x, y, s = lb[l], q[k - l], delta ** l
+        for i in rn:
+            xi, yi, ci = x[i], y[i], comm[i]
+            for j in rn:
+                ci[j] += s * sum(xi[t] * y[t][j] - yi[t] * x[t][j] for t in rn)
+    idem = [sum(q[j][i][t] * q[k - j][t][i] for j in range(k + 1) for t in rn) - q[k][i][i]
+            for i in rn]
+    return comm, idem
+
+
+def padded_projector_numerators(lb, delta: int, a: int, order: int) -> list:
+    """Q_0..Q_order solved from the full defects of order_defects taken with
+    Q_k = 0: the projectors' solver before it skipped the terms that hold Q_k,
+    an oracle for projectors._projector_numerators."""
+    n = len(lb[0])
+    gap = [[lb[0][i][i] - lb[0][j][j] for j in range(n)] for i in range(n)]
+    q = [[[int(i == j == a) for j in range(n)] for i in range(n)]]
+    zero = [[0] * n for _ in range(n)]
+    for k in range(1, order + 1):
+        comm, idem = order_defects(lb, q + [zero], delta, k)
+        q.append([[(-idem[i] if i == a else idem[i]) if i == j else -comm[i][j] // gap[i][j]
+                   for j in range(n)] for i in range(n)])
+    return q
+
+
 def defects_first_failure(lb, q, delta):
-    """The least k <= order at which the order-k defects of projectors._defects
-    do not vanish on Q_0..Q_order, or None: the certificate order by order, an
+    """The least k <= order at which the order-k defects of order_defects do
+    not vanish on Q_0..Q_order, or None: the certificate order by order, an
     oracle for the packed one of projectors._first_defect."""
     for k in range(len(q)):
-        comm, idem = _defects(lb, q, delta, k)
+        comm, idem = order_defects(lb, q, delta, k)
         if any(map(any, comm)) or any(idem):
             return k
     return None
@@ -459,12 +496,73 @@ def scan_half_period(w, kmax: dict, tol: float) -> list:
 
 # -- oracles the package no longer carries ---------------------------------------
 
+def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Euclidean division over Q: (q, r) with a = q b + r and deg r < deg b."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem, d, lead = list(a.coeffs), b.degree(), b.leading()
+    q = [Fraction(0)] * max(0, len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        if rem[i]:
+            factor = q[i - d] = rem[i] / lead
+            for j, c in enumerate(b.coeffs):
+                rem[i - d + j] -= factor * c
+    return Poly(q), Poly(rem)
+
+
 def poly_gcd_q(a: Poly, b: Poly) -> Poly:
     """Monic gcd by Euclid over Q[z], the gcd before the integer remainder sequence."""
     while not b.is_zero():
-        _, r = a.divmod(b)
+        _, r = poly_divmod(a, b)
         a, b = b, r
     return a.monic() if not a.is_zero() else a
+
+
+def faddeev_leverrier_q(w: MatrixPolynomial) -> tuple:
+    """((a_1..a_n), (N_0..N_{n-1})) by the Faddeev-LeVerrier pass in Q[z]:
+    N_0 = 1, a_k = -tr(W N_{k-1})/k, N_k = W N_{k-1} + a_k 1.  An oracle for
+    the pass over Z[z] of curve._faddeev_leverrier."""
+    n, mat = w.n, w.matrix
+    zero = Poly.zero()
+    coeffs = []
+    adjugate = [tuple(tuple(Poly.one() if i == j else zero for j in range(n)) for i in range(n))]
+    for k in range(1, n + 1):
+        nk = adjugate[-1]
+        wn = [[sum((mat[i][s] * nk[s][j] for s in range(n)), zero) for j in range(n)]
+              for i in range(n)]
+        ak = sum((wn[i][i] for i in range(n)), zero) * Fraction(-1, k)
+        coeffs.append(ak)
+        if k < n:
+            adjugate.append(tuple(tuple(wn[i][j] + ak if i == j else wn[i][j] for j in range(n))
+                                  for i in range(n)))
+    return tuple(coeffs), tuple(adjugate)
+
+
+def poly_matrix_det_q(rows) -> Poly:
+    """Determinant of a square Poly matrix by Bareiss elimination in Q[z], each
+    division by the previous pivot exact: an oracle for the Z[z] elimination of
+    polynomials.poly_matrix_det."""
+    n = len(rows)
+    m = [list(row) for row in rows]
+    if n == 0:
+        return Poly.one()
+    sign, prev = 1, Poly.one()
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            pivot_row = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+            if pivot_row is None:
+                return Poly.zero()
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                q, r = poly_divmod(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
+                if not r.is_zero():
+                    raise ValueError("polynomial division is not exact")
+                m[i][j] = q
+            m[i][k] = Poly.zero()
+        prev = m[k][k]
+    return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
 
 
 def total_degree(p: MultiPoly) -> int:
@@ -561,7 +659,7 @@ def hyperelliptic_divisor(a: Poly, b: Poly, c: Poly, tol: float = 1e-9):
     agree = True
     if special_poly.degree() >= 1:
         for z in np.roots(special_poly.float_coeffs_descending()):
-            z = _polish_root(special_poly, complex(z))
+            z = _polish_root(special_poly, special_poly.derivative(), complex(z))
             w_val = complex((c - b)(z)) / 2
             res_curve = abs(curve.r_at(z, w_val))
             res_eig = max(abs(_row_sum_value(q[i], z, w_val, 2)) for i in range(2))

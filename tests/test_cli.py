@@ -295,7 +295,8 @@ class TestScripts:
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
         verdicts = [line for line in proc.stdout.splitlines() if line.startswith("== ")]
-        assert len(verdicts) == 2 and all(": PASS in " in line for line in verdicts)
+        assert len(verdicts) == 2
+        assert all(re.search(r": PASS in \d+\.\d ms, ", line) for line in verdicts), verdicts
 
     def test_run_examples(self):
         script = DOCS.parent / "scripts" / "run_examples.py"

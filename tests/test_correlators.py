@@ -276,6 +276,26 @@ class TestNormalForm:
         with pytest.raises(ArithmeticError, match="differs from Pi_1 - Pi_2"):
             hyperelliptic_combination(doc_w("hyperelliptic-g2.json"), 3, 1)
 
+    def test_engine_builds_the_normal_form_once_per_larger_order(self, monkeypatch):
+        """One engine across N and kmax: _normal_form and its certificate run only
+        when an order beyond the last is asked, and the tables equal fresh engines'."""
+        w = doc_w("hyperelliptic-g2.json")
+        built, checked = [], []
+        normal_form = correlators._normal_form
+        difference_matrix = CorrelatorEngine.difference_matrix
+        monkeypatch.setattr(correlators, "_normal_form",
+                            lambda w, order: built.append(order) or normal_form(w, order))
+        monkeypatch.setattr(CorrelatorEngine, "difference_matrix",
+                            lambda self, order: checked.append(order)
+                            or difference_matrix(self, order))
+        engine = CorrelatorEngine(w)
+        plan = [(3, 1), (4, 0), (3, 2), (5, 1), (4, 2)]
+        shared = [hyperelliptic_combination(w, npts, kmax, engine) for npts, kmax in plan]
+        assert built == checked == [1, 2]
+        assert shared == [hyperelliptic_combination(w, npts, kmax) for npts, kmax in plan]
+        for order in range(3):
+            assert engine.normal_form(order) == normal_form(w, order)
+
     def test_projectors_only_through_kmax(self, monkeypatch):
         orders = []
         projector_series = correlators.projector_series

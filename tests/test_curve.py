@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +10,28 @@ from spectral_tau import (
     CorrelatorEngine, MatrixPolynomial, characteristic_data, correlator_n, correlator_pair, genus,
     hyperelliptic_combination, verify_main_theorem,
 )
+import spectral_tau.polynomials as polynomials_module
 from spectral_tau.curve import InvalidMatrixPolynomial
-from spectral_tau.polynomials import Poly, is_squarefree, poly_gcd, poly_matrix_det, resultant_w
+from spectral_tau.polynomials import (
+    Poly, _int_add, _int_exact_div, _int_mul, is_squarefree, poly_gcd, poly_matrix_det,
+    resultant_w,
+)
 
 from conftest import (
-    conjugate_diagonal, doc_w, matrix_trace, poly_gcd_q, random_matrix_polynomial,
+    conjugate_diagonal, doc_w, faddeev_leverrier_q, matrix_trace, poly_divmod, poly_gcd_q,
+    poly_matrix_det_q, random_matrix_polynomial,
 )
+
+FRACTION_POLYS = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=5),
+                          max_size=5).map(Poly)
+
+
+def horner_per_call(p: Poly, x):
+    """Horner with complex(c) made on every call: the evaluation the cached tuple replaces."""
+    result = 0 * x if p.coeffs else 0
+    for c in reversed(p.coeffs):
+        result = result * x + complex(c)
+    return result
 
 
 def diag_instance():
@@ -36,7 +53,7 @@ def singular_instance():
 class TestPolyBasics:
     def test_divmod_exact(self):
         p = Poly([2, 3, 1])  # (z+1)(z+2)
-        q, r = p.divmod(Poly([1, 1]))
+        q, r = poly_divmod(p, Poly([1, 1]))
         assert r.is_zero() and q == Poly([2, 1])
 
     def test_gcd(self):
@@ -56,7 +73,7 @@ class TestPolyBasics:
         if not got.is_zero():
             assert got.leading() == 1
             if not common.is_zero():
-                assert got.divmod(common)[1].is_zero()
+                assert poly_divmod(got, common)[1].is_zero()
 
     @pytest.mark.parametrize("instance", ["n2m1", "n2m3", "n3m1", "n3m2", "n4m1", "n4m2",
                                           "reducible", "singular"])
@@ -77,6 +94,81 @@ class TestPolyBasics:
     def test_bareiss_det_matches_cofactor_2x2(self):
         a, b, c, d = Poly([1, 2]), Poly([0, 1]), Poly([3]), Poly([1, 0, 1])
         assert poly_matrix_det([[a, b], [c, d]]) == a * d - b * c
+
+    def test_fractions_are_kept_not_rewrapped(self):
+        third = Fraction(1, 3)
+        p = Poly([third, 2, Fraction(0)])
+        assert p.coeffs[0] is third and p.coeffs == (third, Fraction(2))
+        assert all(type(c) is Fraction for c in (p + p).coeffs + (p * p).coeffs)
+
+    def test_int_and_fraction_arguments_evaluate_exactly(self):
+        p = Poly([1, 2, 3])
+        for x, want in ((2, Fraction(17)), (-1, Fraction(2)), (Fraction(1, 2), Fraction(11, 4))):
+            got = p(x)
+            assert got == want and type(got) is Fraction
+        assert Poly([Fraction(1, 3)])(5) == Fraction(1, 3)
+        assert p(2.0) == 17 + 0j and isinstance(p(2.0), complex)
+
+    @given(FRACTION_POLYS, st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                              allow_infinity=False))
+    @settings(max_examples=200, deadline=None)
+    def test_cached_complex_evaluation_is_bit_identical(self, p, x):
+        """The complex coefficient tuple, made once, gives the floats of complex(c)
+        per call, bit for bit, on the first and on later calls and for numpy scalars."""
+        for point in (x, x, np.complex128(x)):
+            got, want = p(point), horner_per_call(p, point)
+            assert repr(got) == repr(want) and type(got) is type(want)
+
+
+class TestIntegerPasses:
+    """Faddeev-LeVerrier and Bareiss over Z[z] against their Q[z] oracles in conftest."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_faddeev_leverrier_matches_q_pass(self, n, m):
+        for seed in (100, 101):
+            w = random_matrix_polynomial(seed, n, m)
+            got = curve_module._faddeev_leverrier(w)
+            assert got == faddeev_leverrier_q(w)
+            assert all(type(c) is Fraction for a in got[0] for c in a.coeffs)
+
+    def test_faddeev_leverrier_division_by_k_is_checked(self, monkeypatch):
+        """Each product off by one at z^0 adds n^2 = 9 to tr(V N_1), which 2 does not divide."""
+        monkeypatch.setattr(curve_module, "_int_mul", lambda a, b: _int_add(_int_mul(a, b), [1]))
+        with pytest.raises(ArithmeticError, match="not divisible by 2"):
+            curve_module._faddeev_leverrier(random_matrix_polynomial(100, 3, 1))
+
+    @given(st.integers(0, 4).flatmap(
+        lambda n: st.lists(st.lists(FRACTION_POLYS, min_size=n, max_size=n), min_size=n,
+                           max_size=n)))
+    @settings(max_examples=150, deadline=None)
+    def test_bareiss_matches_q_elimination(self, rows):
+        """Random Poly matrices, zero entries and pivots included."""
+        assert poly_matrix_det(rows) == poly_matrix_det_q(rows)
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)])
+    def test_sylvester_determinant_matches_q_elimination(self, n, m, monkeypatch):
+        """The smoothness check's Sylvester matrix of R and dR/dw."""
+        curve = characteristic_data(random_matrix_polynomial(100, n, m))
+        pw = [Poly.one(), *curve.char_coeffs]
+        qw = [Fraction(n - i) * a for i, a in enumerate(pw[:n])]
+        seen = []
+        det = polynomials_module.poly_matrix_det
+        monkeypatch.setattr(polynomials_module, "poly_matrix_det",
+                            lambda rows: seen.append(rows) or det(rows))
+        got = resultant_w(pw, qw)
+        assert len(seen[0]) == 2 * n - 1 and got == poly_matrix_det_q(seen[0])
+
+    def test_exact_division_over_z_is_checked(self):
+        assert _int_exact_div([2, 4, 2], [1, 1]) == [2, 2]
+        assert _int_exact_div([], [3, 1]) == []
+        for num, den in (([3], [2]), ([1, 1], [0, 2]), ([1, 0, 1], [1, 1])):
+            with pytest.raises(ValueError, match="not exact"):
+                _int_exact_div(num, den)
+
+    def test_non_square_matrix_raises(self):
+        with pytest.raises(ValueError, match="square"):
+            poly_matrix_det([[Poly.one(), Poly.one()]])
 
 
 class TestCharacteristicData:

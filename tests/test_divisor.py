@@ -96,6 +96,20 @@ class TestPoleDivisor:
         pts2 = pole_divisor(w2)
         assert len(pts) == len(pts2)
 
+    def test_row_sums_and_derivative_are_built_once(self, monkeypatch):
+        """One cofactor_row_sums and one D' per call, whatever the number of roots."""
+        from spectral_tau import divisor
+
+        rows, derivatives = [], []
+        row_sums, derivative = divisor.cofactor_row_sums, Poly.derivative
+        monkeypatch.setattr(divisor, "cofactor_row_sums",
+                            lambda w, curve=None: rows.append(1) or row_sums(w, curve))
+        monkeypatch.setattr(Poly, "derivative",
+                            lambda self: derivatives.append(1) or derivative(self))
+        w = random_matrix_polynomial(61, 3, 1)
+        pts = pole_divisor(w)
+        assert len(pts) == 3 and len(rows) == len(derivatives) == 1
+
     def test_diagonal_rejected(self):
         z2 = Poly([0, 0, 1])
         w = MatrixPolynomial.from_entries([[z2, Poly.zero()], [Poly.zero(), -z2]])

@@ -325,6 +325,40 @@ def test_engine_tables_never_repack(monkeypatch):
     assert widths and all(width == new for width, new in widths)
 
 
+def test_shared_constants_are_unchanged_by_full_tables():
+    """zero and pair_difference are one object per argument tuple, and the tables
+    that multiply and divide by them leave their rows, width and bound as built."""
+    from conftest import doc_w
+
+    from spectral_tau import correlator_n, correlator_pair, hyperelliptic_combination
+
+    shared = [MultiPoly.zero(n) for n in (2, 3, 4, 5)]
+    shared += [MultiPoly.pair_difference(n, i, j) for n in (2, 3, 4, 5)
+               for i in range(n) for j in range(i + 1, n)]
+    before = [(p.nvars, dict(p.rows), p.width, p.bound, p.terms) for p in shared]
+    hyperelliptic_combination(doc_w("hyperelliptic-g2.json"), 5, 1)
+    hyperelliptic_combination(doc_w("hyperelliptic-g1.json"), 2, 2)
+    correlator_n(doc_w("three-sheet-m1.json"), (1, 2, 3, 1), 1)
+    correlator_pair(doc_w("three-sheet-m1.json"), 2, 2, 3)
+    assert [(p.nvars, dict(p.rows), p.width, p.bound, p.terms) for p in shared] == before
+    assert MultiPoly.zero(3) is shared[1] and not shared[1].rows
+    assert MultiPoly.pair_difference(3, 0, 2) is MultiPoly.pair_difference(3, 0, 2)
+    assert MultiPoly.pair_difference(3, 0, 2).terms == {(1, 0, 0): 1, (0, 0, 1): -1}
+    assert MultiPoly.pair_difference(3, 1, 1) is MultiPoly.zero(3)
+
+
+def test_sum_takes_bound_and_width_in_one_pass():
+    narrow = MultiPoly(2, {(1, 0): 3})
+    wide = MultiPoly.from_univariate(2, 1, [0, -5], 9)
+    got = multipoly_sum(2, iter([MultiPoly.zero(2), narrow, wide, MultiPoly.zero(2)]))
+    assert got.terms == {(1, 0): 3, (0, 1): -5}
+    assert (got.bound, got.width) == (8, 9)
+    assert multipoly_sum(2, iter([MultiPoly.zero(2), narrow])) is narrow
+    both = multipoly_sum(2, [narrow, narrow])
+    assert (both.bound, both.width, narrow.width) == (6, 4, 3)
+    assert multipoly_sum(2, iter([])) is MultiPoly.zero(2)
+
+
 def test_coeff_rejects_a_wrong_arity_exponent():
     f = MultiPoly(3, {(1, 2, 0): 5})
     assert f.coeff((1, 2, 0)) == 5

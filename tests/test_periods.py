@@ -17,6 +17,16 @@ from spectral_tau.polynomials import Poly
 from conftest import SCAN_SWEEP, doc_w, random_hyperelliptic, sweep_instance
 
 
+def test_edge_chart_takes_the_other_points_in_order():
+    """The other branch points, picked by index, are np.delete's, bit for bit."""
+    curve = HyperellipticCurve.from_matrix_polynomial(sweep_instance("g3-s101"))
+    points = np.array(curve.branch_points)
+    for i, j in itertools.combinations(range(len(points)), 2):
+        mid, half, u = _edge_coordinates(points, i, j)
+        assert np.array_equal(u, (np.delete(points, [i, j]) - mid) / half)
+        assert np.array_equal(periods._others(points, j), np.delete(points, j))
+
+
 def agm(a, b):
     for _ in range(100):
         a, b = (a + b) / 2, np.sqrt(a * b)

@@ -4,7 +4,6 @@ import pytest
 
 import spectral_tau.projectors as projectors_module
 from spectral_tau.multipoly import packing_width
-from spectral_tau.projectors import _defects
 from spectral_tau import MatrixPolynomial, characteristic_data, projector_series
 from spectral_tau.polynomials import Poly
 from spectral_tau.projectors import BranchError, all_projectors, phi_coefficients
@@ -21,6 +20,8 @@ from conftest import (
     grid_mul,
     grid_scale,
     grid_trace,
+    order_defects,
+    padded_projector_numerators,
     poly_grid,
     power_matrices,
     random_matrix_polynomial,
@@ -231,6 +232,19 @@ def test_recursion_matches_adjugate_oracle(n, m):
                 assert coeff_matrix(pi, k) == coeff_matrix(want, k)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_solver_matches_the_padded_oracle(n, m):
+    """Solving order k from the terms without Q_k gives the Q_k of the solver on
+    Q padded with zeros, on every sheet of seeds 100-105, and they are certified."""
+    for seed in range(100, 106):
+        lb, delta = projectors_module._integer_coefficients(random_matrix_polynomial(seed, n, m))
+        for a in range(n):
+            q = projectors_module._projector_numerators(lb, delta, a, 10)
+            assert q == padded_projector_numerators(lb, delta, a, 10)
+            assert projectors_module._first_defect(lb, q, delta) is None
+
+
 def certificate_cases():
     """(lb, Delta, Q_0..Q_10) on every sheet of conftest n in 2..5, m in 1..3, seeds 100-105."""
     for n in range(2, 6):
@@ -311,7 +325,7 @@ class TestPackedCertificate:
                 bounds.clear()
                 projectors_module._first_defect(lb, numerators, delta)
                 padded = numerators + [[[0] * n for _ in range(n)]] * (2 * order)
-                digits = [_defects(lb, padded, delta, k) for k in range(2 * order + 1)]
+                digits = [order_defects(lb, padded, delta, k) for k in range(2 * order + 1)]
                 largest = max(max(abs(x) for row in comm for x in row) for comm, _ in digits)
                 largest = max(largest, max(abs(x) for _, idem in digits for x in idem))
                 assert largest <= bounds[-1]

@@ -106,6 +106,24 @@ class TestTruncation:
         for d in derivs:
             assert abs(sized[d] - wide[d]) < 1e-14 * max(1.0, abs(wide[d]))
 
+    @pytest.mark.parametrize("axes", [None, [[0.3, -1.2], [2.5, 0.7], [-0.4, 1.1]]])
+    def test_prefix_products_equal_np_prod_bit_for_bit(self, axes):
+        """Tuples whose prefixes are not asked for, built on demand: every sum is the
+        np.prod form's, bit for bit (np.prod multiplies left to right)."""
+        u = np.array([0.7 - 0.2j, -1.1 + 0.5j])
+        derivs = [(0, 1, 1), (1, 0), (1, 1, 0, 1), (0,), (0, 0, 1, 1, 0)]
+        if axes is not None:
+            derivs += [(2, 0, 1), (2, 2, 2, 1)]
+        radius = 6
+        got = _raw_values(u, B2, derivs, radius, axes)
+        n = theta_module._lattice(2, radius)
+        terms = np.exp(0.5 * np.einsum("ki,ij,kj->k", n, B2, n) + n @ u)
+        p = n if axes is None else n @ np.asarray(axes).T
+        assert set(got) == set(derivs)
+        for d in derivs:
+            want = complex(np.sum(np.prod(p[:, list(d)], axis=1) * terms))
+            assert repr(got[d]) == repr(want)
+
     def test_flat_direction_raises_before_any_lattice(self, monkeypatch):
         def no_lattice(g, radius):
             raise AssertionError(f"lattice of radius {radius} built")

@@ -201,6 +201,20 @@ def test_kmax_takes_any_n_from_three():
     assert rep.success and [r.n_points for r in rep.identities] == [3, 7]
 
 
+@pytest.mark.parametrize("kmax, orders", [(None, [2]), ({3: 1, 4: 2, 5: 0}, [1, 2])])
+def test_one_normal_form_per_verify(monkeypatch, kmax, orders):
+    """The N of one verify share the engine's normal form: it is built once, or
+    again only for an order above the last."""
+    import spectral_tau.correlators as correlators_module
+
+    built = []
+    normal_form = correlators_module._normal_form
+    monkeypatch.setattr(correlators_module, "_normal_form",
+                        lambda w, order: built.append(order) or normal_form(w, order))
+    assert verify_main_theorem(doc_w("hyperelliptic-g2.json"), kmax=kmax, tol=1e-9).success
+    assert built == orders
+
+
 def test_special_divisor_is_a_period_error(monkeypatch):
     """At the odd half-period pi i + B/2 of the g1 example theta vanishes: the
     identities' lattice pass at u0 finds it, and the CLI exits 1 with only errors."""
