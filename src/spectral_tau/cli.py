@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -61,7 +60,7 @@ def _load_input(job: JobSpec):
     return parse_matrix_polynomial(data)
 
 
-# Each check raises ParseError (exit status 2) with a message that starts with its flag.
+# Each check raises a ValueError (exit status 2) with a message that starts with its flag.
 
 def _check_range(flag, value, low, cap):
     if value < low:
@@ -74,12 +73,6 @@ def _check_sizes(job: JobSpec) -> None:
     """--kmax in 0..KMAX_CAP and --max-n in 0..MAXN_CAP."""
     _check_range("--kmax", job.kmax, 0, KMAX_CAP)
     _check_range("--max-n", job.max_n, 0, MAXN_CAP)
-
-
-def _checked_tol(job: JobSpec) -> float:
-    if not (math.isfinite(job.tol) and job.tol > 0):
-        raise ParseError(f"--tol: {job.tol} is not a finite number > 0")
-    return job.tol
 
 
 def _checked_indices(text: str, n: int) -> tuple:
@@ -141,14 +134,13 @@ def _cmd_correlators(job: JobSpec) -> dict:
 
 
 def _cmd_divisor(job: JobSpec) -> dict:
-    from .divisor import DivisorError, d_polynomial, expected_d_degree, pole_divisor
+    from .divisor import DivisorError, d_polynomial, expected_d_degree, pole_divisor, require_tol
 
     w = _load_input(job)
-    tol = _checked_tol(job)
-    curve = characteristic_data(w)
+    tol = require_tol(job.tol, "--tol")
     try:
-        points = pole_divisor(w, tol, curve)
-        dpoly = d_polynomial(w, curve)
+        points = pole_divisor(w, tol)
+        dpoly = d_polynomial(w)
     except DivisorError as exc:
         raise StageError(str(exc)) from exc
     return {
@@ -176,14 +168,14 @@ def _cmd_jet(job: JobSpec) -> dict:
 
 
 def _cmd_verify_theta(job: JobSpec) -> dict:
-    from .divisor import DivisorError
+    from .divisor import DivisorError, require_tol
     from .periods import PeriodError
     from .theta import ThetaError
     from .verify import verify_main_theorem
 
     w = _load_input(job)
     _check_sizes(job)
-    tol = _checked_tol(job)
+    tol = require_tol(job.tol, "--tol")
     kmax = {n: job.kmax for n in range(3, max(4, job.max_n) + 1)}
     try:
         report = verify_main_theorem(w, kmax=kmax, tol=max(tol, 1e-12))

@@ -11,11 +11,11 @@ and the term -delta_ab / (z1 - z2)^2 regularizes the diagonal: the kernel
 subtracts delta_ab from the trace before it divides.
 
 The expansion runs in Python integers.  Substituting u = c*t makes every
-projector coefficient a_k c^k an integer; c is derived from the computed
-series (per prime of the denominators, the least exponent that clears them
-all; a cofactor left after trial division enters whole, as in the lcm of the
-denominators), by the engine once per sheet and projector order, and a table
-uses the lcm of its sheets' scales.  The polynomials in t are MultiPoly's
+projector coefficient a_k c^k an integer; each table derives c from exactly
+the coefficients it walks (per prime of the denominators, the least exponent
+that clears them all; a cofactor left after trial division enters whole, as
+in the lcm of the denominators), so c does not depend on the orders an
+engine has cached.  The polynomials in t are MultiPoly's
 packed rows: the t_0-coefficients of a row share one Python int, at a digit
 width each table derives once, next to c, from a certified bound on every
 coefficient it computes (the slots' largest coefficient, n products per chain
@@ -94,11 +94,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .curve import MatrixPolynomial, SpectralCurveData, characteristic_data
+from .curve import MatrixPolynomial, characteristic_data
 from .multipoly import (
     MultiPoly, multipoly_coset_factor, multipoly_exact_divide, multipoly_sum, packing_width,
 )
-from .projectors import _integer_coefficients, projector_series
+from .projectors import projector_series
 from .series import USeries
 
 IndexPair = tuple[int, int]  # (sheet, k)
@@ -123,17 +123,15 @@ class CorrelatorTable:
 
 
 class CorrelatorEngine:
-    """Caches curve data and projector series for one matrix polynomial."""
+    """Caches the projector series and the hyperelliptic normal form of one matrix polynomial."""
 
-    def __init__(self, w: MatrixPolynomial, curve: SpectralCurveData | None = None):
+    def __init__(self, w: MatrixPolynomial):
         self.w = w
-        self.curve = characteristic_data(w) if curve is None else curve
-        fatal = self.curve.fatal_diagnostics()
+        fatal = characteristic_data(w).fatal_diagnostics()
         if fatal:
             raise ValueError(f"invalid input: {fatal[0].detail or fatal[0].name}")
         self._projectors: dict[int, tuple] = {}
         self._proj_order = -1
-        self._scales: dict = {}
         self._normal = None     # (M, s) of _normal_form, certified through u^_normal_order
         self._normal_order = -1
 
@@ -141,26 +139,9 @@ class CorrelatorEngine:
         """Pi_sheet as an n x n grid of series trusted through at least u^order."""
         if order > self._proj_order:
             self._proj_order = order
-            self._projectors = {
-                a: projector_series(self.w, a, order, self.curve)
-                for a in range(1, self.w.n + 1)
-            }
-            self._scales = {}
+            self._projectors = {a: projector_series(self.w, a, order)
+                                for a in range(1, self.w.n + 1)}
         return self._projectors[sheet]
-
-    def scale(self, *sheets: int) -> int:
-        """A series scale c (see ``_series_scale``) for the projectors of ``sheets``.
-
-        Sheet 0 stands for the difference Pi_1 - Pi_2.  Each sheet's scale is
-        derived once per projector order, on the whole cached window; the
-        least scale of several sheets is the lcm of theirs.
-        """
-        for a in sheets:
-            if a not in self._scales:
-                order = self._proj_order
-                mat = self.difference_matrix(order) if a == 0 else self.slot_matrix(a, order)
-                self._scales[a] = _series_scale([mat])
-        return math.lcm(*(self._scales[a] for a in sheets))
 
     def slot_matrix(self, sheet: int, order: int):
         """Pi_sheet as an n x n grid of coefficient lists of u^0..u^order.
@@ -223,22 +204,23 @@ def _series_scale(mats) -> int:
 
     Each prime p of the denominators' lcm found by trial division gets the
     least exponent that works, max over k of ceil(v_p(den a_k) / k), so c is
-    the least such integer whenever trial division factors the lcm.  A
+    the least such integer whenever trial division factors the lcm.  For
+    each k the largest v_p(den a_k) is that of the lcm of the order-k
+    denominators, so one valuation per order and prime suffices.  A
     cofactor without small primes enters c whole: every denominator's share
     of it divides it, so it always suffices (the lcm fallback).
     """
-    dens = {
-        (k, a.denominator)
-        for mat in mats for row in mat for series in row
-        for k, a in enumerate(series) if k and a.denominator > 1
-    }
-    rest = math.lcm(*(d for _, d in dens))
+    dens: dict = {}  # k -> lcm of the denominators of the a_k
+    for series in (series for mat in mats for row in mat for series in row):
+        for k in range(1, len(series)):
+            dens[k] = math.lcm(dens.get(k, 1), series[k].denominator)
+    rest = math.lcm(*dens.values())
     c, p = 1, 2
     while rest > 1 and p * p <= rest and p < _TRIAL_DIVISORS_BELOW:
         if rest % p == 0:
             while rest % p == 0:
                 rest //= p
-            c *= p ** max(-(-_valuation(d, p) // k) for k, d in dens)
+            c *= p ** max(-(-_valuation(d, p) // k) for k, d in dens.items())
         p += 1
     return c * rest
 
@@ -426,9 +408,9 @@ def _values(quotient: Mapping, c: int) -> dict:
 # public operations
 # ---------------------------------------------------------------------------
 
-def _require_kmax(kmax) -> None:
-    if isinstance(kmax, bool) or not isinstance(kmax, int) or kmax < 0:
-        raise ValueError(f"kmax must be an int >= 0, got {kmax!r}")
+def _require_int(name: str, value, low: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
 
 
 def correlator_pair(w: MatrixPolynomial, a1: int, a2: int, kmax: int,
@@ -444,7 +426,7 @@ def correlator_n(w: MatrixPolynomial, sheets: Sequence[int], kmax: int,
     At N = 2 the table carries the -delta_ab / (z1 - z2)^2 term.  A sheet
     outside 1..n raises ValueError before any work.
     """
-    _require_kmax(kmax)
+    _require_int("kmax", kmax, 0)
     sheets = tuple(int(a) for a in sheets)
     for a in sheets:
         if not 1 <= a <= w.n:
@@ -454,7 +436,7 @@ def correlator_n(w: MatrixPolynomial, sheets: Sequence[int], kmax: int,
     K = npts * (kmax + 1)
     mats = {a: engine.slot_matrix(a, K) for a in sheets}
     delta = int(npts == 2 and sheets[0] == sheets[1])
-    c = engine.scale(*sheets)
+    c = _series_scale(mats.values())
     vals = _values(_npoint_values(mats, sheets, kmax, c, delta), c)
     entries = {
         tuple((sheets[i], ks[i]) for i in range(npts)): v for ks, v in vals.items()
@@ -470,9 +452,9 @@ def _normal_form(w: MatrixPolynomial, order: int):
     """(M, s) with Pi_1 - Pi_2 = M(u) s(u) for n = 2: M's m + 1 coefficients, s through u^order.
 
     M = (2B - tr B) / (b_1 - b_2) and s = qt^(-1/2), as in the module
-    docstring, from the integer matrices L B_l.
+    docstring, from the integer matrices L B_l of the curve's integer form.
     """
-    lb, _ = _integer_coefficients(w)  # L B_l, integers
+    _, lb, _ = characteristic_data(w).integer_form
     m, gap = w.m, lb[0][0][0] - lb[0][1][1]
     mat = [[[Fraction(2 * b[i][j] - (b[0][0] + b[1][1]) * (i == j), gap) for b in lb]
             for j in range(2)] for i in range(2)]
@@ -496,20 +478,22 @@ def hyperelliptic_combination(w: MatrixPolynomial, n_points: int, kmax: int,
     For N >= 3 the kernel walks M of Pi_1 - Pi_2 = M s (see the module
     docstring), zero-padded to the K + 1 orders its window guard asks for,
     and the box of its integer quotient is multiplied by prod_i s(c t_i) one
-    axis at a time; M and s share one scale c, taken per call.  M and s come
+    axis at a time; M and s share one scale c.  M and s come
     from ``engine.normal_form(kmax)``, which builds and certifies the normal
     form once per engine and order (ArithmeticError when M s is not
     Pi_1 - Pi_2 through u^kmax), so the N of one verify share it.  N = 2
     walks Pi_1 - Pi_2 itself with the subtracted 2: the signed -delta_ab
-    terms add up to tr (Pi_1 - Pi_2)^2.
+    terms add up to tr (Pi_1 - Pi_2)^2.  Every table takes c from the
+    coefficients it walks, and n_points and kmax are checked before any work.
     """
-    _require_kmax(kmax)
+    _require_int("kmax", kmax, 0)
+    _require_int("n_points", n_points, 2)
     if w.n != 2:
         raise ValueError("hyperelliptic combination needs n = 2")
     engine = engine or CorrelatorEngine(w)
     if n_points == 2:
         d = engine.difference_matrix(2 * (kmax + 1))
-        c = engine.scale(0)
+        c = _series_scale([d])
         return _values(_npoint_values({0: d}, (0, 0), kmax, c, 2), c)
     mat, s = engine.normal_form(kmax)
     K = n_points * (kmax + 1)

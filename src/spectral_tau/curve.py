@@ -4,17 +4,16 @@ The root object is W(z) = B0*z^m + ... + Bm with a diagonal leading
 coefficient whose entries are pairwise distinct.  The spectral curve is
 det(w*1 - W(z)) = w^n + a_1(z) w^{n-1} + ... + a_n(z).
 
-:func:`characteristic_data` is the one place that computes curve data, and
-it computes only what is read.  The structural checks on W, read off its
-entries, run with the curve, and the leading diagonal of W labels the
-sheets.  A single Faddeev-LeVerrier pass yields the a_k together with the
-adjugate Phi(z, w) of w*1 - W(z), whose coefficient matrices feed the
-divisor; it runs on the first read of either, so the correlator engine,
-which needs only the checks, never pays it.  The pass runs over Z[z], on
-W times the lcm of its denominators, and makes one Fraction per output
-coefficient.  The smoothness check (a determinant, by Bareiss steps over
-Z[z]) runs on the first read of ``SpectralCurveData.diagnostics``, since
-only reports read it.
+Everything the exact chain reads is a function of W alone, so each W has one
+curve: :func:`characteristic_data` builds it on its first call, keeps it on
+W and returns it afterwards, and it computes only what is read.  The
+structural checks on W run with the curve, and W's leading diagonal labels
+the sheets.  W's integer form (L, L B_l, Delta) feeds the Faddeev-LeVerrier
+pass, the projector recursion and the hyperelliptic normal form.  That pass,
+over Z[z] on L W, yields the a_k and the adjugate Phi(z, w) of w*1 - W(z),
+whose column sums and D(z) feed the divisor, so the correlator engine, which
+reads only the checks and the integer form, never pays it.  The smoothness
+check (a Bareiss determinant over Z[z]) runs when the diagnostics are read.
 """
 
 from __future__ import annotations
@@ -22,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from math import lcm
 from typing import Sequence
 
-from .polynomials import Poly, _cleared, _int_add, _int_mul, is_squarefree, resultant_w
+from .polynomials import Poly, _int_add, _int_mul, is_squarefree, poly_matrix_det, resultant_w
 
 PolyMatrix = tuple  # n x n tuple of tuples of Poly
 
@@ -94,6 +94,14 @@ class MatrixPolynomial:
         lead = self.coefficient_of_power(self.m)
         return all(lead[i][j] == 0 for i in range(self.n) for j in range(self.n) if i != j)
 
+    @cached_property
+    def _curve(self) -> "SpectralCurveData":
+        """The one curve of this W; read it through :func:`characteristic_data`."""
+        return SpectralCurveData(
+            w=self, n=self.n, m=self.m, genus=genus(self.m, self.n),
+            sheet_labels=self.leading_diagonal(), structural=tuple(_structural(self)),
+        )
+
 
 @dataclass(frozen=True)
 class SpectralCurveData:
@@ -117,8 +125,23 @@ class SpectralCurveData:
     structural: tuple  # Diagnostics of W's leading coefficient, genus and degrees
 
     @cached_property
+    def integer_form(self) -> tuple:
+        """(L, lb, Delta): L the lcm of W's denominators, lb[l] = L B_l the integer
+        matrix of W's coefficient of z^(m-l), Delta the lcm of the |L b_i - L b_j|.
+        An entry above degree m (a fatal check) has no B_l: it raises, not dropped."""
+        w, n, m = self.w, self.n, self.m
+        if any(p.degree() > m for row in w.matrix for p in row):
+            raise InvalidMatrixPolynomial(f"an entry of W exceeds degree m={m}")
+        mats = [w.coefficient_of_power(m - l) for l in range(m + 1)]
+        scale = lcm(*(c.denominator for mat in mats for row in mat for c in row))
+        lb = tuple(tuple(tuple(c.numerator * (scale // c.denominator) for c in row)
+                         for row in mat) for mat in mats)
+        delta = lcm(*(abs(lb[0][i][i] - lb[0][j][j]) for i in range(n) for j in range(i)))
+        return scale, lb, delta
+
+    @cached_property
     def _leverrier(self) -> tuple:
-        return _faddeev_leverrier(self.w)
+        return _faddeev_leverrier(self)
 
     @property
     def char_coeffs(self) -> tuple:
@@ -129,6 +152,19 @@ class SpectralCurveData:
     def adjugate(self) -> tuple:
         """(N_0, ..., N_{n-1}) as PolyMatrix."""
         return self._leverrier[1]
+
+    @cached_property
+    def cofactor_row_sums(self) -> tuple:
+        """q[i][k], the i-th column sum of N_k: row i of the cofactors of w*1 - W(z)
+        sums to sum_k q[i][k] w^(n-1-k) (see ``divisor``)."""
+        rn = range(self.n)
+        return tuple(tuple(sum((nk[s][i] for s in rn), Poly.zero()) for nk in self.adjugate)
+                     for i in rn)
+
+    @cached_property
+    def d_polynomial(self) -> Poly:
+        """D(z) = det Q^T for the cofactor row sums Q (see ``divisor.d_polynomial``)."""
+        return poly_matrix_det([list(col) for col in zip(*self.cofactor_row_sums)])
 
     def a(self, i: int) -> Poly:
         """a_i(z) for i = 1..n; a_0 is the constant 1."""
@@ -145,9 +181,9 @@ class SpectralCurveData:
 
     @cached_property
     def diagnostics(self) -> tuple:
-        """The structural checks, then the smoothness warning once W's leading
-        coefficient has passed (the curve checks need it)."""
-        if not all(d.passed for d in self.structural if d.name.startswith("leading_")):
+        """The structural checks, then the smoothness warning once every fatal
+        check has passed (the curve checks need them)."""
+        if self.fatal_diagnostics():
             return self.structural
         return self.structural + (_smoothness(self.n, self.char_coeffs),)
 
@@ -168,21 +204,18 @@ def genus(m: int, n: int) -> int:
 def characteristic_data(w: MatrixPolynomial) -> SpectralCurveData:
     """The spectral curve of W with its structural checks; the rest on demand.
 
-    Only the checks, read off W's entries, run here.  The characteristic
-    coefficients and the adjugate come from :func:`_faddeev_leverrier` on
-    the first read of either.
+    The first call on a W builds its curve, running only the checks, read
+    off W's entries, and keeps it on W; every later call returns that same
+    object, with whatever it has computed since.
     """
-    return SpectralCurveData(
-        w=w, n=w.n, m=w.m, genus=genus(w.m, w.n), sheet_labels=w.leading_diagonal(),
-        structural=tuple(_structural(w)),
-    )
+    return w._curve
 
 
-def _faddeev_leverrier(w: MatrixPolynomial) -> tuple:
+def _faddeev_leverrier(curve: SpectralCurveData) -> tuple:
     """((a_1, ..., a_n), (N_0, ..., N_{n-1})): characteristic polynomial and adjugate.
 
-    One Faddeev-LeVerrier pass over Z[z], on V = L W with L the lcm of W's
-    denominators: N_0 = 1 and, for k = 1..n, alpha_k = -tr(V N_{k-1})/k and
+    One Faddeev-LeVerrier pass over Z[z], on V = L W from the curve's
+    integer form: N_0 = 1 and, for k = 1..n, alpha_k = -tr(V N_{k-1})/k and
     N_k = V N_{k-1} + alpha_k 1.  The alpha_k are the coefficients of
     det(w*1 - V) in Z[z], so every division by k is exact, and a remainder
     raises ArithmeticError.  Then det(w*1 - W) = w^n + a_1 w^{n-1} + ... + a_n
@@ -190,9 +223,10 @@ def _faddeev_leverrier(w: MatrixPolynomial) -> tuple:
     are the coefficients of the adjugate (N_n = 0 is Cayley-Hamilton); one
     Fraction is made per output coefficient.
     """
-    n = w.n
-    scale, flat = _cleared(p for row in w.matrix for p in row)
-    v = [flat[i * n:(i + 1) * n] for i in range(n)]
+    n, m = curve.n, curve.m
+    scale, lb, _ = curve.integer_form
+    v = [[_int_add([], [lb[m - k][i][j] for k in range(m + 1)]) for j in range(n)]
+         for i in range(n)]
     nk = [[[1] if i == j else [] for j in range(n)] for i in range(n)]
     alphas, numerators = [], []
     for k in range(1, n + 1):

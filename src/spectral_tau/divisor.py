@@ -5,7 +5,8 @@ w*1 - W(z) sums to w^{n-1} + q_{i2} w^{n-2} + ... + q_{in}, where q_{i,k+1}
 is the i-th column sum of the curve's adjugate coefficient N_k.  The
 z-coordinates of the divisor are the roots of the exact polynomial
 D(z) = det Q^T, Q = (q_{ik}); its degree equals m n (n-1)/2 = g + n - 1 for
-well-formed input.  At each root the w-coordinate is recovered from an
+well-formed input.  The row sums and D are the curve's, built once per W.
+At each root the w-coordinate is recovered from an
 (n-1)-minor of Q, choosing the numerically best minor.  Roots are computed
 in floating point (the divisor only feeds the numerical theta pipeline) but
 are Newton-polished against the exact coefficients.
@@ -14,12 +15,14 @@ are Newton-polished against the exact coefficients.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
-from .curve import MatrixPolynomial, SpectralCurveData, characteristic_data
-from .polynomials import Poly, poly_matrix_det
+from .curve import MatrixPolynomial, characteristic_data
+from .polynomials import Poly
 
 
 class DivisorError(Exception):
@@ -34,27 +37,28 @@ class DivisorPoint:
     residual_eig: float
 
 
-def d_polynomial(w: MatrixPolynomial, curve: SpectralCurveData | None = None) -> Poly:
+def require_tol(tol, name: str = "tol") -> float:
+    """``tol`` itself when it is a finite number > 0; otherwise ValueError, naming ``name``."""
+    if isinstance(tol, bool) or not isinstance(tol, Real) or not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"{name}: {tol} is not a finite number > 0")
+    return tol
+
+
+def d_polynomial(w: MatrixPolynomial) -> Poly:
     """D(z) = det Q^T for the cofactor row-sum matrix Q, as an exact polynomial.
 
     Row k of Q^T is e N_k with e = (1,...,1), and N_k = W^k + a_1 W^(k-1) + ...
     + a_k, so these rows are a unit-triangular Q[z]-combination of the rows
     e W^k: D = e wedge e W wedge ... wedge e W^(n-1).
     """
-    return _det_transposed(cofactor_row_sums(w, curve))
-
-
-def _det_transposed(q: list[list[Poly]]) -> Poly:
-    """D = det Q^T from the cofactor row sums q of :func:`cofactor_row_sums`."""
-    return poly_matrix_det([list(col) for col in zip(*q)])
+    return characteristic_data(w).d_polynomial
 
 
 def expected_d_degree(w: MatrixPolynomial) -> int:
     return w.m * w.n * (w.n - 1) // 2
 
 
-def cofactor_row_sums(w: MatrixPolynomial,
-                      curve: SpectralCurveData | None = None) -> list[list[Poly]]:
+def cofactor_row_sums(w: MatrixPolynomial) -> tuple:
     """q[i][j] with sum_s Delta_{is}(z,w) = w^{n-1} + q_{i2} w^{n-2} + ... + q_{in}.
 
     Row sums of cofactors of (w*1 - W(z)) are column sums of the adjugate
@@ -62,11 +66,7 @@ def cofactor_row_sums(w: MatrixPolynomial,
     coefficient N_k(z).  Indices here are 0-based: q[i][j] is the printed
     q_{i+1, j+1}, and q[i][0] = 1 always.
     """
-    if curve is None:
-        curve = characteristic_data(w)
-    n = w.n
-    return [[sum((nk[s][i] for s in range(n)), Poly.zero()) for nk in curve.adjugate]
-            for i in range(n)]
+    return characteristic_data(w).cofactor_row_sums
 
 
 def _polish_root(p: Poly, dp: Poly, z: complex, steps: int = 8) -> complex:
@@ -82,17 +82,16 @@ def _polish_root(p: Poly, dp: Poly, z: complex, steps: int = 8) -> complex:
     return z
 
 
-def pole_divisor(w: MatrixPolynomial, tol: float = 1e-9,
-                 curve: SpectralCurveData | None = None) -> list[DivisorPoint]:
-    """Divisor points (z_k, w_k), with on-curve and eigenvector residual checks."""
-    if curve is None:
-        curve = characteristic_data(w)
+def pole_divisor(w: MatrixPolynomial, tol: float = 1e-9) -> list[DivisorPoint]:
+    """Divisor points (z_k, w_k), with on-curve and eigenvector residual checks;
+    ``tol`` must be a finite number > 0 (ValueError before any work)."""
+    require_tol(tol)
+    curve = characteristic_data(w)
     fatal = curve.fatal_diagnostics()
     if fatal:
         raise DivisorError(f"invalid input: {fatal[0].detail or fatal[0].name}")
     n = w.n
-    q = cofactor_row_sums(w, curve)
-    dpoly = _det_transposed(q)
+    q, dpoly = curve.cofactor_row_sums, curve.d_polynomial
     expected = expected_d_degree(w)
     if dpoly.is_zero():
         raise DivisorError("degenerate divisor configuration: D(z) vanishes identically")

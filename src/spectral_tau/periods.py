@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import InvalidMatrixPolynomial, MatrixPolynomial, SpectralCurveData, characteristic_data
+from .curve import InvalidMatrixPolynomial, MatrixPolynomial, characteristic_data
 from .polynomials import Poly, is_squarefree
 from .series import USeries
 from .theta import reduce_mod_lattice
@@ -73,14 +73,12 @@ class HyperellipticCurve:
         return HyperellipticCurve(q_poly=q_poly, g=deg // 2 - 1, branch_points=tuple(polished))
 
     @staticmethod
-    def from_matrix_polynomial(w: MatrixPolynomial,
-                               curve: SpectralCurveData | None = None) -> "HyperellipticCurve":
+    def from_matrix_polynomial(w: MatrixPolynomial) -> "HyperellipticCurve":
         """The curve of a 2x2 traceless W with leading diagonal (1, -1) and m >= 2;
         any other W is an input error, InvalidMatrixPolynomial."""
         if w.n != 2:
             raise InvalidMatrixPolynomial("hyperelliptic pipeline needs n = 2")
-        if curve is None:
-            curve = characteristic_data(w)
+        curve = characteristic_data(w)
         if not curve.a(1).is_zero():
             raise InvalidMatrixPolynomial("hyperelliptic pipeline needs tr W = 0")
         q = -curve.a(2)

@@ -14,7 +14,8 @@ Theory for Linear Operators, ch. II 1-2) without the branch: at order k,
 from [B, Pi_a] = 0 and Pi_a^2 = Pi_a.  With L the lcm of W's denominators and
 Delta the lcm of the |L b_i - L b_j|, P_k = Q_k / Delta^k with integer Q_k,
 so the recursion divides only by the integers L b_i - L b_j, exactly, and one
-Fraction is made per output coefficient.  Every result is certified exactly
+Fraction is made per output coefficient.  L, the L B_l and Delta are the
+curve's ``integer_form``, built once per W.  Every result is certified exactly
 (see :func:`projector_series`); a failed certificate raises
 :class:`BranchError`.  The certificate checks all orders at once by
 Kronecker substitution (Harvey, J. Symb. Comput. 44, 2009), the packing of
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .curve import MatrixPolynomial, SpectralCurveData, characteristic_data
 from .multipoly import _low, _pack, _unpack, packing_width
@@ -127,18 +127,7 @@ def _first_defect(lb, q, delta: int):
     return min((min(_unpack(low, width)) for low in lows), default=None)
 
 
-def _integer_coefficients(w: MatrixPolynomial):
-    """(lb, Delta): the integer matrices L B_0, ..., L B_m and the lcm of the |L b_i - L b_j|."""
-    n, m = w.n, w.m
-    mats = [w.coefficient_of_power(m - l) for l in range(m + 1)]
-    scale = lcm(*(c.denominator for mat in mats for row in mat for c in row))
-    lb = [[[c.numerator * (scale // c.denominator) for c in row] for row in mat] for mat in mats]
-    delta = lcm(*(abs(lb[0][i][i] - lb[0][j][j]) for i in range(n) for j in range(i)))
-    return lb, delta
-
-
-def projector_series(w: MatrixPolynomial, sheet: int, order: int,
-                     curve: SpectralCurveData | None = None) -> tuple:
+def projector_series(w: MatrixPolynomial, sheet: int, order: int) -> tuple:
     """Pi_sheet(z) as an n x n grid of series, each trusted through u^order exactly.
 
     Reading u^(order + 1) raises.  The coefficients are exact rationals from
@@ -155,11 +144,10 @@ def projector_series(w: MatrixPolynomial, sheet: int, order: int,
     and 1, so P is a sum of eigenprojectors, and P_0 = E_sheet leaves
     Pi_sheet alone.  A failed check raises :class:`BranchError`.
     """
-    if curve is None:
-        curve = characteristic_data(w)
+    curve = characteristic_data(w)
     _require_valid(curve, sheet)
     n, a = w.n, sheet - 1
-    lb, delta = _integer_coefficients(w)
+    _, lb, delta = curve.integer_form
     q = _projector_numerators(lb, delta, a, order)
     if q[0] != [[int(i == j == a) for j in range(n)] for i in range(n)]:
         raise BranchError(f"projector series for sheet {sheet} does not start at its idempotent")
@@ -174,8 +162,5 @@ def projector_series(w: MatrixPolynomial, sheet: int, order: int,
     )
 
 
-def all_projectors(w: MatrixPolynomial, order: int,
-                   curve: SpectralCurveData | None = None) -> list[tuple]:
-    if curve is None:
-        curve = characteristic_data(w)
-    return [projector_series(w, a, order, curve) for a in range(1, w.n + 1)]
+def all_projectors(w: MatrixPolynomial, order: int) -> list[tuple]:
+    return [projector_series(w, a, order) for a in range(1, w.n + 1)]

@@ -28,9 +28,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .correlators import CorrelatorEngine, hyperelliptic_combination
-from .curve import MatrixPolynomial, characteristic_data
-from .divisor import pole_divisor
+from .correlators import CorrelatorEngine, _require_int, hyperelliptic_combination
+from .curve import MatrixPolynomial
+from .divisor import pole_divisor, require_tol
 from .periods import (
     HyperellipticCurve,
     PeriodError,
@@ -86,30 +86,32 @@ class VerificationReport:
 def verify_main_theorem(w: MatrixPolynomial, kmax=None, tol: float = 1e-6) -> VerificationReport:
     """Check F = (-1)^N T at the eigenvector point u0 for every N in ``kmax``.
 
-    ``kmax`` is a non-empty mapping {N: k_N} with every N >= 3 (the theorem
-    starts at the third derivative) and every k_N >= 0, or None for {3: 2, 4: 1};
-    any other mapping raises ValueError naming the bad entry before any stage
-    runs.  An identity passes when rel_err = |(-1)^N T - F| / max(1, |F|) is
-    below ``tol``; the modulus is complex, so this bounds Im T relative to
-    max(1, |F|) as well.  One lattice pass at u0 gives theta(u0) and every
-    T; a theta(u0) below ``theta.DIVISOR_GUARD`` means the divisor is
-    special and raises PeriodError.  Among the ``checks``,
+    ``kmax`` is a non-empty mapping {N: k_N} of ints (not bools) with every
+    N >= 3 (the theorem starts at the third derivative) and every k_N >= 0,
+    or None for {3: 2, 4: 1}; any other mapping raises ValueError naming the
+    bad entry before any stage runs, and so does a ``tol`` that is not a
+    finite number > 0.  An identity passes when
+    rel_err = |(-1)^N T - F| / max(1, |F|) is below ``tol``; the modulus is
+    complex, so this bounds Im T relative to max(1, |F|) as well.  One
+    lattice pass at u0 gives theta(u0) and every T; a theta(u0) below
+    ``theta.DIVISOR_GUARD`` means the divisor is special and raises
+    PeriodError.  Among the ``checks``,
     ``quasi_periodicity_defect`` is the largest relative defect of
     theta(u0 + B e_j) = exp(-B_jj / 2 - u0_j) theta(u0) over the g columns
     of B; the 2 pi i directions are not checked, since there every lattice
     term is unchanged.
     """
-    kmax_by_n = {3: 2, 4: 1} if kmax is None else {int(k): int(v) for k, v in kmax.items()}
+    require_tol(tol)
+    kmax_by_n = {3: 2, 4: 1} if kmax is None else dict(kmax)
     if not kmax_by_n:
         raise ValueError("kmax: needs at least one entry {N: k_N}")
     for n_points, k_bound in kmax_by_n.items():
-        if n_points < 3 or k_bound < 0:
-            raise ValueError(f"kmax: entry {n_points}: {k_bound} needs N >= 3 and k_N >= 0")
+        _require_int(f"kmax: entry {n_points!r}: {k_bound!r}: N", n_points, 3)
+        _require_int(f"kmax: entry {n_points!r}: {k_bound!r}: k_N", k_bound, 0)
     wanted = [(n, ks) for n, k_bound in sorted(kmax_by_n.items())
               for ks in itertools.combinations_with_replacement(range(k_bound + 1), n)]
 
-    spectral = characteristic_data(w)
-    curve = HyperellipticCurve.from_matrix_polynomial(w, spectral)
+    curve = HyperellipticCurve.from_matrix_polynomial(w)
     ctx = period_matrix(curve)
     checks: dict = {}
     checks["b_symmetry_defect"] = ctx.symmetry_defect()
@@ -119,7 +121,7 @@ def verify_main_theorem(w: MatrixPolynomial, kmax=None, tol: float = 1e-6) -> Ve
     vdata = v_vectors(curve, ctx, top_k)
     checks["v_consistency_defect"] = v_consistency_defect(curve, ctx, vdata, top_k)
 
-    u0 = jacobian_point(curve, ctx, pole_divisor(w, curve=spectral))
+    u0 = jacobian_point(curve, ctx, pole_divisor(w))
     # one lattice pass at u0 gives theta(u0) and T = d^N log theta along
     # V^(k1)..V^(kN) for every identity
     b = ctx.b_matrix
@@ -137,7 +139,7 @@ def verify_main_theorem(w: MatrixPolynomial, kmax=None, tol: float = 1e-6) -> Ve
     checks["quasi_periodicity_defect"] = qp_defect
 
     # exact side, computed once
-    engine = CorrelatorEngine(w, spectral)
+    engine = CorrelatorEngine(w)
     exact: dict[int, dict] = {}
     for n_points, k_bound in sorted(kmax_by_n.items()):
         exact[n_points] = hyperelliptic_combination(w, n_points, k_bound, engine)

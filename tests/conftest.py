@@ -10,7 +10,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
 from pathlib import Path
 
@@ -236,6 +236,15 @@ def random_hyperelliptic(seed, g, require_smooth=True):
         if require_smooth and not all(d.passed for d in curve.diagnostics):
             continue
         return w, a, b, c
+
+
+def count_builds(monkeypatch, cls, name, built):
+    """Replace the cached property ``name`` of ``cls`` by one that appends ``name``
+    to ``built`` each time it is built."""
+    build = cls.__dict__[name].func
+    spy = cached_property(lambda self: built.append(name) or build(self))
+    spy.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, spy)
 
 
 def doc_w(name):
@@ -651,8 +660,8 @@ def hyperelliptic_divisor(a: Poly, b: Poly, c: Poly, tol: float = 1e-9):
     """
     w_mat = MatrixPolynomial.from_entries([[a, b], [c, -a]])
     curve = characteristic_data(w_mat)
-    general = pole_divisor(w_mat, tol, curve)
-    q = cofactor_row_sums(w_mat, curve)
+    general = pole_divisor(w_mat, tol)
+    q = cofactor_row_sums(w_mat)
     # printed closed form: roots of a - (b+c)/2, w = (c-b)/2
     special_poly = a - (b + c) * Fraction(1, 2)
     specialized = []

@@ -191,7 +191,7 @@ def test_acceptance_3_projector_identities():
     count = 0
     for w, n, m in _sweep_instances():
         curve = characteristic_data(w)
-        pis = all_projectors(w, order, curve)
+        pis = all_projectors(w, order)
         total = None
         recon = None
         for a, pi in enumerate(pis, start=1):

@@ -72,7 +72,7 @@ class TestPairTable:
             for b in range(a, w.n + 1):
                 table = correlator_pair(w, a, b, kmax, eng)
                 mats = [eng.slot_matrix(s, 2 * (kmax + 1)) for s in (a, b)]
-                want = pair_table_values(*mats, int(a == b), kmax, eng.scale(a, b))
+                want = pair_table_values(*mats, int(a == b), kmax, _series_scale(mats))
                 assert {(k1, k2): v for ((_, k1), (_, k2)), v in table.entries.items()} == want
 
     @pytest.mark.parametrize("name", ["hyperelliptic-g1.json", "hyperelliptic-g2.json",
@@ -93,7 +93,7 @@ class TestPairTable:
         eng = CorrelatorEngine(w)
         for kmax in range(4):
             d = eng.difference_matrix(2 * (kmax + 1))
-            want = pair_table_values(d, d, 2, kmax, eng.scale(0))
+            want = pair_table_values(d, d, 2, kmax, _series_scale([d]))
             assert hyperelliptic_combination(w, 2, kmax, eng) == want
 
     def test_delta_is_certified(self):
@@ -103,7 +103,7 @@ class TestPairTable:
         eng = CorrelatorEngine(w)
         mats = {1: eng.slot_matrix(1, 2)}
         with pytest.raises(InexactDivisionError):
-            correlators._npoint_values(mats, (1, 1), 0, eng.scale(1), 0)
+            correlators._npoint_values(mats, (1, 1), 0, _series_scale(mats.values()), 0)
 
     @pytest.mark.parametrize("sheets, bad", [((1, 3), 3), ((-1, 1, 2), -1)])
     def test_sheet_outside_range_is_a_value_error(self, sheets, bad, monkeypatch):
@@ -300,9 +300,9 @@ class TestNormalForm:
         orders = []
         projector_series = correlators.projector_series
 
-        def recorded(w, sheet, order, curve=None):
+        def recorded(w, sheet, order):
             orders.append(order)
-            return projector_series(w, sheet, order, curve)
+            return projector_series(w, sheet, order)
 
         monkeypatch.setattr(correlators, "projector_series", recorded)
         hyperelliptic_combination(doc_w("hyperelliptic-g2.json"), 5, 1)
@@ -322,6 +322,11 @@ def test_kmax_is_checked_before_any_work(kmax, monkeypatch):
                  lambda: hyperelliptic_combination(w, 2, kmax)):
         with pytest.raises(ValueError, match=message):
             call()
+    # n_points is checked the same way, an int >= 2 that is not a bool
+    for n_points in (1, 0, -1, True, 2.0, 3.0):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"n_points must be an int >= 2, got {n_points!r}") + "$"):
+            hyperelliptic_combination(w, n_points, 1)
 
 
 class TestIntegerEngine:
@@ -353,15 +358,27 @@ class TestIntegerEngine:
             assert got == want
             assert all(len(s) == K + 1 for row in got for s in row)
 
-    def test_scale_follows_projector_order(self):
-        # sheet 1 of this instance needs scale 90 through u^3 and 180 from u^4 on:
-        # a scale kept from the lower order would leave u^4 non-integral
+    def test_scale_follows_projector_order(self, monkeypatch):
+        # sheet 1 of this instance needs scale 90 through u^3 and 180 from u^4 on.
+        # Each table takes c from the window it reads: a warm engine, with
+        # projectors cached through u^12, gives the fresh engine's table and c,
+        # so the (1, 1) table at kmax 0 (u^0..u^2) takes 90, not 180.
         w = random_matrix_polynomial(100, 3, 1)
-        eng = CorrelatorEngine(w)
-        assert correlator_pair(w, 1, 1, 0, eng) == correlator_pair(w, 1, 1, 0)
-        assert eng.scale(1) == 90
-        assert correlator_n(w, (1, 2, 3), 1, eng) == correlator_n(w, (1, 2, 3), 1)
-        assert eng.scale(1) == 180
+        scales = []
+        npoint_values = correlators._npoint_values
+        monkeypatch.setattr(correlators, "_npoint_values",
+                            lambda mats, sheets, kmax, c, subtract:
+                            scales.append(c) or npoint_values(mats, sheets, kmax, c, subtract))
+        warm = CorrelatorEngine(w)
+        warm.projector(1, 12)
+        assert _series_scale([warm.slot_matrix(1, 3)]) == 90
+        assert _series_scale([warm.slot_matrix(1, 4)]) == 180
+        for sheets, kmax, c in (((1, 1), 0, 90), ((1, 2, 3), 1, 1260)):
+            scales.clear()
+            assert correlator_n(w, sheets, kmax, warm) == correlator_n(w, sheets, kmax)
+            window = len(sheets) * (kmax + 1)
+            assert _series_scale([warm.slot_matrix(a, window) for a in set(sheets)]) == c
+            assert scales == [c, c]
 
     def test_wrong_scale_raises(self, monkeypatch):
         # on the g2 example M and s are integral through u^kmax, so scale 1
@@ -413,7 +430,7 @@ class TestOrbitWalk:
         eng = CorrelatorEngine(w)
         got = hyperelliptic_combination(w, npts, kmax, eng)
         mats = [eng.difference_matrix(npts * (kmax + 1))] * npts
-        assert got == full_walk_values(mats, kmax, eng.scale(0))
+        assert got == full_walk_values(mats, kmax, _series_scale(mats))
 
     @pytest.mark.parametrize("make_w, sheets, kmax", [
         (lambda: random_matrix_polynomial(100, 3, 1), (1, 1, 2, 3), 1),
@@ -427,7 +444,7 @@ class TestOrbitWalk:
         table = correlator_n(w, sheets, kmax, eng)
         got = {tuple(k for _, k in key): v for key, v in table.entries.items()}
         mats = [eng.slot_matrix(a, len(sheets) * (kmax + 1)) for a in sheets]
-        assert got == full_walk_values(mats, kmax, eng.scale(*sheets))
+        assert got == full_walk_values(mats, kmax, _series_scale(mats))
 
     @staticmethod
     def count_walk(monkeypatch) -> dict:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -128,7 +129,7 @@ class TestIntegerPasses:
     def test_faddeev_leverrier_matches_q_pass(self, n, m):
         for seed in (100, 101):
             w = random_matrix_polynomial(seed, n, m)
-            got = curve_module._faddeev_leverrier(w)
+            got = curve_module._faddeev_leverrier(characteristic_data(w))
             assert got == faddeev_leverrier_q(w)
             assert all(type(c) is Fraction for a in got[0] for c in a.coeffs)
 
@@ -136,7 +137,8 @@ class TestIntegerPasses:
         """Each product off by one at z^0 adds n^2 = 9 to tr(V N_1), which 2 does not divide."""
         monkeypatch.setattr(curve_module, "_int_mul", lambda a, b: _int_add(_int_mul(a, b), [1]))
         with pytest.raises(ArithmeticError, match="not divisible by 2"):
-            curve_module._faddeev_leverrier(random_matrix_polynomial(100, 3, 1))
+            curve_module._faddeev_leverrier(
+                characteristic_data(random_matrix_polynomial(100, 3, 1)))
 
     @given(st.integers(0, 4).flatmap(
         lambda n: st.lists(st.lists(FRACTION_POLYS, min_size=n, max_size=n), min_size=n,
@@ -198,6 +200,28 @@ class TestCharacteristicData:
         w2 = conjugate_diagonal(w, [Fraction(2), Fraction(-3, 2), Fraction(5)])
         curve2 = characteristic_data(w2)
         assert curve.char_coeffs == curve2.char_coeffs
+
+    def test_one_curve_per_w(self):
+        """The first call builds W's curve and keeps it on W; later calls return
+        that same object, and an equal but separate W has its own."""
+        w = doc_w("hyperelliptic-g2.json")
+        curve = characteristic_data(w)
+        assert characteristic_data(w) is curve and curve.w is w
+        other = doc_w("hyperelliptic-g2.json")
+        assert other == w and characteristic_data(other) is not curve
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (3, 2), (4, 3)])
+    def test_integer_form_clears_w(self, n, m):
+        """L is the lcm of W's denominators, lb[l] = L B_l in ints, Delta the lcm of the gaps."""
+        for seed in (100, 101):
+            w = random_matrix_polynomial(seed, n, m)
+            scale, lb, delta = characteristic_data(w).integer_form
+            mats = [w.coefficient_of_power(m - l) for l in range(m + 1)]
+            assert scale == math.lcm(*(c.denominator for mat in mats for row in mat for c in row))
+            assert lb == tuple(tuple(tuple(scale * c for c in row) for row in mat) for mat in mats)
+            assert all(type(x) is int for mat in lb for row in mat for x in row)
+            gaps = (lb[0][i][i] - lb[0][j][j] for i in range(n) for j in range(i))
+            assert delta == math.lcm(*gaps)
 
 
 class TestGenus:
@@ -297,6 +321,18 @@ class TestValidate:
             CorrelatorEngine(w)
         with pytest.raises(ValueError):
             correlator_pair(w, 1, 2, 1)
+
+    def test_entry_above_m_has_no_integer_form(self):
+        """The W of the test above has no B_l for its z^2 entry: its integer form,
+        and so its characteristic coefficients, raise rather than drop the entry,
+        and its diagnostics stop at the failed fatal check."""
+        z = Poly([0, 1])
+        w = MatrixPolynomial(2, 1, ((z, z * z), (Poly([1]), -z)))
+        curve = characteristic_data(w)
+        for field in ("integer_form", "char_coeffs"):
+            with pytest.raises(InvalidMatrixPolynomial, match="exceeds degree m=1"):
+                getattr(curve, field)
+        assert curve.diagnostics == curve.structural
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(InvalidMatrixPolynomial):

@@ -1,4 +1,7 @@
+import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,13 +12,16 @@ from spectral_tau import (
     pole_divisor,
 )
 from spectral_tau.divisor import DivisorError, expected_d_degree
-from spectral_tau.curve import characteristic_data, genus
+from spectral_tau.curve import SpectralCurveData, characteristic_data, genus
 from spectral_tau.polynomials import Poly, poly_matrix_det
 
 from conftest import (
-    conjugate_diagonal, hyperelliptic_divisor, power_matrices, random_hyperelliptic,
+    conjugate_diagonal, count_builds, hyperelliptic_divisor, power_matrices, random_hyperelliptic,
     random_matrix_polynomial,
 )
+
+
+DOCS = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 
 class TestDPolynomial:
@@ -96,19 +102,38 @@ class TestPoleDivisor:
         pts2 = pole_divisor(w2)
         assert len(pts) == len(pts2)
 
-    def test_row_sums_and_derivative_are_built_once(self, monkeypatch):
-        """One cofactor_row_sums and one D' per call, whatever the number of roots."""
-        from spectral_tau import divisor
+    def test_row_sums_and_derivative_are_built_once(self, monkeypatch, capsys):
+        """One set of cofactor row sums, one D and one D' per call, whatever the
+        number of roots; a whole ``divisor`` CLI run, which also reports D,
+        builds each once too.  The row sums and D are the curve's cached
+        properties, counted where they are built."""
+        from spectral_tau.cli import main
 
-        rows, derivatives = [], []
-        row_sums, derivative = divisor.cofactor_row_sums, Poly.derivative
-        monkeypatch.setattr(divisor, "cofactor_row_sums",
-                            lambda w, curve=None: rows.append(1) or row_sums(w, curve))
+        built = []
+        for name in ("cofactor_row_sums", "d_polynomial"):
+            count_builds(monkeypatch, SpectralCurveData, name, built)
+        derivative = Poly.derivative
         monkeypatch.setattr(Poly, "derivative",
-                            lambda self: derivatives.append(1) or derivative(self))
+                            lambda self: built.append("derivative") or derivative(self))
         w = random_matrix_polynomial(61, 3, 1)
         pts = pole_divisor(w)
-        assert len(pts) == 3 and len(rows) == len(derivatives) == 1
+        once = ["cofactor_row_sums", "d_polynomial", "derivative"]
+        assert len(pts) == 3 and sorted(built) == once
+        built.clear()
+        assert main(["divisor", "--input", str(DOCS / "three-sheet-m1.json")]) == 0
+        assert len(json.loads(capsys.readouterr().out)["points"]) == 3
+        assert sorted(built) == once
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9, True, "1e-9"])
+    def test_tol_is_checked_before_any_work(self, tol, monkeypatch):
+        from spectral_tau import divisor
+
+        def no_curve(*args, **kwargs):
+            raise AssertionError("curve data computed before the tol check")
+
+        monkeypatch.setattr(divisor, "characteristic_data", no_curve)
+        with pytest.raises(ValueError, match=r"^tol: .* is not a finite number > 0$"):
+            pole_divisor(random_matrix_polynomial(61, 3, 1), tol)
 
     def test_diagonal_rejected(self):
         z2 = Poly([0, 0, 1])

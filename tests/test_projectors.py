@@ -166,7 +166,7 @@ class TestProjector:
         for seed, (n, m) in enumerate([(2, 2), (3, 1)]):
             w = random_matrix_polynomial(seed + 20, n, m)
             curve = characteristic_data(w)
-            pis = all_projectors(w, order, curve)
+            pis = all_projectors(w, order)
             ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
             total = None
             recon = None
@@ -238,7 +238,7 @@ def test_solver_matches_the_padded_oracle(n, m):
     """Solving order k from the terms without Q_k gives the Q_k of the solver on
     Q padded with zeros, on every sheet of seeds 100-105, and they are certified."""
     for seed in range(100, 106):
-        lb, delta = projectors_module._integer_coefficients(random_matrix_polynomial(seed, n, m))
+        _, lb, delta = characteristic_data(random_matrix_polynomial(seed, n, m)).integer_form
         for a in range(n):
             q = projectors_module._projector_numerators(lb, delta, a, 10)
             assert q == padded_projector_numerators(lb, delta, a, 10)
@@ -251,7 +251,7 @@ def certificate_cases():
         for m in range(1, 4):
             for seed in range(100, 106):
                 w = random_matrix_polynomial(seed, n, m)
-                lb, delta = projectors_module._integer_coefficients(w)
+                _, lb, delta = characteristic_data(w).integer_form
                 for a in range(n):
                     yield lb, delta, projectors_module._projector_numerators(lb, delta, a, 10)
 
@@ -273,7 +273,7 @@ def heights_1e9_w():
 
 def heights_1e9_case():
     """(lb, Delta, Q_0..Q_10) on sheet 1 of :func:`heights_1e9_w`."""
-    lb, delta = projectors_module._integer_coefficients(heights_1e9_w())
+    _, lb, delta = characteristic_data(heights_1e9_w()).integer_form
     return lb, delta, projectors_module._projector_numerators(lb, delta, 0, 10)
 
 
@@ -334,7 +334,7 @@ class TestPackedCertificate:
         """Coefficients near 10^9 make Delta^l L B_l and Q_k tens of digits long;
         the packed certificate still agrees with the oracle, digit for digit."""
         w = heights_1e9_w()
-        lb, delta = projectors_module._integer_coefficients(w)
+        _, lb, delta = characteristic_data(w).integer_form
         for a in range(3):
             q = projectors_module._projector_numerators(lb, delta, a, 10)
             assert max(abs(x) for qk in q for row in qk for x in row).bit_length() > 300

@@ -10,11 +10,13 @@ import spectral_tau.theta as theta_module
 import spectral_tau.verify as verify_module
 from spectral_tau import verify_main_theorem
 from spectral_tau.cli import main
+from spectral_tau.curve import SpectralCurveData
 from spectral_tau.divisor import pole_divisor
 from spectral_tau.periods import HyperellipticCurve, jacobian_point, period_matrix, v_vectors
 
 from conftest import (
-    SCAN_SWEEP, doc_w, half_period_shifts, random_hyperelliptic, scan_half_period, sweep_instance,
+    SCAN_SWEEP, count_builds, doc_w, half_period_shifts, random_hyperelliptic, scan_half_period,
+    sweep_instance,
 )
 
 
@@ -186,6 +188,10 @@ def test_verdict_bounds_im_t(factor, passed, monkeypatch):
 @pytest.mark.parametrize("kmax, message", [
     ({2: 1}, "entry 2: 1"), ({}, "at least one entry"), ({3: -1}, "entry 3: -1"),
     ({1: 0}, "entry 1: 0"), ({3: 1, 4: -2}, "entry 4: -2"),
+    ({3: 1.7}, "entry 3: 1.7: k_N must be an int"),
+    ({3: True}, "entry 3: True: k_N must be an int"),
+    ({3.9: 0}, "entry 3.9: 0: N must be an int"),
+    ({3: 1, True: 0}, "entry True: 0: N must be an int"),
 ])
 def test_kmax_is_checked_before_any_stage(monkeypatch, kmax, message):
     def no_periods(*args, **kwargs):
@@ -194,6 +200,25 @@ def test_kmax_is_checked_before_any_stage(monkeypatch, kmax, message):
     monkeypatch.setattr(verify_module, "period_matrix", no_periods)
     with pytest.raises(ValueError, match=f"^kmax: .*{message}"):
         verify_main_theorem(doc_w("hyperelliptic-g1.json"), kmax=kmax)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-6, True, "1e-6"])
+def test_tol_is_checked_before_any_stage(monkeypatch, tol):
+    def no_periods(*args, **kwargs):
+        raise AssertionError("period_matrix ran before tol was checked")
+
+    monkeypatch.setattr(verify_module, "period_matrix", no_periods)
+    with pytest.raises(ValueError, match=r"^tol: .* is not a finite number > 0$"):
+        verify_main_theorem(doc_w("hyperelliptic-g1.json"), tol=tol)
+
+
+def test_one_integer_form_per_verify(monkeypatch):
+    """The curve, the projectors and the normal form of one verify read one
+    integer form of W, built once."""
+    built = []
+    count_builds(monkeypatch, SpectralCurveData, "integer_form", built)
+    assert verify_main_theorem(doc_w("hyperelliptic-g2.json"), tol=1e-9).success
+    assert built == ["integer_form"]
 
 
 def test_kmax_takes_any_n_from_three():
