@@ -323,7 +323,7 @@ def _times_missing(groups: dict, npts: int, cap: int) -> MultiPoly:
 
 def _npoint_values(mats: Mapping, sheets: Sequence, kmax: int, c: int,
                    subtract: int) -> dict:
-    """The t-quotient for slot i carrying ``mats[sheets[i]]``, scaled by c.
+    """The t-quotient for slot i carrying ``mats[sheets[i]]``, scaled by c; len(sheets) >= 2.
 
     ``subtract`` (delta_ab at N = 2) is taken from each class's trace before
     it is signed.  Returns {(k_1..k_N): q[k]}, the integer quotient
@@ -331,8 +331,6 @@ def _npoint_values(mats: Mapping, sheets: Sequence, kmax: int, c: int,
     ``sheets``; ``_values`` turns them into F.
     """
     npts = len(sheets)
-    if npts < 2:
-        raise ValueError("n-point expansion needs at least 2 slots")
     # the Vandermonde pairs the numerator is divided by; at N = 2 the one
     # cycle meets its one pair twice
     divisors = [(0, 1)] * 2 if npts == 2 else list(itertools.combinations(range(npts), 2))
@@ -423,11 +421,13 @@ def correlator_n(w: MatrixPolynomial, sheets: Sequence[int], kmax: int,
                  engine: CorrelatorEngine | None = None) -> CorrelatorTable:
     """F^{a1..aN}_{k1..kN} for N = len(sheets) >= 2 and all k_i <= kmax.
 
-    At N = 2 the table carries the -delta_ab / (z1 - z2)^2 term.  A sheet
-    outside 1..n raises ValueError before any work.
+    At N = 2 the table carries the -delta_ab / (z1 - z2)^2 term.  Fewer than
+    2 sheets, or a sheet outside 1..n, raises ValueError before any work.
     """
     _require_int("kmax", kmax, 0)
     sheets = tuple(int(a) for a in sheets)
+    if len(sheets) < 2:
+        raise ValueError("n-point expansion needs at least 2 slots")
     for a in sheets:
         if not 1 <= a <= w.n:
             raise ValueError(f"sheet {a} outside 1..{w.n}")

@@ -115,8 +115,8 @@ def _gauss_legendre(n: int):
     return x, wts
 
 
-def _rule(u, chebyshev: bool, fraction: float, target: float):
-    """(nodes, weights, r, error factor) for a segment with square-root branch points u.
+def _rule(rhos: np.ndarray, chebyshev: bool, fraction: float, target: float):
+    """(nodes, weights, r, error factor) for a segment whose branch points u have rho ``rhos``.
 
     On E_r, r = rho^fraction, |f| <= M gives Chebyshev coefficients <= 2 M r^-k,
     so n-node Gauss-Chebyshev errs by <= 2 pi M / (r^2n - 1), Gauss-Legendre by
@@ -124,7 +124,6 @@ def _rule(u, chebyshev: bool, fraction: float, target: float):
     a factor below ``target``.  The factor divides by a lower bound of
     prod_k |x - u_k|^(1/2) on E_r: |x - u_k| >= (rho_k - r)(1 - 1/(r rho_k))/2.
     """
-    rhos = _bernstein(u)
     if np.min(rhos) <= 1 + 1e-9:
         raise PeriodError("a branch point lies on an integration segment")
     r = float(np.min(rhos)) ** fraction
@@ -150,9 +149,10 @@ def _others(points: np.ndarray, *drop: int) -> np.ndarray:
 
 
 def _edge_coordinates(points: np.ndarray, i: int, j: int):
-    """mid, half and the other branch points u in the chart z = mid + half x of edge (i, j)."""
+    """mid, half, the other branch points u in the chart z = mid + half x of edge (i, j), rho(u)."""
     mid, half = (points[i] + points[j]) / 2, (points[j] - points[i]) / 2
-    return mid, half, (_others(points, i, j) - mid) / half
+    u = (_others(points, i, j) - mid) / half
+    return mid, half, u, _bernstein(u)
 
 
 def _crosses(p, q, r, s) -> bool:
@@ -162,21 +162,22 @@ def _crosses(p, q, r, s) -> bool:
     return left[0] != left[1] and left[2] != left[3]
 
 
-def _spanning_tree(points: np.ndarray) -> list[tuple[int, int]]:
+def _spanning_tree(points: np.ndarray) -> dict:
     """Kruskal on decreasing clearance, skipping edges that close a cycle or cross the tree
-    (a non-crossing forest extends to a triangulation, clear of branch points: it spans)."""
-    clear = {(i, j): float(np.min(_bernstein(_edge_coordinates(points, i, j)[2])))
-             for i, j in itertools.combinations(range(len(points)), 2)}
-    comp, tree = list(range(len(points))), []
-    for i, j in sorted(clear, key=lambda e: -clear[e]):
+    (a non-crossing forest extends to a triangulation, clear of branch points: it spans).
+    Returns {(i, j): _edge_coordinates(points, i, j)} of the tree edges in the order taken."""
+    charts = {(i, j): _edge_coordinates(points, i, j)
+              for i, j in itertools.combinations(range(len(points)), 2)}
+    comp, tree = list(range(len(points))), {}
+    for i, j in sorted(charts, key=lambda e: -float(np.min(charts[e][3]))):
         if comp[i] != comp[j] and not any(
                 len({i, j, k, l}) == 4 and _crosses(*points[[i, j, k, l]]) for k, l in tree):
             comp = [comp[i] if c == comp[j] else c for c in comp]
-            tree.append((i, j))
+            tree[i, j] = charts[i, j]
     return tree
 
 
-def _edge_cycle(points: np.ndarray, i: int, j: int, fraction: float, target: float):
+def _edge_cycle(points: np.ndarray, i: int, j: int, chart, fraction: float, target: float):
     """(periods of eta over the cycle, its directions at both ends, a priori error, log rho).
 
     The cycle of edge (a, b) runs from a to b on the sheet w = sqrt(1 - x^2) phi(x)
@@ -185,8 +186,8 @@ def _edge_cycle(points: np.ndarray, i: int, j: int, fraction: float, target: flo
     w = zeta h(zeta), in the direction phi(-1)/h(0), and at b in -phi(1)/h(0).
     """
     g = (len(points) - 2) // 2
-    mid, half, u = _edge_coordinates(points, i, j)
-    x, wts, r, err = _rule(u, True, fraction, target)
+    mid, half, u, rhos = chart   # _edge_coordinates(points, i, j)
+    x, wts, r, err = _rule(rhos, True, fraction, target)
     roots, dprod = _root_product(np.append(x, [-1.0, 1.0]), u)
     phi = np.sqrt(-half ** (2 * g + 2) * dprod) * roots
     period = half * (_powers(mid + half * x, g) / phi[:-2]) @ wts
@@ -331,8 +332,9 @@ def _period_matrix_at_clearance(curve: HyperellipticCurve, target: float,
                                 fraction: float) -> ThetaContext:
     """The tree basis; ``fraction`` of each edge's clear ellipse enters its quadrature bound."""
     g, points = curve.g, np.array(curve.branch_points)
-    edges = _spanning_tree(points)
-    cycles = [_edge_cycle(points, i, j, fraction, target) for i, j in edges]
+    tree = _spanning_tree(points)
+    edges = list(tree)
+    cycles = [_edge_cycle(points, *e, chart, fraction, target) for e, chart in tree.items()]
     periods = np.array([c[0] for c in cycles])
     k = _intersections(edges, cycles)
     rows = _symplectic_basis(k)
@@ -395,7 +397,7 @@ def _zeta_leg(curve: HyperellipticCurve, e: complex, z: complex,
     m = zeta / 2                               # zeta(t) = m (1 + t), t in [-1, 1]
     s = np.sqrt(np.array([b - e for b in curve.branch_points if b != e]))
     u = (np.concatenate([s, -s]) - m) / m
-    x, wts, _, _ = _rule(u, False, ELLIPSE_FRACTION, QUADRATURE_TARGET)
+    x, wts, _, _ = _rule(_bernstein(u), False, ELLIPSE_FRACTION, QUADRATURE_TARGET)
     roots, dprod = _root_product(np.append(x, 1.0), u)
     h = np.sqrt(m ** (4 * g + 2) * dprod) * roots
     val = m * (_powers(e + (m * (1 + x)) ** 2, g) / h[:-1]) @ wts

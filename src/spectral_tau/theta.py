@@ -3,8 +3,8 @@
 theta(u) = sum over n in Z^g of exp( <n, B n>/2 + <n, u> ), which converges
 for Re(B) negative definite (the a-periods are normalized to 2 pi i).  A
 derivative along directions v_1..v_N inserts the factor <v_1,n>...<v_N,n>
-termwise; logarithmic derivatives are assembled from those sums by the
-set-partition expansion.
+termwise; logarithmic derivatives follow from those sums by one memoized
+Leibniz recursion (``log_derivatives``).
 
 Truncation (after Deconinck, Heil, Bobenko, van Hoeij, Schmies, "Computing
 Riemann theta functions", Math. Comp. 73 (2004)).  Every sum at a point u
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -94,50 +93,40 @@ def theta(u, b, derivative=()) -> complex:
     return theta_with_derivatives(u, b, [tuple(derivative)])[tuple(derivative)]
 
 
-@lru_cache(maxsize=None)
-def _set_partitions(n: int):
-    """All partitions of range(n) as tuples of blocks (tuples of indices)."""
-    if n == 0:
-        return ((),)
-    out = []
-    for sub in _set_partitions(n - 1):
-        last = n - 1
-        out.append(sub + ((last,),))
-        for i, block in enumerate(sub):
-            out.append(sub[:i] + (block + (last,),) + sub[i + 1:])
-    return tuple(out)
-
-
-def _assemble(values: dict, ks: tuple) -> complex:
-    """d^N log theta along ks from the sums keyed by the sorted sub-tuples of ks."""
-    t0, total = values[()], 0j
-    for part in _set_partitions(len(ks)):
-        term = (-1) ** (len(part) - 1) * math.factorial(len(part) - 1)
-        for block in part:
-            term *= values[tuple(sorted(ks[i] for i in block))] / t0
-        total += term
-    return complex(total)
-
-
 def log_derivatives(u, b, tuples, axes=None) -> tuple[complex, dict]:
     """theta(u) and d^N log theta along rows of ``axes`` for each index tuple.
 
-    One box pass serves every tuple.  The dict is empty when |theta(u)| is
-    below DIVISOR_GUARD: u sits on the theta divisor, where they would blow up.
+    One box pass serves every tuple, and one memo on sorted tuples S every f_S =
+    d_S log theta: Leibniz's rule on theta_S = d_{S - s1} (theta f_{s1}), grouped by
+    the proper part T of S that holds s1, gives f_S = (theta_S - sum_T f_T
+    theta_{S - T}) / theta.  The dict is empty when |theta(u)| is below
+    DIVISOR_GUARD: u sits on the theta divisor, where they would blow up.
     """
     b, u = np.asarray(b, dtype=complex), np.asarray(u, dtype=complex)
     tuples = [tuple(t) for t in tuples]
     blocks = {c for t in tuples for r in range(len(t) + 1)
               for c in itertools.combinations(sorted(t), r)}
     values = _raw_values(u, b, blocks, lattice_radius(u, b, max(map(len, tuples))), axes)
-    if abs(values[()]) < DIVISOR_GUARD:
-        return values[()], {}
-    return values[()], {t: _assemble(values, t) for t in tuples}
+    t0, logs = values[()], {}
+    if abs(t0) < DIVISOR_GUARD:
+        return t0, {}
+
+    def log_d(s: tuple) -> complex:
+        if s not in logs:
+            rest, total = s[1:], values[s]
+            for r in range(len(rest)):
+                for inner in itertools.combinations(range(len(rest)), r):
+                    others = tuple(x for p, x in enumerate(rest) if p not in inner)
+                    total -= log_d(s[:1] + tuple(rest[p] for p in inner)) * values[others]
+            logs[s] = total / t0
+        return logs[s]
+
+    return t0, {t: log_d(tuple(sorted(t))) for t in tuples}
 
 
 # No caller in the package: it stays while perfbench/tracer.py wraps it by name.
 def log_theta_derivatives(u, b, indices) -> complex:
-    """d^N log theta / du_{i1}..du_{iN} via the set-partition expansion.
+    """d^N log theta / du_{i1}..du_{iN}, by ``log_derivatives``.
 
     Raises when theta(u) is too small (the point sits on the theta divisor).
     """

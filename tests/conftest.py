@@ -10,7 +10,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import add
 from pathlib import Path
 
@@ -26,7 +26,9 @@ from spectral_tau.jets import JetError, validate_jet
 from spectral_tau.multipoly import (
     InexactDivisionError, MultiPoly, multipoly_exact_divide, packing_width,
 )
-from spectral_tau.periods import HyperellipticCurve, abel_u0, period_matrix, v_vectors
+from spectral_tau.periods import (
+    HyperellipticCurve, abel_u0, jacobian_point, period_matrix, v_vectors,
+)
 from spectral_tau.polynomials import Poly
 from spectral_tau.projectors import BranchError, _require_valid
 from spectral_tau.serialize import parse_matrix_polynomial
@@ -501,6 +503,45 @@ def scan_half_period(w, kmax: dict, tol: float) -> list:
                         and abs(logs[ks].imag) < tol for (n, ks), f in exact.items()):
             winners.append(label)
     return winners
+
+
+# -- log-derivative oracle -------------------------------------------------------
+# d^N log theta as the package assembled it before the memoized recursion: the
+# sum over all Bell(N) set partitions of the index positions.
+
+@lru_cache(maxsize=None)
+def set_partitions(n: int):
+    """All partitions of range(n) as tuples of blocks (tuples of indices)."""
+    if n == 0:
+        return ((),)
+    out = []
+    for sub in set_partitions(n - 1):
+        last = n - 1
+        out.append(sub + ((last,),))
+        for i, block in enumerate(sub):
+            out.append(sub[:i] + (block + (last,),) + sub[i + 1:])
+    return tuple(out)
+
+
+def set_partition_logs(values: dict, ks: tuple) -> complex:
+    """d^N log theta along ks from the sums ``values`` keyed by the sorted sub-tuples of ks:
+    sum over partitions P of (-1)^(|P|-1) (|P|-1)! prod over blocks of theta_block / theta."""
+    t0, total = values[()], 0j
+    for part in set_partitions(len(ks)):
+        term = (-1) ** (len(part) - 1) * math.factorial(len(part) - 1)
+        for block in part:
+            term *= values[tuple(sorted(ks[i] for i in block))] / t0
+        total += term
+    return complex(total)
+
+
+def doc_theta_point(name: str, kmax: int):
+    """(u0, B, V^(0)..V^(kmax)) of a docs example, as verify_main_theorem builds them."""
+    w = doc_w(name)
+    curve = HyperellipticCurve.from_matrix_polynomial(w)
+    ctx = period_matrix(curve)
+    u0 = jacobian_point(curve, ctx, pole_divisor(w))
+    return u0, ctx.b_matrix, v_vectors(curve, ctx, kmax).vectors
 
 
 # -- oracles the package no longer carries ---------------------------------------

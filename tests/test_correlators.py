@@ -105,17 +105,22 @@ class TestPairTable:
         with pytest.raises(InexactDivisionError):
             correlators._npoint_values(mats, (1, 1), 0, _series_scale(mats.values()), 0)
 
-    @pytest.mark.parametrize("sheets, bad", [((1, 3), 3), ((-1, 1, 2), -1)])
-    def test_sheet_outside_range_is_a_value_error(self, sheets, bad, monkeypatch):
+    @pytest.mark.parametrize("name, sheets, message", [
+        ("hyperelliptic-g2.json", (1, 3), "sheet 3 outside 1..2"),
+        ("hyperelliptic-g2.json", (-1, 1, 2), "sheet -1 outside 1..2"),
+        ("three-sheet-m1.json", (1,), "n-point expansion needs at least 2 slots"),
+    ], ids=["sheet-3", "sheet-minus-1", "one-sheet"])
+    def test_bad_sheets_are_a_value_error_before_any_work(self, name, sheets, message,
+                                                          monkeypatch):
         def no_projectors(*args, **kwargs):
             raise AssertionError("projectors computed before the sheet check")
 
         monkeypatch.setattr(correlators, "projector_series", no_projectors)
-        w = doc_w("hyperelliptic-g2.json")
-        with pytest.raises(ValueError, match=f"^sheet {bad} outside 1..2$"):
+        w = doc_w(name)
+        with pytest.raises(ValueError, match=f"^{message}$"):
             correlator_n(w, sheets, 0)
         if len(sheets) == 2:
-            with pytest.raises(ValueError, match=f"^sheet {bad} outside 1..2$"):
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 correlator_pair(w, *sheets, 0)
 
 

@@ -22,8 +22,9 @@ def test_edge_chart_takes_the_other_points_in_order():
     curve = HyperellipticCurve.from_matrix_polynomial(sweep_instance("g3-s101"))
     points = np.array(curve.branch_points)
     for i, j in itertools.combinations(range(len(points)), 2):
-        mid, half, u = _edge_coordinates(points, i, j)
+        mid, half, u, rhos = _edge_coordinates(points, i, j)
         assert np.array_equal(u, (np.delete(points, [i, j]) - mid) / half)
+        assert np.array_equal(rhos, periods._bernstein(u))
         assert np.array_equal(periods._others(points, j), np.delete(points, j))
 
 
@@ -272,7 +273,8 @@ class TestTreeBasis:
         ctx = period_matrix(curve)
         star = [(0, k) for k in range(1, 2 * curve.g + 2)]
         assert sorted(ctx.edges) != star
-        monkeypatch.setattr(periods, "_spanning_tree", lambda points: star)
+        monkeypatch.setattr(periods, "_spanning_tree",
+                            lambda points: {e: _edge_coordinates(points, *e) for e in star})
         other = period_matrix(curve)
         assert other.edges == tuple(star)
         t, x = basis_change(other.alpha, other.b_matrix, ctx)
@@ -290,12 +292,29 @@ class TestTreeBasis:
         ctx = period_matrix(curve)
         points = np.array(curve.branch_points)
         for i, j in ctx.edges:
+            chart = _edge_coordinates(points, i, j)
             for fraction in (0.25, 0.5, 0.9):
-                coarse = _edge_cycle(points, i, j, fraction, 1e-6)
-                fine = _edge_cycle(points, i, j, fraction, 1e-16)
+                coarse = _edge_cycle(points, i, j, chart, fraction, 1e-6)
+                fine = _edge_cycle(points, i, j, chart, fraction, 1e-16)
                 err = float(np.max(np.abs(coarse[0] - fine[0])))
                 assert err <= coarse[3] + 1e-14
                 assert fine[3] < 1e-14 < coarse[3]
+
+    @pytest.mark.parametrize("w", [doc_w("hyperelliptic-g2.json"), random_hyperelliptic(102, 3)[0]],
+                             ids=["g2-doc", "g3-s102"])
+    def test_each_edge_chart_and_its_radii_are_built_once(self, w, monkeypatch):
+        """The tree's edge cycles reuse the charts and Bernstein radii that chose the
+        tree: one of each per edge of the complete graph on the branch points."""
+        curve = HyperellipticCurve.from_matrix_polynomial(w)
+        calls = {"_edge_coordinates": 0, "_bernstein": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(periods, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(periods, name, counted)
+        period_matrix(curve)
+        pairs = (2 * curve.g + 2) * (2 * curve.g + 1) // 2
+        assert calls == {"_edge_coordinates": pairs, "_bernstein": pairs}
 
     @pytest.mark.parametrize("w", [doc_w("hyperelliptic-g2.json"), random_hyperelliptic(105, 2)[0]],
                              ids=["g2-doc", "g2-s105"])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,14 @@ from spectral_tau.theta import (
     ThetaError,
     _raw_values,
     lattice_radius,
+    log_derivatives,
     log_theta_derivatives,
     reduce_mod_lattice,
     theta,
     theta_with_derivatives,
 )
+
+from conftest import doc_theta_point, set_partition_logs
 
 B1 = np.array([[-10.0 + 0j]])
 B2 = np.array([[-6.0 + 1.0j, 1.5 - 0.5j], [1.5 - 0.5j, -7.0 - 2.0j]])
@@ -74,6 +79,23 @@ class TestLogDerivatives:
         a = log_theta_derivatives(u, B2, (0, 0, 1, 1))
         b = log_theta_derivatives(-u, B2, (0, 0, 1, 1))
         assert abs(a - b) < 1e-10
+
+    @pytest.mark.parametrize("name", ["hyperelliptic-g1.json", "hyperelliptic-g2.json"])
+    def test_recursion_matches_set_partitions_in_mixed_directions(self, name):
+        """Every identity tuple of kmax {3..6: 2} at u0, each also in reverse (unsorted)
+        order, from one memo: the recursion agrees with the Bell(N) set-partition sum."""
+        u0, b, vectors = doc_theta_point(name, 2)
+        tuples = [ks for n in range(3, 7)
+                  for ks in itertools.combinations_with_replacement(range(3), n)]
+        tuples += [ks[::-1] for ks in tuples if ks[::-1] != ks]
+        t0, logs = log_derivatives(u0, b, tuples, vectors)
+        blocks = {c for t in tuples for r in range(len(t) + 1)
+                  for c in itertools.combinations(sorted(t), r)}
+        values = _raw_values(u0, b, blocks, lattice_radius(u0, b, 6), vectors)
+        assert values[()] == t0 and set(logs) == set(tuples)
+        for ks in tuples:
+            want = set_partition_logs(values, ks)
+            assert abs(logs[ks] - want) <= 1e-12 * max(1.0, abs(logs[ks])), ks
 
     def test_divisor_guard(self):
         # theta vanishes at the odd half-period pi*i + B/2 for g = 1

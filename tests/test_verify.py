@@ -11,12 +11,11 @@ import spectral_tau.verify as verify_module
 from spectral_tau import verify_main_theorem
 from spectral_tau.cli import main
 from spectral_tau.curve import SpectralCurveData
-from spectral_tau.divisor import pole_divisor
-from spectral_tau.periods import HyperellipticCurve, jacobian_point, period_matrix, v_vectors
+from spectral_tau.periods import HyperellipticCurve, period_matrix
 
 from conftest import (
-    SCAN_SWEEP, count_builds, doc_w, half_period_shifts, random_hyperelliptic, scan_half_period,
-    sweep_instance,
+    SCAN_SWEEP, count_builds, doc_theta_point, doc_w, half_period_shifts, random_hyperelliptic,
+    scan_half_period, set_partition_logs, sweep_instance,
 )
 
 
@@ -85,14 +84,9 @@ def test_one_lattice_pass_per_shift(monkeypatch, name, g):
 def test_g1_oracle_mpmath():
     """T on the g1 example against jtheta at 30 digits, at the same float u, B and V."""
     mp = pytest.importorskip("mpmath")
-    w = doc_w("hyperelliptic-g1.json")
-    rep = verify_main_theorem(w, kmax={3: 1, 4: 1}, tol=1e-9)
+    rep = verify_main_theorem(doc_w("hyperelliptic-g1.json"), kmax={3: 1, 4: 1}, tol=1e-9)
     assert rep.success
-    curve = HyperellipticCurve.from_matrix_polynomial(w)
-    ctx = period_matrix(curve)
-    b = ctx.b_matrix
-    vectors = v_vectors(curve, ctx, 1).vectors
-    u = jacobian_point(curve, ctx, pole_divisor(w))
+    u, b, vectors = doc_theta_point("hyperelliptic-g1.json", 1)
     with mp.workdps(30):
         # theta(u) = jtheta(3, u/(2i), e^(B/2)), so d/du = (2i)^-1 d/dz
         z, q = mp.mpc(u[0]) / mp.mpc(0, 2), mp.exp(mp.mpc(b[0, 0]) / 2)
@@ -106,6 +100,33 @@ def test_g1_oracle_mpmath():
                 t_mp *= mp.mpc(vectors[k][0])
             assert abs(r.t_value - complex(t_mp)) <= 1e-12, (r.n_points, r.k_tuple)
     assert {r.n_points for r in rep.identities} == {3, 4}
+
+
+def test_g1_oracle_mpmath_high_orders():
+    """T along V^(0) at N = 3..10 on the g1 example against jtheta at 30 digits, through
+    the 1-D moment-cumulant recursion; at N >= 8 the set-partition sum is no closer."""
+    mp = pytest.importorskip("mpmath")
+    u, b, vectors = doc_theta_point("hyperelliptic-g1.json", 0)
+    orders = range(3, 11)
+    logs = theta_module.log_derivatives(u, b, [(0,) * n for n in orders], vectors)[1]
+    blocks = [(0,) * n for n in range(11)]
+    values = theta_module._raw_values(u, b, blocks, theta_module.lattice_radius(u, b, 10), vectors)
+    with mp.workdps(30):
+        # theta(u) = jtheta(3, u/(2i), e^(B/2)), so d/du = (2i)^-1 d/dz
+        z, q = mp.mpc(u[0]) / mp.mpc(0, 2), mp.exp(mp.mpc(b[0, 0]) / 2)
+        m = [mp.jtheta(3, z, q, derivative=k) / mp.mpc(0, 2) ** k / mp.jtheta(3, z, q)
+             for k in range(11)]
+        kappa = [mp.mpc(0)]
+        for n in range(1, 11):
+            kappa.append(m[n] - sum(mp.binomial(n - 1, j - 1) * kappa[j] * m[n - j]
+                                    for j in range(1, n)))
+        v0 = mp.mpc(vectors[0][0])
+        for n in orders:
+            t_mp = kappa[n] * v0 ** n
+            err = abs(logs[(0,) * n] - complex(t_mp))
+            assert err <= 1e-13 * max(1.0, abs(complex(t_mp))), (n, err)
+            if n >= 8:
+                assert err <= abs(set_partition_logs(values, (0,) * n) - complex(t_mp)), n
 
 
 def test_half_period_count():
