@@ -10,7 +10,8 @@ Every subcommand takes --input (the matrix-polynomial JSON schema) and
 
 The report is deterministic JSON.  Exit status: 0 success, 1 verification
 failure or a failed numerical stage (divisor, periods, theta), 2 input error
-(a flag a subcommand does not take is argparse's usage error, also 2).
+(an --input that cannot be read or an --output that cannot be written
+included; a flag a subcommand does not take is argparse's usage error, also 2).
 
 Each handler imports the modules it runs, so the exact subcommands
 (curve-info, correlators, jet) start without numpy and the numerical
@@ -206,7 +207,7 @@ def run(job: JobSpec) -> tuple[int, dict]:
     """Dispatch a job; returns (exit_status, report)."""
     try:
         report = _COMMANDS[job.command][0](job)
-    except (ParseError, FileNotFoundError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (ParseError, OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         return 2, {"errors": [str(exc)]}
     except StageError as exc:
         return 1, {"errors": [str(exc)]}
@@ -243,9 +244,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the job and emit its report; a report --output cannot take is an input error."""
     job = JobSpec(**vars(build_parser().parse_args(argv)))
     status, report = run(job)
-    _emit(report, job.output_path)
+    try:
+        _emit(report, job.output_path)
+    except OSError as exc:
+        status = 2
+        _emit({"errors": [str(exc)]}, None)
     return status
 
 

@@ -116,20 +116,25 @@ class CorrelatorTable:
     trusted_order: int
 
     def value(self, pairs: Sequence[IndexPair]) -> Fraction:
-        key = tuple((int(a), int(k)) for a, k in pairs)
+        """The entry at ((a1,k1),...,(aN,kN)); an index that is not an int raises ValueError."""
+        key = tuple((a, k) for a, k in pairs)
+        for a, k in key:
+            _require_int("sheet", a, 1)
+            _require_int("k", k, 0)
         if key not in self.entries:
             raise KeyError(f"no entry for {key}")
         return self.entries[key]
 
 
 class CorrelatorEngine:
-    """Caches the projector series and the hyperelliptic normal form of one matrix polynomial."""
+    """Caches the projector series and the hyperelliptic normal form of one matrix polynomial.
+
+    It takes any W: W was checked when it was built, and nothing is computed
+    before the first request.
+    """
 
     def __init__(self, w: MatrixPolynomial):
         self.w = w
-        fatal = characteristic_data(w).fatal_diagnostics()
-        if fatal:
-            raise ValueError(f"invalid input: {fatal[0].detail or fatal[0].name}")
         self._projectors: dict[int, tuple] = {}
         self._proj_order = -1
         self._normal = None     # (M, s) of _normal_form, certified through u^_normal_order
@@ -422,15 +427,17 @@ def correlator_n(w: MatrixPolynomial, sheets: Sequence[int], kmax: int,
     """F^{a1..aN}_{k1..kN} for N = len(sheets) >= 2 and all k_i <= kmax.
 
     At N = 2 the table carries the -delta_ab / (z1 - z2)^2 term.  Fewer than
-    2 sheets, or a sheet outside 1..n, raises ValueError before any work.
+    2 sheets, or a sheet that is not an int in 1..n, raises ValueError before
+    any work.
     """
     _require_int("kmax", kmax, 0)
-    sheets = tuple(int(a) for a in sheets)
+    sheets = tuple(sheets)
     if len(sheets) < 2:
         raise ValueError("n-point expansion needs at least 2 slots")
     for a in sheets:
-        if not 1 <= a <= w.n:
+        if isinstance(a, int) and not isinstance(a, bool) and not 1 <= a <= w.n:
             raise ValueError(f"sheet {a} outside 1..{w.n}")
+        _require_int("sheet", a, 1)
     engine = engine or CorrelatorEngine(w)
     npts = len(sheets)
     K = npts * (kmax + 1)

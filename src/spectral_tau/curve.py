@@ -4,16 +4,18 @@ The root object is W(z) = B0*z^m + ... + Bm with a diagonal leading
 coefficient whose entries are pairwise distinct.  The spectral curve is
 det(w*1 - W(z)) = w^n + a_1(z) w^{n-1} + ... + a_n(z).
 
-Everything the exact chain reads is a function of W alone, so each W has one
-curve: :func:`characteristic_data` builds it on its first call, keeps it on
-W and returns it afterwards, and it computes only what is read.  The
-structural checks on W run with the curve, and W's leading diagonal labels
-the sheets.  W's integer form (L, L B_l, Delta) feeds the Faddeev-LeVerrier
-pass, the projector recursion and the hyperelliptic normal form.  That pass,
-over Z[z] on L W, yields the a_k and the adjugate Phi(z, w) of w*1 - W(z),
-whose column sums and D(z) feed the divisor, so the correlator engine, which
-reads only the checks and the integer form, never pays it.  The smoothness
-check (a Bareiss determinant over Z[z]) runs when the diagnostics are read.
+A W is checked once, when it is built: :class:`MatrixPolynomial` refuses
+any W outside that domain with :class:`InvalidMatrixPolynomial`, so no later
+stage checks it again.  Everything the exact chain reads is a function of W
+alone, so each W has one curve: :func:`characteristic_data` builds it on its
+first call, keeps it on W and returns it afterwards, and it computes only
+what is read.  W's leading diagonal labels the sheets.  W's integer form
+(L, L B_l, Delta) feeds the Faddeev-LeVerrier pass, the projector recursion
+and the hyperelliptic normal form.  That pass, over Z[z] on L W, yields the
+a_k and the adjugate Phi(z, w) of w*1 - W(z), whose column sums and D(z)
+feed the divisor, so the correlator engine, which reads only the integer
+form, never pays it.  The smoothness check (a Bareiss determinant over
+Z[z]) runs when the diagnostics are read.
 """
 
 from __future__ import annotations
@@ -47,27 +49,42 @@ class MatrixPolynomial:
 
     ``matrix[i][j]`` is the full polynomial entry; ``coefficient_of_power(k)``
     recovers the matrix coefficient of z^k (so the paper-style B^i is the
-    coefficient of z^(m-i)).
+    coefficient of z^(m-i)).  Every constructor checks W, in this order, and
+    raises :class:`InvalidMatrixPolynomial` with the message of the first
+    check that fails: W is square with n >= 2, m >= 1, every entry has
+    degree <= m (the projector recursion reads only B_0..B_m, and the bound
+    deg a_i <= m*i follows), the leading coefficient B_0 is diagonal, and its
+    entries are pairwise distinct (the branches at infinity collide without
+    it).  Irreducibility is not checked; a reducible curve surfaces later as
+    failed consistency identities.
     """
 
     n: int
     m: int
     matrix: tuple
 
-    @staticmethod
-    def from_entries(entries: Sequence[Sequence[Poly]], m: int | None = None) -> "MatrixPolynomial":
-        n = len(entries)
-        if n < 2 or any(len(row) != n for row in entries):
+    def __post_init__(self):
+        n, m, mat = self.n, self.m, self.matrix
+        if n < 2 or len(mat) != n or any(len(row) != n for row in mat):
             raise InvalidMatrixPolynomial("matrix must be square with n >= 2")
-        mat = tuple(tuple(p if isinstance(p, Poly) else Poly.constant(p) for p in row) for row in entries)
-        deg = max((p.degree() for row in mat for p in row), default=-1)
-        if m is None:
-            m = deg
         if m < 1:
             raise InvalidMatrixPolynomial("degree m must be at least 1")
+        deg = max(p.degree() for row in mat for p in row)
         if deg > m:
             raise InvalidMatrixPolynomial(f"entry degree {deg} exceeds declared m={m}")
-        return MatrixPolynomial(n, m, mat)
+        lead = self.coefficient_of_power(m)
+        if any(lead[i][j] for i in range(n) for j in range(n) if i != j):
+            raise InvalidMatrixPolynomial("leading coefficient must be diagonal")
+        if len({lead[i][i] for i in range(n)}) != n:
+            raise InvalidMatrixPolynomial("leading diagonal entries must be pairwise distinct")
+
+    @staticmethod
+    def from_entries(entries: Sequence[Sequence[Poly]], m: int | None = None) -> "MatrixPolynomial":
+        """W from its entries, constants allowed; m defaults to the largest entry degree."""
+        mat = tuple(tuple(p if isinstance(p, Poly) else Poly.constant(p) for p in row) for row in entries)
+        if m is None:
+            m = max((p.degree() for row in mat for p in row), default=-1)
+        return MatrixPolynomial(len(mat), m, mat)
 
     @staticmethod
     def from_power_matrices(n: int, m: int, descending: Sequence) -> "MatrixPolynomial":
@@ -90,10 +107,6 @@ class MatrixPolynomial:
         lead = self.coefficient_of_power(self.m)
         return tuple(lead[i][i] for i in range(self.n))
 
-    def leading_is_diagonal(self) -> bool:
-        lead = self.coefficient_of_power(self.m)
-        return all(lead[i][j] == 0 for i in range(self.n) for j in range(self.n) if i != j)
-
     @cached_property
     def _curve(self) -> "SpectralCurveData":
         """The one curve of this W; read it through :func:`characteristic_data`."""
@@ -108,8 +121,9 @@ class SpectralCurveData:
     """The curve det(w*1 - W(z)) = 0 with everything the exact chain reads off W.
 
     ``sheet_labels`` is W's leading diagonal: sheet a is the branch
-    w_a ~ sheet_labels[a-1] z^m.  ``structural`` holds the checks on W, made
-    with the curve from W alone.  The rest is computed on its first read.
+    w_a ~ sheet_labels[a-1] z^m.  ``structural`` holds the rows of the checks
+    on W (see :func:`_structural`), made with the curve from W alone.  The
+    rest is computed on its first read.
     ``char_coeffs`` (a_1, ..., a_n) and ``adjugate``, the Faddeev-LeVerrier
     matrices N_0 = 1, ..., N_{n-1} with adj(w*1 - W(z)) = Phi(z, w) =
     sum_k N_k(z) w^(n-1-k), come from one pass on the first read of either;
@@ -127,11 +141,8 @@ class SpectralCurveData:
     @cached_property
     def integer_form(self) -> tuple:
         """(L, lb, Delta): L the lcm of W's denominators, lb[l] = L B_l the integer
-        matrix of W's coefficient of z^(m-l), Delta the lcm of the |L b_i - L b_j|.
-        An entry above degree m (a fatal check) has no B_l: it raises, not dropped."""
+        matrix of W's coefficient of z^(m-l), Delta the lcm of the |L b_i - L b_j|."""
         w, n, m = self.w, self.n, self.m
-        if any(p.degree() > m for row in w.matrix for p in row):
-            raise InvalidMatrixPolynomial(f"an entry of W exceeds degree m={m}")
         mats = [w.coefficient_of_power(m - l) for l in range(m + 1)]
         scale = lcm(*(c.denominator for mat in mats for row in mat for c in row))
         lb = tuple(tuple(tuple(c.numerator * (scale // c.denominator) for c in row)
@@ -181,15 +192,8 @@ class SpectralCurveData:
 
     @cached_property
     def diagnostics(self) -> tuple:
-        """The structural checks, then the smoothness warning once every fatal
-        check has passed (the curve checks need them)."""
-        if self.fatal_diagnostics():
-            return self.structural
+        """The structural rows, then the smoothness warning."""
         return self.structural + (_smoothness(self.n, self.char_coeffs),)
-
-    def fatal_diagnostics(self) -> list[Diagnostic]:
-        """The failed fatal checks; all are structural, so none triggers the smoothness check."""
-        return [d for d in self.structural if d.fatal and not d.passed]
 
 
 def genus(m: int, n: int) -> int:
@@ -202,11 +206,11 @@ def genus(m: int, n: int) -> int:
 
 
 def characteristic_data(w: MatrixPolynomial) -> SpectralCurveData:
-    """The spectral curve of W with its structural checks; the rest on demand.
+    """The spectral curve of W with its structural rows; the rest on demand.
 
-    The first call on a W builds its curve, running only the checks, read
-    off W's entries, and keeps it on W; every later call returns that same
-    object, with whatever it has computed since.
+    The first call on a W builds its curve, computing only those rows, and
+    keeps it on W; every later call returns that same object, with whatever
+    it has computed since.
     """
     return w._curve
 
@@ -254,51 +258,21 @@ def _faddeev_leverrier(curve: SpectralCurveData) -> tuple:
 
 
 def _structural(w: MatrixPolynomial) -> list[Diagnostic]:
-    """Structural checks on W(z), read off its entries.
+    """The rows of the checks on W that ``curve-info`` reports.
 
-    Distinctness of the leading diagonal is fatal (branch expansions at
-    infinity collide without it), and the degree check runs only once the
-    leading coefficient has passed.  It reads W's entries: every entry of
-    degree <= m gives deg a_i <= m*i, the bound every later stage reads the
-    curve to, and an entry above m (possible through the raw constructor)
-    would be dropped silently by the projector recursion.  Irreducibility is not
-    checked; reducible inputs surface later as failed consistency identities.
+    The three fatal ones (B_0 diagonal, B_0's entries distinct, every entry
+    of degree <= m) are the checks of :class:`MatrixPolynomial`, made when W
+    was built, so on any W they have passed.  ``genus_positive`` is a
+    warning: on a genus-0 curve the theta machinery does not apply.
     """
-    diags: list[Diagnostic] = []
-    lead_diag_ok = w.leading_is_diagonal()
-    diags.append(
-        Diagnostic(
-            "leading_coefficient_diagonal", lead_diag_ok, fatal=True,
-            detail="" if lead_diag_ok else "leading coefficient must be diagonal",
-        )
-    )
-    entries = w.leading_diagonal()
-    distinct = len(set(entries)) == len(entries)
-    diags.append(
-        Diagnostic(
-            "leading_entries_distinct", distinct, fatal=True,
-            detail="" if distinct else "leading diagonal entries must be pairwise distinct",
-        )
-    )
-    g_ok = genus(w.m, w.n) > 0
-    diags.append(
-        Diagnostic(
-            "genus_positive", g_ok, fatal=False,
-            detail="" if g_ok else f"genus {genus(w.m, w.n)} <= 0; theta machinery does not apply",
-        )
-    )
-    if not (lead_diag_ok and distinct):
-        return diags
-    deg = max(p.degree() for row in w.matrix for p in row)
-    deg_ok = deg <= w.m
-    diags.append(
-        Diagnostic(
-            "char_coeff_degrees", deg_ok, fatal=True,
-            detail="" if deg_ok
-            else f"entry degree {deg} exceeds m={w.m}, so deg a_i may exceed m*i",
-        )
-    )
-    return diags
+    g = genus(w.m, w.n)
+    return [
+        Diagnostic("leading_coefficient_diagonal", True, fatal=True),
+        Diagnostic("leading_entries_distinct", True, fatal=True),
+        Diagnostic("genus_positive", g > 0, fatal=False,
+                   detail="" if g > 0 else f"genus {g} <= 0; theta machinery does not apply"),
+        Diagnostic("char_coeff_degrees", True, fatal=True),
+    ]
 
 
 def _smoothness(n: int, coeffs: Sequence[Poly]) -> Diagnostic:

@@ -84,12 +84,10 @@ def _polish_root(p: Poly, dp: Poly, z: complex, steps: int = 8) -> complex:
 
 def pole_divisor(w: MatrixPolynomial, tol: float = 1e-9) -> list[DivisorPoint]:
     """Divisor points (z_k, w_k), with on-curve and eigenvector residual checks;
-    ``tol`` must be a finite number > 0 (ValueError before any work)."""
+    ``tol`` must be a finite number > 0 (ValueError before any work).  W was
+    checked when it was built; a DivisorError is a failed numerical stage."""
     require_tol(tol)
     curve = characteristic_data(w)
-    fatal = curve.fatal_diagnostics()
-    if fatal:
-        raise DivisorError(f"invalid input: {fatal[0].detail or fatal[0].name}")
     n = w.n
     q, dpoly = curve.cofactor_row_sums, curve.d_polynomial
     expected = expected_d_degree(w)

@@ -58,9 +58,6 @@ def phi_coefficients(curve: SpectralCurveData) -> PhiData:
 
 
 def _require_valid(curve: SpectralCurveData, sheet: int) -> None:
-    fatal = curve.fatal_diagnostics()
-    if fatal:
-        raise BranchError(f"invalid input: {fatal[0].detail or fatal[0].name}")
     if not 1 <= sheet <= curve.n:
         raise BranchError(f"sheet index {sheet} out of range 1..{curve.n}")
 
@@ -142,7 +139,8 @@ def projector_series(w: MatrixPolynomial, sheet: int, order: int) -> tuple:
     the unit vectors plus O(u), so a zero diagonal forces
     lambda_c^2 = lambda_c.  The only idempotents of that local ring are 0
     and 1, so P is a sum of eigenprojectors, and P_0 = E_sheet leaves
-    Pi_sheet alone.  A failed check raises :class:`BranchError`.
+    Pi_sheet alone.  A failed check raises :class:`BranchError`, and so does
+    a sheet outside 1..n; W itself was checked when it was built.
     """
     curve = characteristic_data(w)
     _require_valid(curve, sheet)

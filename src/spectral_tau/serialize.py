@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .curve import InvalidMatrixPolynomial, MatrixPolynomial, characteristic_data
+from .curve import InvalidMatrixPolynomial, MatrixPolynomial
 from .rationals import format_rational, parse_rational
 
 if TYPE_CHECKING:  # annotations only, so parsing input imports neither module
@@ -25,9 +25,9 @@ class ParseError(ValueError):
 def parse_matrix_polynomial(data: dict) -> MatrixPolynomial:
     """Parse and validate the matrix-polynomial schema (exact entries only).
 
-    A W that fails a fatal structural check of :func:`characteristic_data`
-    (leading coefficient not diagonal, or with repeated entries) is a ParseError
-    carrying that check's detail.
+    A W that fails a check of :class:`MatrixPolynomial` (leading coefficient
+    not diagonal, or with repeated entries) is a ParseError carrying that
+    check's message.
     """
     if not isinstance(data, dict):
         raise ParseError("top level must be an object")
@@ -60,9 +60,6 @@ def parse_matrix_polynomial(data: dict) -> MatrixPolynomial:
         w = MatrixPolynomial.from_power_matrices(n, m, matrices)
     except InvalidMatrixPolynomial as exc:
         raise ParseError(str(exc)) from exc
-    fatal = characteristic_data(w).fatal_diagnostics()
-    if fatal:
-        raise ParseError(fatal[0].detail)
     return w
 
 

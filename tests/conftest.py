@@ -56,9 +56,7 @@ def random_matrix_polynomial(seed, n, m, traceless=False, distinct_range=8):
             lead_entries = [mats[0][i][i] for i in range(n)]
             if len(set(lead_entries)) != n:
                 continue
-        w = MatrixPolynomial.from_power_matrices(n, m, mats)
-        if not characteristic_data(w).fatal_diagnostics():
-            return w
+        return MatrixPolynomial.from_power_matrices(n, m, mats)
 
 
 # -- series arithmetic beyond the package's window type ---------------------------

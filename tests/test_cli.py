@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from spectral_tau.cli import JobSpec, build_parser, main, run
+from spectral_tau.cli import _COMMANDS, JobSpec, build_parser, main, run
 from spectral_tau.serialize import ParseError, parse_matrix_polynomial
 
 from conftest import random_matrix_polynomial
@@ -92,6 +92,31 @@ class TestRun:
         status, report = run(JobSpec("curve-info", "no-such-file.json"))
         assert status == 2
         assert report["errors"]
+
+    def test_unreadable_input_is_input_error(self, tmp_path, capsys):
+        # a directory: open() raises IsADirectoryError
+        assert main(["curve-info", "--input", str(tmp_path)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert list(report) == ["errors"] and str(tmp_path) in report["errors"][0]
+
+    def test_unwritable_output_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        assert main(["curve-info", "--input", str(G1), "--output", str(out)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert list(report) == ["errors"] and str(out) in report["errors"][0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    @pytest.mark.parametrize("lead, message", [
+        ([["1", "1"], ["0", "2"]], "leading coefficient must be diagonal"),
+        ([["1", "0"], ["0", "1"]], "leading diagonal entries must be pairwise distinct"),
+    ], ids=["lead-not-diagonal", "lead-repeated"])
+    def test_w_outside_the_domain_is_input_error(self, tmp_path, capsys, command, lead, message):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"n": 2, "m": 1,
+                                    "coefficients": [lead, [["0", "1"], ["2", "0"]]]}))
+        assert main([command, "--input", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out) == {"errors": [message]}
 
     @pytest.mark.parametrize("field, value", [("m", True), ("n", True), ("n", False)])
     def test_boolean_size_is_input_error(self, tmp_path, capsys, field, value):

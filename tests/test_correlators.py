@@ -109,7 +109,10 @@ class TestPairTable:
         ("hyperelliptic-g2.json", (1, 3), "sheet 3 outside 1..2"),
         ("hyperelliptic-g2.json", (-1, 1, 2), "sheet -1 outside 1..2"),
         ("three-sheet-m1.json", (1,), "n-point expansion needs at least 2 slots"),
-    ], ids=["sheet-3", "sheet-minus-1", "one-sheet"])
+        ("three-sheet-m1.json", (1.7, 2), "sheet must be an int >= 1, got 1.7"),
+        ("three-sheet-m1.json", (True, 2), "sheet must be an int >= 1, got True"),
+        ("three-sheet-m1.json", ("3", 2), "sheet must be an int >= 1, got '3'"),
+    ], ids=["sheet-3", "sheet-minus-1", "one-sheet", "float-sheet", "bool-sheet", "str-sheet"])
     def test_bad_sheets_are_a_value_error_before_any_work(self, name, sheets, message,
                                                           monkeypatch):
         def no_projectors(*args, **kwargs):
@@ -122,6 +125,15 @@ class TestPairTable:
         if len(sheets) == 2:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 correlator_pair(w, *sheets, 0)
+
+    @pytest.mark.parametrize("pairs", [((1.9, 0.2), (2, 0)), ((True, 0), (2, 0)),
+                                       ((1.0, 0), (2, 0)), ((1, 0), (2, False))],
+                             ids=["floats", "bool-sheet", "float-sheet", "bool-k"])
+    def test_value_reads_only_int_indices(self, pairs):
+        table = correlator_n(doc_w("three-sheet-m1.json"), (1, 2), 0)
+        assert table.value(((1, 0), (2, 0))) == 10
+        with pytest.raises(ValueError, match="must be an int"):
+            table.value(pairs)
 
 
 class TestNPoint:

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,12 @@ from hypothesis import strategies as st
 
 import spectral_tau.curve as curve_module
 from spectral_tau import (
-    CorrelatorEngine, MatrixPolynomial, characteristic_data, correlator_n, correlator_pair, genus,
+    MatrixPolynomial, characteristic_data, correlator_n, correlator_pair, genus,
     hyperelliptic_combination, verify_main_theorem,
 )
 import spectral_tau.polynomials as polynomials_module
 from spectral_tau.curve import InvalidMatrixPolynomial
+from spectral_tau.serialize import ParseError, parse_matrix_polynomial
 from spectral_tau.polynomials import (
     Poly, _int_add, _int_exact_div, _int_mul, is_squarefree, poly_gcd, poly_matrix_det,
     resultant_w,
@@ -43,6 +45,45 @@ def diag_instance():
 def offdiag_instance():
     z2 = Poly([0, 0, 1])
     return MatrixPolynomial.from_entries([[z2, Poly([0, 1])], [Poly([1]), -z2]])
+
+
+Z, ONE = Poly([0, 1]), Poly([1])
+PARSE_SIZES = "need integer n >= 2 and m >= 1"  # the schema's own check comes first
+
+# case -> (entries, m, the message of the first failing check, the message
+# through parse_matrix_polynomial, None where the power matrices cannot hold W)
+INVALID_W = {
+    "not-square": ([[Z]], 1, "matrix must be square with n >= 2", PARSE_SIZES),
+    "ragged": ([[Z, ONE], [ONE]], 1, "matrix must be square with n >= 2", None),
+    "m-below-1": ([[ONE, 0 * ONE], [0 * ONE, 2 * ONE]], 0, "degree m must be at least 1",
+                  PARSE_SIZES),
+    "entry-above-m": ([[Z, Z * Z], [ONE, -Z]], 1, "entry degree 2 exceeds declared m=1", None),
+    "lead-not-diagonal": ([[Z, Z], [ONE, 2 * Z]], 1, "leading coefficient must be diagonal",
+                          "leading coefficient must be diagonal"),
+    "lead-repeated": ([[Z, ONE], [ONE, Z]], 1, "leading diagonal entries must be pairwise distinct",
+                      "leading diagonal entries must be pairwise distinct"),
+    # an input that fails several checks raises the first
+    "square-before-m": ([[ONE]], 0, "matrix must be square with n >= 2", PARSE_SIZES),
+    "above-m-before-lead": ([[Z * Z, Z], [Z, Z * Z]], 1, "entry degree 2 exceeds declared m=1",
+                            None),
+    "not-diagonal-before-repeated": ([[Z, Z], [ONE, Z]], 1,
+                                     "leading coefficient must be diagonal",
+                                     "leading coefficient must be diagonal"),
+}
+
+
+def build_w(path, entries, m):
+    """W through one constructor path: raw, from_entries, from_power_matrices or parse."""
+    n = len(entries)
+    if path == "raw":
+        return MatrixPolynomial(n, m, tuple(tuple(row) for row in entries))
+    if path == "from_entries":
+        return MatrixPolynomial.from_entries(entries, m)
+    descending = [[[p.coeff(m - l) for p in row] for row in entries] for l in range(m + 1)]
+    if path == "from_power_matrices":
+        return MatrixPolynomial.from_power_matrices(n, m, descending)
+    return parse_matrix_polynomial({"n": n, "m": m, "coefficients": [
+        [[str(c) for c in row] for row in mat] for mat in descending]})
 
 
 def singular_instance():
@@ -248,16 +289,28 @@ class TestValidate:
 
     def test_repeated_leading_entries_fatal(self):
         z2 = Poly([0, 0, 1])
-        w = MatrixPolynomial.from_entries([[z2, Poly([1])], [Poly([1]), z2]])
-        diags = {d.name: d for d in characteristic_data(w).diagnostics}
-        assert not diags["leading_entries_distinct"].passed
-        assert diags["leading_entries_distinct"].fatal
+        with pytest.raises(InvalidMatrixPolynomial,
+                           match="^leading diagonal entries must be pairwise distinct$"):
+            MatrixPolynomial.from_entries([[z2, Poly([1])], [Poly([1]), z2]])
 
     def test_nondiagonal_leading_fatal(self):
         z2 = Poly([0, 0, 1])
-        w = MatrixPolynomial.from_entries([[z2, z2], [Poly([1]), -z2]])
-        diags = {d.name: d for d in characteristic_data(w).diagnostics}
-        assert not diags["leading_coefficient_diagonal"].passed
+        with pytest.raises(InvalidMatrixPolynomial, match="^leading coefficient must be diagonal$"):
+            MatrixPolynomial.from_entries([[z2, z2], [Poly([1]), -z2]])
+
+    @pytest.mark.parametrize("path, case", [
+        (path, case) for case, (_, _, _, parse_message) in INVALID_W.items()
+        for path in ("raw", "from_entries", "from_power_matrices", "parse")
+        if parse_message is not None or path in ("raw", "from_entries")])
+    def test_every_constructor_refuses_an_invalid_w(self, path, case):
+        """Each constructor raises the message of the first check W fails; the
+        power-matrix paths cannot express an entry above m or a ragged matrix."""
+        entries, m, message, parse_message = INVALID_W[case]
+        error = InvalidMatrixPolynomial
+        if path == "parse":
+            error, message = ParseError, parse_message
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build_w(path, entries, m)
 
     def test_five_checks_in_order(self):
         assert [d.name for d in characteristic_data(offdiag_instance()).diagnostics] == [
@@ -281,12 +334,11 @@ class TestValidate:
                 assert hyperelliptic_combination(w, 3, 1)
                 assert verify_main_theorem(w, kmax={3: 1, 4: 0}, tol=1e-9).success
             curve = characteristic_data(w)
-            assert not curve.fatal_diagnostics()
             with pytest.raises(DiscriminantComputed):
                 curve.diagnostics
 
     def test_adjugate_runs_only_when_read(self, monkeypatch):
-        """The correlators read only the structural checks: with the
+        """The correlators read only the integer form: with the
         Faddeev-LeVerrier pass forbidden they still run, and reading the
         characteristic coefficients or the adjugate runs the pass."""
         class LeverrierComputed(Exception):
@@ -303,7 +355,6 @@ class TestValidate:
             if w.n == 2:
                 assert hyperelliptic_combination(w, 3, 1)
             curve = characteristic_data(w)
-            assert not curve.fatal_diagnostics()
             for field in ("char_coeffs", "adjugate"):
                 with pytest.raises(LeverrierComputed):
                     getattr(curve, field)
@@ -313,26 +364,8 @@ class TestValidate:
         constructor: a_2 = -2z^2 has degree <= 2m, but the projector recursion
         reads only B_0, B_1, so the z^2 entry must be rejected, not dropped."""
         z = Poly([0, 1])
-        w = MatrixPolynomial(2, 1, ((z, z * z), (Poly([1]), -z)))
-        diags = {d.name: d for d in characteristic_data(w).structural}
-        assert not diags["char_coeff_degrees"].passed and diags["char_coeff_degrees"].fatal
-        assert "exceeds m=1" in diags["char_coeff_degrees"].detail
-        with pytest.raises(ValueError):
-            CorrelatorEngine(w)
-        with pytest.raises(ValueError):
-            correlator_pair(w, 1, 2, 1)
-
-    def test_entry_above_m_has_no_integer_form(self):
-        """The W of the test above has no B_l for its z^2 entry: its integer form,
-        and so its characteristic coefficients, raise rather than drop the entry,
-        and its diagnostics stop at the failed fatal check."""
-        z = Poly([0, 1])
-        w = MatrixPolynomial(2, 1, ((z, z * z), (Poly([1]), -z)))
-        curve = characteristic_data(w)
-        for field in ("integer_form", "char_coeffs"):
-            with pytest.raises(InvalidMatrixPolynomial, match="exceeds degree m=1"):
-                getattr(curve, field)
-        assert curve.diagnostics == curve.structural
+        with pytest.raises(InvalidMatrixPolynomial, match="^entry degree 2 exceeds declared m=1$"):
+            MatrixPolynomial(2, 1, ((z, z * z), (Poly([1]), -z)))
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(InvalidMatrixPolynomial):

@@ -5,6 +5,7 @@ import pytest
 import spectral_tau.projectors as projectors_module
 from spectral_tau.multipoly import packing_width
 from spectral_tau import MatrixPolynomial, characteristic_data, projector_series
+from spectral_tau.curve import InvalidMatrixPolynomial
 from spectral_tau.polynomials import Poly
 from spectral_tau.projectors import BranchError, all_projectors, phi_coefficients
 from spectral_tau.series import TruncationError, USeries
@@ -114,11 +115,10 @@ class TestBranch:
         assert residual.is_zero()
 
     def test_collision_rejected(self):
+        # B0 = 1: the branches at infinity collide, so W cannot be built
         z = Poly([0, 1])
-        w = MatrixPolynomial.from_entries([[z, Poly([1])], [Poly([1]), z + Poly([1])]], m=1)
-        curve = characteristic_data(w)
-        with pytest.raises(BranchError):
-            branch_series(curve, 1, 4)
+        with pytest.raises(InvalidMatrixPolynomial, match="pairwise distinct"):
+            MatrixPolynomial.from_entries([[z, Poly([1])], [Poly([1]), z + Poly([1])]], m=1)
 
 
 class TestProjector:
