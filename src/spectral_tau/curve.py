@@ -88,9 +88,12 @@ class MatrixPolynomial:
 
     @staticmethod
     def from_power_matrices(n: int, m: int, descending: Sequence) -> "MatrixPolynomial":
-        """Build from matrices [B0, B1, ..., Bm] where B0 multiplies z^m."""
+        """Build from n x n matrices [B0, B1, ..., Bm] where B0 multiplies z^m."""
         if len(descending) != m + 1:
             raise InvalidMatrixPolynomial(f"need {m + 1} matrices, got {len(descending)}")
+        for k, mat in enumerate(descending):
+            if len(mat) != n or any(len(row) != n for row in mat):
+                raise InvalidMatrixPolynomial(f"coefficients[{k}] must be an {n}x{n} matrix")
         entries = []
         for i in range(n):
             row = []

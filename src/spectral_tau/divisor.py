@@ -4,9 +4,9 @@ The eigenvector is a cofactor row sum: row i of the cofactors of
 w*1 - W(z) sums to w^{n-1} + q_{i2} w^{n-2} + ... + q_{in}, where q_{i,k+1}
 is the i-th column sum of the curve's adjugate coefficient N_k.  The
 z-coordinates of the divisor are the roots of the exact polynomial
-D(z) = det Q^T, Q = (q_{ik}); its degree equals m n (n-1)/2 = g + n - 1 for
-well-formed input.  The row sums and D are the curve's, built once per W.
-At each root the w-coordinate is recovered from an
+D(z) = det Q^T, Q = (q_{ik}), of degree m n (n-1)/2 = g + n - 1 (its lead is
+prod_{i<j} (b_j - b_i) over W's leading diagonal), built once per W; gcd(D, D')
+decides repeated roots.  At each root the w-coordinate is recovered from an
 (n-1)-minor of Q, choosing the numerically best minor.  Roots are computed
 in floating point (the divisor only feeds the numerical theta pipeline) but
 are Newton-polished against the exact coefficients.
@@ -22,7 +22,7 @@ from numbers import Real
 import numpy as np
 
 from .curve import MatrixPolynomial, characteristic_data
-from .polynomials import Poly
+from .polynomials import Poly, poly_gcd
 
 
 class DivisorError(Exception):
@@ -83,32 +83,18 @@ def _polish_root(p: Poly, dp: Poly, z: complex, steps: int = 8) -> complex:
 
 
 def pole_divisor(w: MatrixPolynomial, tol: float = 1e-9) -> list[DivisorPoint]:
-    """Divisor points (z_k, w_k), with on-curve and eigenvector residual checks;
-    ``tol`` must be a finite number > 0 (ValueError before any work).  W was
-    checked when it was built; a DivisorError is a failed numerical stage."""
+    """Divisor points (z_k, w_k), with on-curve and eigenvector residual checks against
+    ``tol``, a finite number > 0 (ValueError before any work).  W was checked when it
+    was built; a DivisorError is a repeated root of D or a failed numerical stage."""
     require_tol(tol)
     curve = characteristic_data(w)
     n = w.n
     q, dpoly = curve.cofactor_row_sums, curve.d_polynomial
-    expected = expected_d_degree(w)
-    if dpoly.is_zero():
-        raise DivisorError("degenerate divisor configuration: D(z) vanishes identically")
-    if dpoly.degree() < expected:
-        import warnings
-
-        warnings.warn(
-            f"degenerate divisor configuration: deg D = {dpoly.degree()} < {expected}",
-            stacklevel=2,
-        )
-    roots = np.roots(dpoly.float_coeffs_descending())
     dprime = dpoly.derivative()
-    roots = [_polish_root(dpoly, dprime, complex(z)) for z in roots]
-    if len(roots) >= 2:
-        min_dist = min(abs(a - b) for a, b in itertools.combinations(roots, 2))
-        if min_dist <= tol:
-            raise DivisorError(
-                f"repeated roots of D(z) within tolerance (min distance {min_dist:.3e})"
-            )
+    if poly_gcd(dpoly, dprime).degree() > 0:
+        raise DivisorError("repeated roots of D(z): gcd(D, D') is not constant")
+    roots = [_polish_root(dpoly, dprime, complex(z))
+             for z in np.roots(dpoly.float_coeffs_descending())]
     points = []
     for z in sorted(roots, key=lambda t: (t.real, t.imag)):
         c_full = np.array(

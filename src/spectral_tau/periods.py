@@ -14,11 +14,11 @@ other branch points; the tree keeps the smallest such ellipse largest.
 
 The Abel map is based at e1 = branch_points[0]; A_e1(Q) is the half-period
 H(e) = A_e1(e) of the branch point e nearest to Q plus a Gauss-Legendre leg in
-e's chart.  A branch point is one point of the curve, so a path from e1 to e
-may follow the tree on either sheet of each edge: H(e) is half the sum of the
-edge cycle periods along the tree path, up to periods.  That sum is an integer
-cycle, so the characteristic of H(e) in (Z/2)^2g is exact, and so is the one
-of the vector of Riemann constants that it determines.
+e's chart, none if z(Q) is a root of gcd(D(z), Q(z)), as then Q is e.  A branch
+point is one point of the curve, so a path from e1 to e may follow the tree on
+either sheet of each edge: H(e) is half the sum of the edge cycle periods along
+the tree path, up to periods.  That sum is an integer cycle, so the
+characteristics of H(e) in (Z/2)^2g and of the Riemann constants are exact.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import InvalidMatrixPolynomial, MatrixPolynomial, characteristic_data
-from .polynomials import Poly, is_squarefree
+from .polynomials import Poly, _cleared, is_squarefree, poly_gcd
 from .series import USeries
 from .theta import reduce_mod_lattice
 
@@ -52,6 +52,7 @@ class HyperellipticCurve:
 
     @staticmethod
     def from_q(q_poly: Poly) -> "HyperellipticCurve":
+        """w^2 = Q; the branch points are the correctly rounded roots of Q (_newton_polish)."""
         deg = q_poly.degree()
         if deg < 4 or deg % 2 != 0:
             raise PeriodError("Q must have even degree >= 4")
@@ -59,18 +60,11 @@ class HyperellipticCurve:
             raise PeriodError("Q must be monic")
         if not is_squarefree(q_poly):
             raise PeriodError("Q must be squarefree")
-        coeffs = np.array(q_poly.float_coeffs_descending(), dtype=complex)
-        derivative = np.polyder(coeffs)
-        roots = np.roots(coeffs)
-        for _ in range(60):  # Newton polish by complex Horner
-            step = np.polyval(coeffs, roots) / np.polyval(derivative, roots)
-            roots -= step
-            if np.all(np.abs(step) < 1e-15 * np.maximum(1.0, np.abs(roots))):
-                break
-        polished = sorted(map(complex, roots), key=lambda t: (t.real, t.imag))
-        if min(abs(a - b) for a, b in itertools.combinations(polished, 2)) < 1e-9:
-            raise PeriodError("branch points are numerically degenerate")
-        return HyperellipticCurve(q_poly=q_poly, g=deg // 2 - 1, branch_points=tuple(polished))
+        ints, roots = _cleared([q_poly])[1][0], []
+        for z in np.roots(q_poly.float_coeffs_descending()):
+            roots.append(_newton_polish(ints, complex(z), roots))
+        return HyperellipticCurve(q_poly=q_poly, g=deg // 2 - 1, branch_points=tuple(
+            sorted(roots, key=lambda t: (t.real, t.imag))))
 
     @staticmethod
     def from_matrix_polynomial(w: MatrixPolynomial) -> "HyperellipticCurve":
@@ -89,8 +83,25 @@ class HyperellipticCurve:
             raise InvalidMatrixPolynomial("Q must have even degree >= 4")
         return HyperellipticCurve.from_q(q)
 
-    def scale(self) -> float:
-        return max(1.0, max(abs(e) for e in self.branch_points))
+
+def _newton_polish(ints: list[int], z: complex, found: list) -> complex:
+    """Newton steps on the int polynomial ``ints`` (ascending) from z until one no longer
+    moves z, deflated by the roots ``found`` (Maehly) lest a cluster draw z to one.  At
+    z = (x + iy)/s, s^d p(z) and s^(d-1) p'(z) are Gaussian integers: each step is exact."""
+    seen = set()
+    while z not in seen:
+        seen.add(z)
+        (x, dx), (y, dy) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+        s = max(dx, dy)
+        x, y = x * (s // dx), y * (s // dy)
+        pr = pi = dr = di = 0
+        for k, c in enumerate(reversed(ints)):   # Horner over Z[i] for p and p'
+            dr, di = dr * x - di * y + pr, dr * y + di * x + pi
+            pr, pi = pr * x - pi * y + c * s ** k, pr * y + pi * x
+        den = (dr * dr + di * di) * s
+        step = complex((pr * dr + pi * di) / den, (pi * dr - pr * di) / den)
+        z -= step / (1 - step * sum(1 / (z - r) for r in found))
+    return z
 
 
 def _bernstein(u) -> np.ndarray:
@@ -376,22 +387,20 @@ def v_vectors(curve: HyperellipticCurve, ctx: ThetaContext, kmax: int) -> VData:
         for k in range(kmax + 1)))
 
 
-def jacobian_point(curve: HyperellipticCurve, ctx: ThetaContext, divisor_points) -> np.ndarray:
-    """abel_u0 reduced into the fundamental region.
-
-    Whether theta vanishes there (a special divisor) is checked by
-    ``verify_main_theorem``, from the lattice pass that evaluates the identities.
-    """
-    return reduce_mod_lattice(abel_u0(curve, ctx, divisor_points), ctx.b_matrix)
+def jacobian_point(curve: HyperellipticCurve, ctx: ThetaContext, divisor_points,
+                   d_poly: Poly) -> np.ndarray:
+    """abel_u0 reduced into the fundamental region; ``d_poly`` is D(z).  Whether theta
+    vanishes there (a special divisor) is checked by ``verify_main_theorem``."""
+    return reduce_mod_lattice(abel_u0(curve, ctx, divisor_points, d_poly), ctx.b_matrix)
 
 
 def _zeta_leg(curve: HyperellipticCurve, e: complex, z: complex,
-              w: complex | None = None) -> tuple[np.ndarray, complex]:
+              w: complex) -> tuple[np.ndarray, complex]:
     """Integral of eta from the branch point e to the point over z, and w there.
 
     With z = e + zeta^2, w = zeta h(zeta) and h^2 = prod_k (zeta^2 - (e_k - e)),
     eta_i = z^(g-i) dzeta / h: a Gauss-Legendre sum from 0 to zeta (z is nearer
-    to e than to any e_k).  It ends on the sheet of ``w`` (either when None).
+    to e than to any e_k).  It ends on the sheet of ``w``.
     """
     g, zeta = curve.g, np.sqrt(complex(z - e))
     m = zeta / 2                               # zeta(t) = m (1 + t), t in [-1, 1]
@@ -402,34 +411,38 @@ def _zeta_leg(curve: HyperellipticCurve, e: complex, z: complex,
     h = np.sqrt(m ** (4 * g + 2) * dprod) * roots
     val = m * (_powers(e + (m * (1 + x)) ** 2, g) / h[:-1]) @ wts
     w_end = complex(zeta * h[-1])
-    if w is not None and abs(w_end - w) > abs(w_end + w):
+    if abs(w_end - w) > abs(w_end + w):
         val, w_end = -val, -w_end
     return val, w_end
 
 
-def abel_u0(curve: HyperellipticCurve, ctx: ThetaContext, divisor_points) -> np.ndarray:
-    """The Jacobian point of the eigenvector line bundle.
+def abel_u0(curve: HyperellipticCurve, ctx: ThetaContext, divisor_points,
+            d_poly: Poly) -> np.ndarray:
+    """The Jacobian point of the eigenvector line bundle; ``d_poly`` is D(z).
 
     With A based at P_plus, u0 = alpha (sum_j A(Q_j) - A(P_minus) - (g-1) A(e1))
     - K, where e1 = curve.branch_points[0].  sigma fixes e1 and negates eta, so
     A(P_minus) = 2 A(e1) and, modulo the lattice, u0 = alpha sum_j A_e1(Q_j) - K,
     where A_e1(Q_j) = H(e) + (zeta leg from e) for the branch point e nearest to
-    Q_j.  K, the vector of Riemann constants for the base e1, is the
-    half-period pi i m + B n / 2 of (m, n) = ctx.riemann_characteristic (see
-    ``_riemann_characteristic``).
+    Q_j.  Q_j is e exactly when its z is a root of gcd(D, Q): the deg gcd(D, Q)
+    points nearest to a branch point are those, and have no leg.  K, the vector
+    of Riemann constants for the base e1, is the half-period pi i m + B n / 2 of
+    (m, n) = ctx.riemann_characteristic (see ``_riemann_characteristic``).
     """
     g = curve.g
     if len(divisor_points) != g + 1:
         raise PeriodError(f"need g+1 = {g + 1} divisor points, got {len(divisor_points)}")
+    # (distance to the nearest branch point, its index, the divisor point's index)
+    near = sorted((*min((abs(e - complex(pt.z)), k) for k, e in enumerate(curve.branch_points)), j)
+                  for j, pt in enumerate(divisor_points))
+    at_branch = poly_gcd(d_poly, curve.q_poly).degree()
     total = np.zeros(g, dtype=complex)
-    for pt in divisor_points:
-        z, w = complex(pt.z), complex(pt.w)
-        k = min(range(len(curve.branch_points)), key=lambda t: abs(curve.branch_points[t] - z))
-        e = curve.branch_points[k]
+    for t, (_, k, j) in enumerate(near):
         total += ctx.half_periods[k]
-        if abs(z - e) < 1e-7 * curve.scale():
+        if t < at_branch:
             continue  # the branch point itself: one point, no sheet to choose
-        leg, w_end = _zeta_leg(curve, e, z, w)
+        z, w = complex(divisor_points[j].z), complex(divisor_points[j].w)
+        leg, w_end = _zeta_leg(curve, curve.branch_points[k], z, w)
         if abs(w_end - w) > 1e-6 * max(1.0, abs(w)):
             raise PeriodError(f"Abel leg did not land on the requested sheet "
                               f"(got {w_end:.6g}, want {w:.6g})")
@@ -442,9 +455,9 @@ def v_consistency_defect(curve: HyperellipticCurve, ctx: ThetaContext, vdata: VD
                          kmax: int) -> float:
     """Worst deviation over k <= kmax of V^(k)/2 from the contour coefficients of
     omega_i z^(k+1) on the + sheet w = z^(g+1) prod_k (1 - e_k/z)^(1/2) of
-    |z| = 2.5 scale + 2 (each factor has a positive real part there)."""
-    npts = 800
-    zs = (2.5 * curve.scale() + 2.0) * np.exp(2j * np.pi * np.arange(npts) / npts)
+    |z| = 2.5 max(1, |e_k|) + 2 (each factor has a positive real part there)."""
+    npts, scale = 800, max(1.0, *map(abs, curve.branch_points))
+    zs = (2.5 * scale + 2.0) * np.exp(2j * np.pi * np.arange(npts) / npts)
     roots = np.sqrt(1 - np.array(curve.branch_points)[:, None] / zs)
     ws = zs ** (curve.g + 1) * np.prod(roots, axis=0)
     omegas = ctx.alpha @ (_powers(zs, curve.g) / (2 * ws))

@@ -30,7 +30,7 @@ import numpy as np
 
 from .correlators import CorrelatorEngine, _require_int, hyperelliptic_combination
 from .curve import MatrixPolynomial
-from .divisor import pole_divisor, require_tol
+from .divisor import d_polynomial, pole_divisor, require_tol
 from .periods import (
     HyperellipticCurve,
     PeriodError,
@@ -121,7 +121,7 @@ def verify_main_theorem(w: MatrixPolynomial, kmax=None, tol: float = 1e-6) -> Ve
     vdata = v_vectors(curve, ctx, top_k)
     checks["v_consistency_defect"] = v_consistency_defect(curve, ctx, vdata, top_k)
 
-    u0 = jacobian_point(curve, ctx, pole_divisor(w))
+    u0 = jacobian_point(curve, ctx, pole_divisor(w), d_polynomial(w))
     # one lattice pass at u0 gives theta(u0) and T = d^N log theta along
     # V^(k1)..V^(kN) for every identity
     b = ctx.b_matrix

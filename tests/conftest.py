@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import importlib.util
 import itertools
 import json
 import math
@@ -21,7 +22,9 @@ from spectral_tau import MatrixPolynomial, characteristic_data, hyperelliptic_co
 from spectral_tau.correlators import (
     _cycle_sign_and_missing, _integer_slot, _largest, _matmul, _packed_slot, _trace_of_product,
 )
-from spectral_tau.divisor import _polish_root, _row_sum_value, cofactor_row_sums, pole_divisor
+from spectral_tau.divisor import (
+    DivisorPoint, _polish_root, _row_sum_value, cofactor_row_sums, d_polynomial, pole_divisor,
+)
 from spectral_tau.jets import JetError, validate_jet
 from spectral_tau.multipoly import (
     InexactDivisionError, MultiPoly, multipoly_exact_divide, packing_width,
@@ -251,6 +254,26 @@ def doc_w(name):
     """The matrix polynomial of an input file in docs/examples."""
     path = Path(__file__).resolve().parent.parent / "docs" / "examples" / name
     return parse_matrix_polynomial(json.loads(path.read_text()))
+
+
+@lru_cache(maxsize=None)
+def stress_families():
+    """scripts/stress_families.py as a module: the seeded stress families A and B."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "stress_families.py"
+    spec = importlib.util.spec_from_file_location("stress_families", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def lenient_divisor(w):
+    """The divisor of a 2x2 W with no residual test: z the roots of D, polished as
+    pole_divisor polishes them, and w = -q_12(z)."""
+    d, q = d_polynomial(w), cofactor_row_sums(w)
+    zs = sorted((_polish_root(d, d.derivative(), complex(z))
+                 for z in np.roots(d.float_coeffs_descending())), key=lambda t: (t.real, t.imag))
+    return [DivisorPoint(z=z, w=complex(-q[0][1](z)), residual_r=0.0, residual_eig=0.0)
+            for z in zs]
 
 
 # The instances on which the derived half-period is checked against the scan:
@@ -489,7 +512,8 @@ def scan_half_period(w, kmax: dict, tol: float) -> list:
     curve = HyperellipticCurve.from_matrix_polynomial(w)
     ctx = period_matrix(curve)
     zero = ((0,) * curve.g,) * 2
-    base = abel_u0(curve, dataclasses.replace(ctx, riemann_characteristic=zero), pole_divisor(w))
+    base = abel_u0(curve, dataclasses.replace(ctx, riemann_characteristic=zero),
+                   pole_divisor(w), d_polynomial(w))
     vectors = v_vectors(curve, ctx, max(kmax.values())).vectors
     exact = {(n, ks): f for n, k in kmax.items()
              for ks, f in hyperelliptic_combination(w, n, k).items() if ks == tuple(sorted(ks))}
@@ -538,7 +562,7 @@ def doc_theta_point(name: str, kmax: int):
     w = doc_w(name)
     curve = HyperellipticCurve.from_matrix_polynomial(w)
     ctx = period_matrix(curve)
-    u0 = jacobian_point(curve, ctx, pole_divisor(w))
+    u0 = jacobian_point(curve, ctx, pole_divisor(w), d_polynomial(w))
     return u0, ctx.b_matrix, v_vectors(curve, ctx, kmax).vectors
 
 

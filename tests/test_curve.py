@@ -312,6 +312,18 @@ class TestValidate:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             build_w(path, entries, m)
 
+    @pytest.mark.parametrize("n, descending, k", [
+        (3, [[[1, 0], [0, 2]], [[0, 0], [0, 0]]], 0),   # 2 x 2 matrices for n = 3
+        (2, [[[1, 0], [0, 2]], [[0, 0], [0]]], 1),      # a ragged row
+    ])
+    def test_power_matrices_must_be_n_by_n(self, n, descending, k):
+        """A matrix that is not n x n is refused with the parser's message."""
+        message = f"^coefficients\\[{k}\\] must be an {n}x{n} matrix$"
+        with pytest.raises(InvalidMatrixPolynomial, match=message):
+            MatrixPolynomial.from_power_matrices(n, 1, descending)
+        with pytest.raises(ParseError, match=message):
+            parse_matrix_polynomial({"n": n, "m": 1, "coefficients": descending})
+
     def test_five_checks_in_order(self):
         assert [d.name for d in characteristic_data(offdiag_instance()).diagnostics] == [
             "leading_coefficient_diagonal", "leading_entries_distinct", "genus_positive",

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -43,6 +44,18 @@ class TestDPolynomial:
                 w = random_matrix_polynomial(100 * seed + k, n, m)
                 d = d_polynomial(w)
                 assert d.degree() == genus(m, n) + n - 1
+
+    @pytest.mark.parametrize("traceless", [False, True])
+    def test_degree_and_leading_coefficient(self, traceless):
+        """deg D = m n (n-1)/2 with leading coefficient prod_{i<j} (b_j - b_i) over
+        W's leading diagonal b, a Vandermonde determinant: nonzero for every W that
+        can be built, so D never vanishes and never falls short in degree."""
+        for n, m, seed in itertools.product(range(2, 6), range(1, 4), range(5)):
+            w = random_matrix_polynomial(seed, n, m, traceless)
+            d, b = d_polynomial(w), w.leading_diagonal()
+            assert d.degree() == expected_d_degree(w) == m * n * (n - 1) // 2
+            assert d.leading() == math.prod(b[j] - b[i]
+                                            for i, j in itertools.combinations(range(n), 2))
 
     def test_krylov_rows_oracle(self):
         # D = det of the rows (1,...,1) W^i, i = 0..n-1
@@ -94,6 +107,19 @@ class TestPoleDivisor:
             curve = characteristic_data(w)
             for p in pts:
                 assert abs(curve.r_at(p.z, p.w)) < 1e-9
+
+    def test_repeated_roots_are_decided_exactly(self):
+        # D = b - 2a - c = -2 (z - 1)^2
+        z = Poly([0, 1])
+        w = MatrixPolynomial.from_entries([[z * z, 4 * z - 1], [Poly.one(), -z * z]])
+        assert d_polynomial(w) == -2 * (z - 1) * (z - 1)
+        with pytest.raises(DivisorError, match="^repeated roots of D"):
+            pole_divisor(w)
+
+    def test_tol_governs_only_the_residuals(self, worked_instance):
+        # the roots -1 and 1/2 of D are 1.5 apart, and no tol makes them one root
+        w, *_ = worked_instance
+        assert len(pole_divisor(w, tol=10.0)) == 2
 
     def test_conjugation_keeps_count(self):
         w = random_matrix_polynomial(61, 3, 1)

@@ -1,9 +1,14 @@
 import itertools
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
-from spectral_tau import abel_u0, jacobian_point, period_matrix, pole_divisor, v_vectors
+from spectral_tau import (
+    abel_u0, characteristic_data, d_polynomial, jacobian_point, period_matrix, pole_divisor,
+    v_vectors,
+)
 from spectral_tau import periods
 from spectral_tau.periods import (
     HyperellipticCurve,
@@ -49,6 +54,27 @@ def test_gauss_legendre_rule_is_computed_once_and_read_only():
     assert periods._gauss_legendre(24)[0] is x
     with pytest.raises(ValueError):
         x[0] = 0.0
+
+
+def _clustered_q(base: Fraction, gap: Fraction) -> Poly:
+    """A monic sextic with the roots base and base + gap."""
+    z = Poly([0, 1])
+    return (z - base) * (z - base - gap) * (z * z + z + 3) * (z - 5) * (z + Fraction(11, 7))
+
+
+@pytest.mark.parametrize("q", [
+    *(-characteristic_data(random_hyperelliptic(s, g)[0]).a(2) for g in (1, 2, 3) for s in range(100, 110)),
+    *(_clustered_q(base, gap) for base in (Fraction(1, 3), Fraction(-7, 2))
+      for gap in (Fraction(1, 10 ** 5), Fraction(1, 10 ** 10)))])
+def test_branch_points_are_the_correctly_rounded_roots(q):
+    """Each branch point is complex() of the 50-digit root of Q.  numpy's roots of a
+    real pair 1e-10 apart are a conjugate pair on the pair's bisector, from which
+    plain Newton steps could take both to one root."""
+    with mpmath.workdps(50):
+        roots = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
+                                  for c in reversed(q.coeffs)], maxsteps=200, extraprec=300)
+        expected = sorted(map(complex, roots), key=lambda t: (t.real, t.imag))
+    assert HyperellipticCurve.from_q(q).branch_points == tuple(expected)
 
 
 class TestPeriodMatrix:
@@ -218,7 +244,7 @@ class TestAbelMap:
         assert np.array_equal(np.round(x), recorded) and is_symplectic(recorded)
         # the recorded u0 + varpi and u0 + K are alpha sum_j A_e1(Q_j) mod the lattice
         mapped = t @ (np.array(expected) + varpi(b_old)) - riemann_constant(ctx)
-        u0 = jacobian_point(curve, ctx, pole_divisor(w))
+        u0 = jacobian_point(curve, ctx, pole_divisor(w), d_polynomial(w))
         assert lattice_defect(u0 - mapped, ctx) < 1e-9
 
     def test_branch_point_offsets_are_half_periods(self, docs_contexts):
@@ -234,7 +260,7 @@ class TestAbelMap:
         curve = HyperellipticCurve.from_matrix_polynomial(w)
         ctx = period_matrix(curve)
         with pytest.raises(PeriodError):
-            abel_u0(curve, ctx, [])
+            abel_u0(curve, ctx, [], d_polynomial(w))
 
 
 class TestRiemannCharacteristic:
@@ -280,9 +306,9 @@ class TestTreeBasis:
         t, x = basis_change(other.alpha, other.b_matrix, ctx)
         assert np.max(np.abs(x - np.round(x))) < 1e-10
         assert is_symplectic(np.round(x))
-        divisor = pole_divisor(w)
-        u_other = t @ (jacobian_point(curve, other, divisor) + riemann_constant(other))
-        u = jacobian_point(curve, ctx, divisor) + riemann_constant(ctx)
+        divisor, d = pole_divisor(w), d_polynomial(w)
+        u_other = t @ (jacobian_point(curve, other, divisor, d) + riemann_constant(other))
+        u = jacobian_point(curve, ctx, divisor, d) + riemann_constant(ctx)
         assert lattice_defect(u - u_other, ctx) < 1e-9
         # K is a point of the Jacobian: both trees derive the same one
         assert lattice_defect(t @ riemann_constant(other) - riemann_constant(ctx), ctx) < 1e-9
@@ -362,7 +388,7 @@ class TestTreeBasis:
             curve = HyperellipticCurve.from_matrix_polynomial(w)
             try:
                 ctx = period_matrix(curve)
-                jacobian_point(curve, ctx, pole_divisor(w))
+                jacobian_point(curve, ctx, pole_divisor(w), d_polynomial(w))
             except PeriodError as exc:
                 assert "routing" not in str(exc), (seed, exc)
                 continue
