@@ -46,17 +46,16 @@ distinct sheets G is trivial and every class is walked.
 The walk goes depth-first over prefixes, so each partial chain product is
 formed once; slot 0 expands in t_0 and every later slot in a variable its
 prefix lacks, so a chain step is one int product per row and slot
-coefficient.  The chain step and the closing trace stay n ``MultiPoly.mul``
-calls per entry merged by ``multipoly_sum``: ``MultiPoly.mul`` is the seam
-through which ``perfbench/tracer.py`` times and counts the kernel until the
-package records its own spans, and a chain step fused into one int per
-entry and row key won less than the benchmark's run-to-run spread.  Signed
-traces are grouped by the Vandermonde pairs their cycle misses, and a pair
-shared by several groups multiplies their sum once.  Each division by
-(t_i - t_j) is a divided difference: running sums along the anti-diagonals
-of the (i, j) exponent plane, row by row.  The t-quotient's coefficient
-q[k] is read back as F = -q[k] / c^(N + |k|), the only Fraction on the
-path.
+coefficient, built in one pass per entry (``multipoly_chain_step``).  The
+closing trace stays n^2 ``MultiPoly.mul`` calls merged by ``multipoly_sum``:
+the seam through which ``perfbench/tracer.py`` times and counts the kernel
+until the package records its own spans.  Signed traces are grouped by the
+Vandermonde pairs their cycle misses, and a pair shared by several groups
+multiplies their sum once, moving its rows (``multipoly_times_pair``).
+Each division by (t_i - t_j) is a divided difference: running sums along
+the anti-diagonals of the (i, j) exponent plane, row by row.  The
+t-quotient's coefficient q[k] is read back as F = -q[k] / c^(N + |k|), the
+only Fraction on the path.
 
 Certificates: every scaled coefficient must be an integer (a wrong c raises
 ArithmeticError rather than emitting a value), and every division must leave
@@ -96,7 +95,8 @@ from typing import Mapping, Sequence
 
 from .curve import MatrixPolynomial, characteristic_data
 from .multipoly import (
-    MultiPoly, multipoly_coset_factor, multipoly_exact_divide, multipoly_sum, packing_width,
+    MultiPoly, multipoly_chain_step, multipoly_coset_factor, multipoly_exact_divide,
+    multipoly_sum, multipoly_times_pair, packing_width,
 )
 from .projectors import projector_series
 from .series import USeries
@@ -135,18 +135,16 @@ class CorrelatorEngine:
 
     def __init__(self, w: MatrixPolynomial):
         self.w = w
-        self._projectors: dict[int, tuple] = {}
-        self._proj_order = -1
+        self._projectors: dict[int, tuple] = {}   # sheet -> (largest order asked, series)
         self._normal = None     # (M, s) of _normal_form, certified through u^_normal_order
         self._normal_order = -1
 
     def projector(self, sheet: int, order: int) -> tuple:
-        """Pi_sheet as an n x n grid of series trusted through at least u^order."""
-        if order > self._proj_order:
-            self._proj_order = order
-            self._projectors = {a: projector_series(self.w, a, order)
-                                for a in range(1, self.w.n + 1)}
-        return self._projectors[sheet]
+        """Pi_sheet, an n x n grid of series trusted through at least u^order, built per sheet."""
+        cached = self._projectors.get(sheet)
+        if cached is None or cached[0] < order:
+            cached = self._projectors[sheet] = (order, projector_series(self.w, sheet, order))
+        return cached[1]
 
     def slot_matrix(self, sheet: int, order: int):
         """Pi_sheet as an n x n grid of coefficient lists of u^0..u^order.
@@ -263,16 +261,8 @@ def _packed_slot(ints, nvars: int, var: int, width: int):
 
 
 def _matmul(a, b, cap: int):
-    n = len(a)
-    nvars = a[0][0].nvars
-    return [
-        [
-            multipoly_sum(nvars, (a[i][k].mul(b[k][j], max_total_degree=cap)
-                                  for k in range(n) if a[i][k].rows and b[k][j].rows))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    """The chain step a b through total degree ``cap``: ``multipoly_chain_step``."""
+    return multipoly_chain_step(a, b, cap)
 
 
 def _trace_of_product(a, b, cap: int) -> MultiPoly:
@@ -306,12 +296,14 @@ def _cycle_sign_and_missing(perm: Sequence[int], npts: int):
     return sign, missing
 
 
-def _times_missing(groups: dict, npts: int, cap: int) -> MultiPoly:
+def _times_missing(groups: dict, npts: int) -> MultiPoly:
     """The sum of term * prod(u_p - u_r) over {missing pairs (p, r): term}.
 
     Pairs shared by several groups are factored out, Horner-like: the pair
     in the most groups multiplies the sum of those groups' remaining
-    products once.  ``groups`` is emptied.
+    products once.  A pair product needs no cap: a trace stops at total
+    degree K and every group misses the same n_missing pairs, so no product
+    passes K + n_missing.  ``groups`` is emptied.
     """
     q = MultiPoly.zero(npts)
     while groups:
@@ -321,8 +313,7 @@ def _times_missing(groups: dict, npts: int, cap: int) -> MultiPoly:
         pair = max(counts, key=counts.__getitem__)
         shared = {missing - {pair}: groups.pop(missing)
                   for missing in list(groups) if pair in missing}
-        term = _times_missing(shared, npts, cap)
-        q = q + term.mul(MultiPoly.pair_difference(npts, *pair), max_total_degree=cap)
+        q = q + multipoly_times_pair(_times_missing(shared, npts), *pair)
     return q
 
 
@@ -389,7 +380,7 @@ def _npoint_values(mats: Mapping, sheets: Sequence, kmax: int, c: int,
             visit(prefix + (s,), _matmul(acc, slots[s], K))
 
     visit((0,), slots[0])
-    q = _times_missing(by_missing, npts, cap_dividend)
+    q = _times_missing(by_missing, npts)
     # the rest of each orbit: sum over sigma of sgn(sigma) sigma, one coset
     # factor (1 - sum_{i<m} (b_i b_m)) per slot b_m of a block b_1 < b_2 < ...
     for a in dict.fromkeys(labels[1:]):

@@ -23,18 +23,19 @@ each digit is the unique signed residue of its slot and a row decodes to
 exactly its coefficients.  Every operation derives its result's bound from
 its operands': a sum adds them, a product multiplies them by the most term
 pairs that can meet in one monomial (one, when the other factor is
-univariate in a variable this one lacks), and the division by u_i - u_j
-multiplies by the length of its longest anti-diagonal.  A result whose bound
-does not fit is computed at a wider W, its operands repacked first, so
-digits never overflow silently.  The correlator engine packs its slots at a
-width that fits the certified bound of the whole table, so on its path no
-operation widens.
+univariate in a variable this one lacks), a product by u_i - u_j doubles
+it, and the division by u_i - u_j multiplies by the length of its longest
+anti-diagonal.  A result whose bound does not fit is computed at a wider W,
+its operands repacked first, so digits never overflow silently.  The
+correlator engine packs its slots at a width that fits the certified bound
+of the whole table, so on its path no operation widens.
 
 Why u_0.  Every chain of the N-point expansion starts with slot 0, which
 expands in u_0, so each partial product holds u_0 through its full
 truncation.  Every later slot is univariate in its own variable; multiplying
 by it is a row times a scalar under a new key, and no two products land in
-the same row.
+the same row.  The product by u_i - u_j only moves rows: u_0 shifts a
+packed row up one digit and u_i, i >= 1, raises one entry of its key.
 """
 
 from __future__ import annotations
@@ -324,6 +325,49 @@ def _mul_terms(rows: Rows, terms, apart: bool, width: int, cap: int | None) -> R
     return out if apart else _nonzero(out)
 
 
+def multipoly_chain_step(a, b, cap: int) -> list:
+    """The matrix product a b of MultiPoly grids, without monomials above total degree ``cap``.
+
+    Each entry of b is univariate in a variable no entry of a holds (``mul``'s
+    apart rule).  A row r of a[i][k] is truncated and keyed once per degree d
+    of b[k], and each coefficient c of u^d in b[k][j] adds r * c into column
+    j.  Entry (i, j) has bound sum_k a[i][k].bound * b[k][j].bound; all share one width.
+    """
+    n = len(a)
+    nvars = a[0][0].nvars
+    # b's key position (any, in a slot of constants) and its terms [(d, [(j, c), ...])] per row
+    v = next((p for row in b for poly in row for e in poly.rows for p, x in enumerate(e) if x), 0)
+    terms = [{} for _ in b]
+    for k, row in enumerate(b):
+        for j, poly in enumerate(row):
+            for e, c in poly.rows.items():
+                terms[k].setdefault(e[v], []).append((j, c))
+    terms = [sorted(t.items()) for t in terms]
+    bounds = [[sum(a[i][k].bound * b[k][j].bound for k in range(n)
+                   if a[i][k].rows and b[k][j].rows) for j in range(n)] for i in range(n)]
+    width = max(packing_width(max(map(max, bounds))),
+                *(poly.width for mat in (a, b) for row in mat for poly in row))
+    out = []
+    for i in range(n):
+        cols = [{} for _ in range(n)]
+        for k in range(n):
+            for e, r in _repack(a[i][k].rows, a[i][k].width, width).items():
+                keep = cap - sum(e)     # highest u_0 digit of a product
+                pre, at, post = e[:v], e[v], e[v + 1:]
+                for d, js in terms[k]:
+                    if keep < d:
+                        break
+                    r = _low(r, (keep - d + 1) * width)
+                    if not r:
+                        break
+                    key = pre + (at + d,) + post
+                    for j, c in js:
+                        cols[j][key] = cols[j].get(key, 0) + r * c
+        out.append([MultiPoly._trusted(nvars, _nonzero(col), width, bound)
+                    for col, bound in zip(cols, bounds[i])])
+    return out
+
+
 def multipoly_sum(nvars: int, polys: Iterable[MultiPoly]) -> MultiPoly:
     """Sum of polynomials in ``nvars`` variables, accumulated row by row."""
     kept, bound, width = [], 0, 2
@@ -345,6 +389,29 @@ def multipoly_sum(nvars: int, polys: Iterable[MultiPoly]) -> MultiPoly:
             for e, r in rows.items():
                 out[e] = get(e, 0) + r
     return MultiPoly._trusted(nvars, _nonzero(out), width, bound)
+
+
+def multipoly_times_pair(f: MultiPoly, i: int, j: int) -> MultiPoly:
+    """f * (u_i - u_j), 0 <= i < j, by moving rows: the inverse of :func:`multipoly_exact_divide`.
+
+    Times u_0 shifts a packed row up one digit, times u_i (i >= 1) raises a
+    key entry.  The bound 2 * f.bound widens as in :func:`multipoly_sum`.
+    """
+    if not f.rows:
+        return MultiPoly.zero(f.nvars)
+    bound = 2 * f.bound
+    width = max(f.width, packing_width(bound))
+    rows = _repack(f.rows, f.width, width)
+    ii, jj = i - 1, j - 1
+    out = {e[:jj] + (e[jj] + 1,) + e[jj + 1:]: -r for e, r in rows.items()}
+    get = out.get
+    for e, r in rows.items():
+        if i:
+            e = e[:ii] + (e[ii] + 1,) + e[ii + 1:]
+        else:
+            r <<= width
+        out[e] = get(e, 0) + r
+    return MultiPoly._trusted(f.nvars, _nonzero(out), width, bound)
 
 
 def multipoly_coset_factor(q: MultiPoly, slots: Iterable[int], j: int) -> MultiPoly:

@@ -20,14 +20,14 @@ import pytest
 
 from spectral_tau import MatrixPolynomial, characteristic_data, hyperelliptic_combination
 from spectral_tau.correlators import (
-    _cycle_sign_and_missing, _integer_slot, _largest, _matmul, _packed_slot, _trace_of_product,
+    _cycle_sign_and_missing, _integer_slot, _largest, _packed_slot, _trace_of_product,
 )
 from spectral_tau.divisor import (
     DivisorPoint, _polish_root, _row_sum_value, cofactor_row_sums, d_polynomial, pole_divisor,
 )
 from spectral_tau.jets import JetError, validate_jet
 from spectral_tau.multipoly import (
-    InexactDivisionError, MultiPoly, multipoly_exact_divide, packing_width,
+    InexactDivisionError, MultiPoly, multipoly_exact_divide, multipoly_sum, packing_width,
 )
 from spectral_tau.periods import (
     HyperellipticCurve, abel_u0, jacobian_point, period_matrix, v_vectors,
@@ -447,6 +447,16 @@ def pair_table_values(mat1, mat2, subtract: int, kmax: int, c: int) -> dict:
 # The walk before equal slots were folded into orbits: every one of the (N-1)!
 # cyclic classes builds its own chain, trace and missing-pair product.
 
+def matmul_reference(a, b, cap: int):
+    """The chain step a b through total degree ``cap``, as n ``MultiPoly.mul`` calls
+    per entry merged by ``multipoly_sum``: the oracle's own step."""
+    n = len(a)
+    nvars = a[0][0].nvars
+    return [[multipoly_sum(nvars, (a[i][k].mul(b[k][j], max_total_degree=cap)
+                                   for k in range(n) if a[i][k].rows and b[k][j].rows))
+             for j in range(n)] for i in range(n)]
+
+
 def full_walk_values(slot_mats, kmax: int, c: int) -> dict:
     """{(k_1..k_N): Fraction} for slot i carrying slot_mats[i], over all classes."""
     npts = len(slot_mats)
@@ -473,7 +483,7 @@ def full_walk_values(slot_mats, kmax: int, c: int) -> dict:
             by_missing[missing] = tr
             return
         for s in rest:
-            visit(prefix + (s,), _matmul(acc, slots[s], K))
+            visit(prefix + (s,), matmul_reference(acc, slots[s], K))
 
     visit((0,), slots[0])
     q = MultiPoly.zero(npts)

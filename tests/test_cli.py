@@ -323,6 +323,39 @@ class TestScripts:
         assert len(verdicts) == 2
         assert all(re.search(r": PASS in \d+\.\d ms, ", line) for line in verdicts), verdicts
 
+    def test_bench_snapshot_copies_the_latest_records(self, tmp_path):
+        script = DOCS.parent / "scripts" / "bench_snapshot.py"
+        workloads = ("exact-npoint", "cli-exact", "theta-g2")
+
+        def records(tag):
+            return [{"workload": w, "trace": t, "tag": f"{tag}-{w}-{t}", "passes": [0.5, 0.25],
+                     "metrics": {"wall_s": {"value": 0.5, "unit": "s"}}}
+                    for w in workloads + ("theta-g3",) for t in (0, 1)]
+
+        def run(label, lines):
+            results = tmp_path / f"{label}.jsonl"
+            results.write_text("".join(json.dumps(r) + "\n" for r in lines))
+            return subprocess.run([sys.executable, str(script), str(tmp_path / "BENCH.json"),
+                                   label, str(results)], capture_output=True, text=True,
+                                  timeout=60)
+
+        assert run("parent", records("old") + records("new")).returncode == 0
+        assert run("change", records("mine")).returncode == 0
+        text = (tmp_path / "BENCH.json").read_text()
+        snap = json.loads(text)
+        for label, tag in (("parent", "new"), ("change", "mine")):
+            assert list(snap[label]) == list(workloads)
+            for w in workloads:
+                assert snap[label][w] == {t: r for t, r in zip(
+                    ("untraced", "traced"), records(tag)[2 * workloads.index(w):])}
+        # one line per record field
+        assert text.count('    "passes": [0.5,0.25],\n') == 12
+        assert text.count('    "metrics": {"wall_s": {"value": 0.5,"unit": "s"}}\n') == 12
+        untraced_only = [r for r in records("new") if not r["trace"]]
+        proc = run("partial", untraced_only)
+        assert proc.returncode != 0 and "exact-npoint traced" in proc.stderr
+        assert "partial" not in json.loads((tmp_path / "BENCH.json").read_text())
+
     def test_run_examples(self):
         script = DOCS.parent / "scripts" / "run_examples.py"
         proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,

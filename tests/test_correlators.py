@@ -313,6 +313,26 @@ class TestNormalForm:
         for order in range(3):
             assert engine.normal_form(order) == normal_form(w, order)
 
+    def test_a_table_builds_only_the_sheets_it_reads(self, monkeypatch):
+        w = random_matrix_polynomial(100, 4, 1)
+        warm = CorrelatorEngine(w)
+        for a in range(1, 5):
+            warm.projector(a, 12)
+        want = correlator_pair(w, 1, 2, 2, warm)
+        built = []
+        projector_series = correlators.projector_series
+        monkeypatch.setattr(correlators, "projector_series",
+                            lambda w, sheet, order: built.append((sheet, order))
+                            or projector_series(w, sheet, order))
+        engine = CorrelatorEngine(w)
+        assert correlator_pair(w, 1, 2, 2, engine) == want
+        assert built == [(1, 6), (2, 6)]
+        # a sheet is rebuilt only when a table asks it for a higher order
+        correlator_n(w, (2, 3, 2), 0, engine)
+        assert built == [(1, 6), (2, 6), (3, 3)]
+        correlator_n(w, (1, 3, 1), 2, engine)
+        assert built == [(1, 6), (2, 6), (3, 3), (1, 9), (3, 9)]
+
     def test_projectors_only_through_kmax(self, monkeypatch):
         orders = []
         projector_series = correlators.projector_series

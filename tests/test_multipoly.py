@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_tau import multipoly
+from spectral_tau.correlators import _matmul
 from spectral_tau.multipoly import (
     InexactDivisionError,
     MultiPoly,
@@ -12,10 +13,11 @@ from spectral_tau.multipoly import (
     multipoly_coset_factor,
     multipoly_exact_divide,
     multipoly_sum,
+    multipoly_times_pair,
     packing_width,
 )
 
-from conftest import dict_divide, dict_mul, dict_sum, total_degree
+from conftest import dict_divide, dict_mul, dict_sum, matmul_reference, total_degree
 
 
 def mp(nvars, terms):
@@ -232,6 +234,64 @@ def test_slot_products_at_the_width_edge(case):
     twice = multipoly_sum(first.nvars, (prod, prod))
     assert twice.terms == dict_sum([prod.terms, prod.terms])
     _certified(twice)
+
+
+@st.composite
+def chain_steps(draw):
+    """A chain matrix in 1-3 variables (u_0 among them), some entries zero, and
+    a slot matrix univariate in another variable, some of them constants only."""
+    n = draw(st.integers(2, 4))
+    nvars = draw(st.integers(2, 5))
+    chain = [0] + draw(st.lists(st.integers(1, nvars - 1), max_size=2, unique=True))
+    v = draw(st.sampled_from([x for x in range(1, nvars) if x not in chain] or [None]))
+    if v is None:
+        chain, v = chain[:-1], chain[-1]
+    entry = st.dictionaries(
+        st.tuples(*[st.integers(0, 4) if x in chain else st.just(0) for x in range(nvars)]),
+        any_coeffs, max_size=6)
+    a = [[MultiPoly(nvars, draw(entry)) for _ in range(n)] for _ in range(n)]
+    length = draw(st.sampled_from([1, 6]))      # 1: constants, no variable in a key
+    width = draw(st.sampled_from([2, 16, 65]))
+    b = [[MultiPoly.from_univariate(nvars, v, draw(st.lists(any_coeffs, max_size=length)), width)
+          for _ in range(n)] for _ in range(n)]
+    return a, b, draw(st.integers(-1, 4 * len(chain) + 6))
+
+
+@given(chain_steps())
+@settings(max_examples=200, deadline=None)
+def test_chain_step_matches_the_reference_step(case):
+    a, b, cap = case
+    got, want = _matmul(a, b, cap), matmul_reference(a, b, cap)
+    for got_row, want_row in zip(got, want):
+        for g, w in zip(got_row, want_row):
+            # the step's bound also counts products that the cap empties
+            assert g == w and g.bound >= w.bound
+            _certified(g)
+
+
+@given(st.integers(2, 4).flatmap(lambda nvars: st.tuples(
+    st.just(nvars), _terms(nvars),
+    st.lists(st.integers(0, nvars - 1), min_size=2, max_size=2, unique=True).map(sorted))))
+@settings(max_examples=200, deadline=None)
+def test_times_pair_moves_rows(case):
+    nvars, terms, (i, j) = case
+    f = MultiPoly(nvars, terms)
+    pair = MultiPoly.pair_difference(nvars, i, j)
+    got, want = multipoly_times_pair(f, i, j), f.mul(pair)
+    assert got == want and (got.bound, got.width) == (want.bound, want.width)
+    _certified(got)
+    if f.rows:
+        assert multipoly_exact_divide(got, pair, total_degree(got)) == f
+
+
+def test_times_pair_widens_past_the_width():
+    edge = 2 ** 15 - 1
+    f = MultiPoly(3, {(2, 0, 1): edge, (1, 1, 0): -edge, (0, 0, 0): edge})
+    assert f.width == 16
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        got = multipoly_times_pair(f, i, j)
+        assert got.width == 17 and got.bound == 2 * edge
+        assert got.terms == dict_mul(f.terms, MultiPoly.pair_difference(3, i, j).terms)
 
 
 def test_bound_past_the_width_widens():
