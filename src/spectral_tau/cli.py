@@ -118,7 +118,7 @@ def _cmd_correlators(job: JobSpec) -> dict:
 
     w = _load_input(job)
     _check_sizes(job)
-    pairs = _checked_indices(job.indices, w.n) if job.indices else None
+    pairs = _checked_indices(job.indices, w.n) if job.indices is not None else None
     engine = CorrelatorEngine(w)
     if pairs:
         table = correlator_n(w, tuple(a for a, _ in pairs), max(k for _, k in pairs), engine)

@@ -45,13 +45,15 @@ distinct sheets G is trivial and every class is walked.
 
 The walk goes depth-first over prefixes, so each partial chain product is
 formed once; slot 0 expands in t_0 and every later slot in a variable its
-prefix lacks, so a chain step is one int product per row and slot
-coefficient, built in one pass per entry (``multipoly_chain_step``).  The
-closing trace stays n^2 ``MultiPoly.mul`` calls merged by ``multipoly_sum``:
-the seam through which ``perfbench/tracer.py`` times and counts the kernel
-until the package records its own spans.  Signed traces are grouped by the
-Vandermonde pairs their cycle misses, and a pair shared by several groups
-multiplies their sum once, moving its rows (``multipoly_times_pair``).
+prefix lacks, so every product is apart: one int product per row and slot
+coefficient, built in one pass per entry (``multipoly_chain_step``, which
+raises on a factor that breaks that rule).  The closing trace stays n^2
+``MultiPoly.mul`` calls, each the 1 x 1 chain step, merged by
+``multipoly_sum``: the seam through which ``perfbench/tracer.py`` times and
+counts the kernel until the package records its own spans.  Signed traces
+are grouped by the Vandermonde pairs their cycle misses, and a pair shared
+by several groups multiplies their sum once, moving its rows
+(``multipoly_times_pair``).
 Each division by (t_i - t_j) is a divided difference: running sums along
 the anti-diagonals of the (i, j) exponent plane, row by row.  The
 t-quotient's coefficient q[k] is read back as F = -q[k] / c^(N + |k|), the
@@ -260,11 +262,6 @@ def _packed_slot(ints, nvars: int, var: int, width: int):
             for row in ints]
 
 
-def _matmul(a, b, cap: int):
-    """The chain step a b through total degree ``cap``: ``multipoly_chain_step``."""
-    return multipoly_chain_step(a, b, cap)
-
-
 def _trace_of_product(a, b, cap: int) -> MultiPoly:
     n = len(a)
     return multipoly_sum(a[0][0].nvars, (a[i][k].mul(b[k][i], max_total_degree=cap)
@@ -377,7 +374,7 @@ def _npoint_values(mats: Mapping, sheets: Sequence, kmax: int, c: int,
         for s in rest:
             firsts.setdefault(labels[s], s)
         for s in firsts.values():
-            visit(prefix + (s,), _matmul(acc, slots[s], K))
+            visit(prefix + (s,), multipoly_chain_step(acc, slots[s], K))
 
     visit((0,), slots[0])
     q = _times_missing(by_missing, npts)

@@ -69,9 +69,9 @@ def cofactor_row_sums(w: MatrixPolynomial) -> tuple:
     return characteristic_data(w).cofactor_row_sums
 
 
-def _polish_root(p: Poly, dp: Poly, z: complex, steps: int = 8) -> complex:
-    """Newton steps on p from z; ``dp`` is p's derivative."""
-    for _ in range(steps):
+def _polish_root(p: Poly, dp: Poly, z: complex) -> complex:
+    """Eight Newton steps on p from z; ``dp`` is p's derivative."""
+    for _ in range(8):
         d = dp(z)
         if d == 0:
             break

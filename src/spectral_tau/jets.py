@@ -160,7 +160,7 @@ def resolvent_coefficients(jet: JetPoint, sheet: int) -> ResolventCoeffs:
     return ResolventCoeffs(sheet=sheet, b1=freeze(b1), b2=freeze(b2), b3=freeze(b3))
 
 
-def jet_from_projectors(w: MatrixPolynomial, projectors=None) -> JetPoint:
+def jet_from_projectors(w: MatrixPolynomial) -> JetPoint:
     """Read the jet off the first three projector coefficients of every sheet.
 
     Values come from the rows of B_1 = -[E_a, Y], first derivatives from the
@@ -171,8 +171,7 @@ def jet_from_projectors(w: MatrixPolynomial, projectors=None) -> JetPoint:
     class the closed forms describe).
     """
     n = w.n
-    if projectors is None:
-        projectors = all_projectors(w, 3)
+    projectors = all_projectors(w, 3)
     coeff = lambda a, k: tuple(tuple(s[k] for s in row) for row in projectors[a - 1])
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
 

@@ -21,10 +21,11 @@ Width rule.  Every polynomial carries ``bound``, a certified upper bound on
 the magnitude of its coefficients, and a width W with bound < 2^(W-1).  Then
 each digit is the unique signed residue of its slot and a row decodes to
 exactly its coefficients.  Every operation derives its result's bound from
-its operands': a sum adds them, a product multiplies them by the most term
-pairs that can meet in one monomial (one, when the other factor is
-univariate in a variable this one lacks), a product by u_i - u_j doubles
-it, and the division by u_i - u_j multiplies by the length of its longest
+its operands': a sum adds them, a product multiplies them (the only product
+is apart: its second factor is univariate in a variable other than u_0 that
+the first lacks, or a constant, so one term pair meets in each monomial and
+any other factor raises ``ValueError``), a product by u_i - u_j doubles it,
+and the division by u_i - u_j multiplies by the length of its longest
 anti-diagonal.  A result whose bound does not fit is computed at a wider W,
 its operands repacked first, so digits never overflow silently.  The
 correlator engine packs its slots at a width that fits the certified bound
@@ -41,7 +42,7 @@ packed row up one digit and u_i, i >= 1, raises one entry of its key.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Dict, Iterable, Tuple
 
 Exponent = Tuple[int, ...]
@@ -111,7 +112,7 @@ def _repack(rows: Rows, width: int, new_width: int) -> Rows:
 
 
 class MultiPoly:
-    __slots__ = ("nvars", "rows", "width", "bound", "_terms")
+    __slots__ = ("nvars", "rows", "width", "bound")
 
     def __init__(self, nvars: int, terms: Dict[Exponent, int] | None = None):
         self._set_terms(nvars, terms or {}, 2)
@@ -136,7 +137,6 @@ class MultiPoly:
         self.rows = {e: _pack(row, width) for e, row in digits.items()}
         self.width = width
         self.bound = bound
-        self._terms = None
 
     @classmethod
     def _trusted(cls, nvars: int, rows: Rows, width: int, bound: int) -> "MultiPoly":
@@ -146,7 +146,6 @@ class MultiPoly:
         poly.rows = rows
         poly.width = width
         poly.bound = bound
-        poly._terms = None
         return poly
 
     # -- constructors -------------------------------------------------------
@@ -230,55 +229,16 @@ class MultiPoly:
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
-    def _term_list(self):
-        """(terms, axis), computed once per polynomial.
-
-        ``terms`` lists every term as (total degree, key, j, k, u_0 power,
-        coefficient) by ascending degree, where the key is k times the j-th
-        unit vector (j = -1 for the zero key, None for any other key).
-        ``axis`` is j when no term has u_0 and every key is a power of
-        u_(j+1) alone (a constant counts for any j), else -1.
-        """
-        if self._terms is None:
-            terms = []
-            for e, r in self.rows.items():
-                nonzero = [j for j, x in enumerate(e) if x]
-                j = -1 if not nonzero else nonzero[0] if len(nonzero) == 1 else None
-                d = sum(e)
-                terms.extend((d + shift, e, j, d, shift, c)
-                             for shift, c in _unpack(r, self.width).items())
-            terms.sort()
-            axes = {j for _, _, j, _, _, _ in terms if j != -1}
-            axis = axes.pop() if len(axes) == 1 else 0
-            if axes or axis is None or self.nvars == 1 or any(t[4] for t in terms):
-                axis = -1
-            self._terms = (terms, axis)
-        return self._terms
-
     def mul(self, other: "MultiPoly", max_total_degree: int | None = None) -> "MultiPoly":
-        """Product, optionally dropping monomials above a total degree cap.
+        """Product by an apart factor, optionally dropping monomials above a total degree cap.
 
-        Each row of ``self`` is multiplied by each term of ``other``, so the
-        factor whose rows hold single terms (a slot or a pair difference on
-        the engine path) goes second.
+        ``other`` is univariate in a variable ``self`` lacks, or a constant:
+        the 1 x 1 case of :func:`multipoly_chain_step`.
         """
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
-        if not self.rows or not other.rows:
-            return MultiPoly.zero(self.nvars)
-        terms, axis = other._term_list()
-        # a single term, or terms along one axis that self lacks, put every
-        # product in its own row; otherwise each term of other meets a
-        # monomial at most once
-        apart = len(terms) == 1 or (axis >= 0 and not any(e[axis] for e in self.rows))
-        bound = self.bound * other.bound * (1 if apart else len(terms))
-        width = max(self.width, other.width, packing_width(bound))
-        rows = _repack(self.rows, self.width, width)
-        rows = _mul_terms(rows, terms, apart, width, max_total_degree)
-        return MultiPoly._trusted(self.nvars, rows, width, bound)
-
-    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        return self.mul(other)
+        cap = 1 << 62 if max_total_degree is None else max_total_degree
+        return multipoly_chain_step([[self]], [[other]], cap)[0][0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
@@ -296,52 +256,31 @@ class MultiPoly:
         return "MultiPoly(" + " + ".join(bits) + ")"
 
 
-def _mul_terms(rows: Rows, terms, apart: bool, width: int, cap: int | None) -> Rows:
-    """Rows times a sum of single terms (see ``_term_list``) under a total-degree cap.
-
-    With ``apart`` every product has its own row and is stored, not added.
-    """
-    out: Rows = {}
-    get = out.get
-    for e1, r in rows.items():
-        keep = 1 << 62 if cap is None else cap - sum(e1)   # highest u_0 digit of a product
-        top = r.bit_length() // width
-        for d2, e2, j, k, shift, c in terms:
-            if top > keep - d2:
-                if keep < d2:
-                    break
-                r = _low(r, (keep - d2 + 1) * width)
-                if not r:
-                    break
-                top = r.bit_length() // width
-            if j is None:
-                e = tuple(map(add, e1, e2))
-            elif j < 0:
-                e = e1
-            else:
-                e = e1[:j] + (e1[j] + k,) + e1[j + 1:]
-            prod = (r * c) << (shift * width) if shift else r * c
-            out[e] = prod if apart else get(e, 0) + prod
-    return out if apart else _nonzero(out)
-
-
 def multipoly_chain_step(a, b, cap: int) -> list:
     """The matrix product a b of MultiPoly grids, without monomials above total degree ``cap``.
 
-    Each entry of b is univariate in a variable no entry of a holds (``mul``'s
-    apart rule).  A row r of a[i][k] is truncated and keyed once per degree d
-    of b[k], and each coefficient c of u^d in b[k][j] adds r * c into column
-    j.  Entry (i, j) has bound sum_k a[i][k].bound * b[k][j].bound; all share one width.
+    The apart rule: every entry of b is univariate in one variable other than
+    u_0 that no entry of a holds, or is a constant.  A row r of a[i][k] is
+    truncated and keyed once per degree d of b[k], and each coefficient c of
+    u^d in b[k][j] adds r * c into column j.  Entry (i, j) has bound
+    sum_k a[i][k].bound * b[k][j].bound, which holds only under the apart rule,
+    so a breach of it raises ``ValueError``; all entries share one width.
     """
     n = len(a)
     nvars = a[0][0].nvars
-    # b's key position (any, in a slot of constants) and its terms [(d, [(j, c), ...])] per row
-    v = next((p for row in b for poly in row for e in poly.rows for p, x in enumerate(e) if x), 0)
+    # b's key position (None for a slot of constants) and its terms [(d, [(j, c), ...])] per row
+    v = next((p for row in b for poly in row for e in poly.rows for p, x in enumerate(e) if x),
+             None)
     terms = [{} for _ in b]
     for k, row in enumerate(b):
         for j, poly in enumerate(row):
             for e, c in poly.rows.items():
-                terms[k].setdefault(e[v], []).append((j, c))
+                d = 0 if v is None else e[v]
+                if sum(e) != d:
+                    raise ValueError(f"slot entry {poly!r} is not univariate in one variable")
+                if c.bit_length() >= poly.width:
+                    raise ValueError(f"slot entry {poly!r} holds u_0")
+                terms[k].setdefault(d, []).append((j, c))
     terms = [sorted(t.items()) for t in terms]
     bounds = [[sum(a[i][k].bound * b[k][j].bound for k in range(n)
                    if a[i][k].rows and b[k][j].rows) for j in range(n)] for i in range(n)]
@@ -353,14 +292,17 @@ def multipoly_chain_step(a, b, cap: int) -> list:
         for k in range(n):
             for e, r in _repack(a[i][k].rows, a[i][k].width, width).items():
                 keep = cap - sum(e)     # highest u_0 digit of a product
-                pre, at, post = e[:v], e[v], e[v + 1:]
+                if v is not None:
+                    if e[v]:
+                        raise ValueError(f"chain entry {a[i][k]!r} holds the slot's variable")
+                    pre, post = e[:v], e[v + 1:]
                 for d, js in terms[k]:
                     if keep < d:
                         break
                     r = _low(r, (keep - d + 1) * width)
                     if not r:
                         break
-                    key = pre + (at + d,) + post
+                    key = pre + (d,) + post if d else e     # e[v] is 0 here, or b is constants
                     for j, c in js:
                         cols[j][key] = cols[j].get(key, 0) + r * c
         out.append([MultiPoly._trusted(nvars, _nonzero(col), width, bound)

@@ -27,7 +27,7 @@ from spectral_tau.divisor import (
 )
 from spectral_tau.jets import JetError, validate_jet
 from spectral_tau.multipoly import (
-    InexactDivisionError, MultiPoly, multipoly_exact_divide, multipoly_sum, packing_width,
+    InexactDivisionError, MultiPoly, multipoly_exact_divide, packing_width,
 )
 from spectral_tau.periods import (
     HyperellipticCurve, abel_u0, jacobian_point, period_matrix, v_vectors,
@@ -448,12 +448,12 @@ def pair_table_values(mat1, mat2, subtract: int, kmax: int, c: int) -> dict:
 # cyclic classes builds its own chain, trace and missing-pair product.
 
 def matmul_reference(a, b, cap: int):
-    """The chain step a b through total degree ``cap``, as n ``MultiPoly.mul`` calls
-    per entry merged by ``multipoly_sum``: the oracle's own step."""
+    """The chain step a b through total degree ``cap`` on term dicts (``dict_mul``),
+    each entry packed back into a MultiPoly: the oracle's own step."""
     n = len(a)
     nvars = a[0][0].nvars
-    return [[multipoly_sum(nvars, (a[i][k].mul(b[k][j], max_total_degree=cap)
-                                   for k in range(n) if a[i][k].rows and b[k][j].rows))
+    return [[MultiPoly(nvars, dict_sum([dict_mul(a[i][k].terms, b[k][j].terms, cap)
+                                        for k in range(n)]))
              for j in range(n)] for i in range(n)]
 
 
@@ -486,11 +486,13 @@ def full_walk_values(slot_mats, kmax: int, c: int) -> dict:
             visit(prefix + (s,), matmul_reference(acc, slots[s], K))
 
     visit((0,), slots[0])
-    q = MultiPoly.zero(npts)
+    products = []
     for missing, term in by_missing.items():
+        terms = term.terms
         for (p, r) in missing:
-            term = term.mul(MultiPoly.pair_difference(npts, p, r), max_total_degree=cap_dividend)
-        q = q + term
+            terms = dict_mul(terms, MultiPoly.pair_difference(npts, p, r).terms, cap_dividend)
+        products.append(terms)
+    q = MultiPoly(npts, dict_sum(products))
     trusted = cap_dividend
     for p in range(npts):
         for r in range(p + 1, npts):

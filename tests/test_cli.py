@@ -150,12 +150,19 @@ class TestRun:
         ("correlators", {"indices": "1,2,3;1,0"}, "--indices: '1,2,3' is not a pair"),
         ("correlators", {"indices": "a,0;1,0"}, "--indices: 'a,0' is not a pair"),
         ("correlators", {"indices": "1;2"}, "--indices: '1' is not a pair"),
+        ("correlators", {"indices": ";"}, "--indices: number of pairs: 0 is below 2"),
+        ("correlators", {"indices": ""}, "--indices: number of pairs: 0 is below 2"),
     ])
     def test_range_checked(self, command, kwargs, flag):
         status, report = run(JobSpec(command, str(G1), **kwargs))
         assert status == 2
         assert flag in report["errors"][0]
         assert report["errors"][0].startswith("--")
+
+    def test_empty_indices_is_rejected_not_ignored(self, capsys):
+        assert main(["correlators", "--input", str(G1), "--indices", ""]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"errors": ["--indices: number of pairs: 0 is below 2"]}
 
     def test_verify_theta_success(self):
         status, report = run(JobSpec("verify-theta", str(G1), kmax=1, tol=1e-6))

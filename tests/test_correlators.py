@@ -493,7 +493,8 @@ class TestOrbitWalk:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(correlators, "_matmul", counted("matmul", correlators._matmul))
+        monkeypatch.setattr(correlators, "multipoly_chain_step",
+                            counted("matmul", correlators.multipoly_chain_step))
         monkeypatch.setattr(correlators, "_trace_of_product",
                             counted("trace", correlators._trace_of_product))
         return calls

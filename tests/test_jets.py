@@ -10,6 +10,7 @@ from spectral_tau import (
     resolvent_coefficients,
     validate_jet,
 )
+from spectral_tau import jets
 from spectral_tau.jets import JetError, JetPoint
 from spectral_tau.polynomials import Poly
 from spectral_tau.projectors import all_projectors
@@ -77,7 +78,7 @@ class TestResolventCoefficients:
         for seed in (0, 5):
             w = random_matrix_polynomial(seed + 80, 3, 2)
             projectors = all_projectors(w, 3)
-            jet = jet_from_projectors(w, projectors)
+            jet = jet_from_projectors(w)
             for a in (1, 2, 3):
                 rc = resolvent_coefficients(jet, a)
                 pi = projectors[a - 1]
@@ -156,12 +157,14 @@ class TestJetRejectsInconsistentProjectors:
         (2, 2, 1, 1),   # B2 diagonal: -y_12 y_21
         (1, 3, 2, 3),   # B3 with i, j != a
     ])
-    def test_raised_entry_raises(self, a, k, i, j):
+    def test_raised_entry_raises(self, a, k, i, j, monkeypatch):
         w = random_matrix_polynomial(80, 3, 2)
         projectors = all_projectors(w, 3)
-        assert jet_is_valid(jet_from_projectors(w, projectors))
+        assert jet_is_valid(jet_from_projectors(w))
+        raised = self.raised(projectors, a, k, i, j)
+        monkeypatch.setattr(jets, "all_projectors", lambda w, order: raised)
         with pytest.raises(JetError, match=rf"B{k}\[{i},{j}\], sheet {a}$"):
-            jet_from_projectors(w, self.raised(projectors, a, k, i, j))
+            jet_from_projectors(w)
 
 
 class TestTauBridge:

@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_tau import multipoly
-from spectral_tau.correlators import _matmul
 from spectral_tau.multipoly import (
     InexactDivisionError,
     MultiPoly,
     _unit_pair,
+    multipoly_chain_step,
     multipoly_coset_factor,
     multipoly_exact_divide,
     multipoly_sum,
@@ -22,6 +22,11 @@ from conftest import dict_divide, dict_mul, dict_sum, matmul_reference, total_de
 
 def mp(nvars, terms):
     return MultiPoly(nvars, {tuple(e): c for e, c in terms.items()})
+
+
+def times(f, i, j):
+    """f * (u_i - u_j) for i != j in either order."""
+    return multipoly_times_pair(f, i, j) if i < j else -multipoly_times_pair(f, j, i)
 
 
 def test_difference_of_squares():
@@ -57,7 +62,7 @@ small_polys = st.dictionaries(
 def test_multiply_divide_round_trip(qd, pair):
     q = MultiPoly(2, qd)
     d = MultiPoly.pair_difference(2, *pair)
-    prod = q * d
+    prod = times(q, *pair)
     back = multipoly_exact_divide(prod, d, total_degree(prod) + 1)
     assert back == q
 
@@ -66,7 +71,7 @@ def test_square_factor_round_trip():
     # divided twice by u_1 - u_0, as the pair table divides its trace
     g = mp(2, {(0, 0): 3, (1, 2): -5, (2, 1): 7})
     d = MultiPoly.pair_difference(2, 1, 0)
-    prod = g * (d * d)
+    prod = times(times(g, 1, 0), 1, 0)
     top = total_degree(prod)
     q = multipoly_exact_divide(multipoly_exact_divide(prod, d, top), d, top - 1)
     assert q == g
@@ -82,7 +87,7 @@ def test_mul_degree_cap():
 def test_integer_coefficients_stay_int():
     f = MultiPoly(2, {(1, 0): 3, (0, 1): -2})
     d = MultiPoly.pair_difference(2, 0, 1)
-    prod = f * d
+    prod = times(f, 0, 1)
     assert all(type(c) is int for c in prod.terms.values())
     q = multipoly_exact_divide(prod, d, total_degree(prod))
     assert q == f
@@ -117,7 +122,7 @@ def pair_divisions(draw):
                            max_size=6)
     numerator = MultiPoly(nvars, draw(poly))
     if draw(st.booleans()):  # an exact multiple, perturbed or not
-        numerator = numerator * divisor + MultiPoly(nvars, draw(poly))
+        numerator = times(numerator, i, j) + MultiPoly(nvars, draw(poly))
     trusted = draw(st.integers(-1, 4 * nvars + 1))
     return numerator, divisor, trusted
 
@@ -161,21 +166,15 @@ def _terms(nvars, coeffs=any_coeffs, max_size=8):
 
 @st.composite
 def factor_pairs(draw):
-    """Two term dicts in 1-4 variables; the second one sometimes a chain slot
-    (univariate in a variable the first lacks) or a pair difference."""
+    """Two term dicts in 1-4 variables, the second apart from the first: a slot
+    univariate in a variable u_v (v >= 1) the first lacks, or (v = 0) a constant."""
     nvars = draw(st.integers(1, 4))
     left = draw(_terms(nvars))
-    shape = draw(st.sampled_from(["any", "slot", "pair"] if nvars > 1 else ["any"]))
-    if shape == "any":
-        right = draw(_terms(nvars))
-    elif shape == "slot":
-        v = draw(st.integers(1, nvars - 1))
+    v = draw(st.integers(0, nvars - 1))
+    if v:
         left = {e: c for e, c in left.items() if not e[v]}
-        right = {tuple(k if i == v else 0 for i in range(nvars)): c
-                 for k, c in enumerate(draw(st.lists(any_coeffs, max_size=6))) if c}
-    else:
-        i, j = draw(st.lists(st.integers(0, nvars - 1), min_size=2, max_size=2, unique=True))
-        right = MultiPoly.pair_difference(nvars, i, j).terms
+    right = {tuple(k if i == v else 0 for i in range(nvars)): c
+             for k, c in enumerate(draw(st.lists(any_coeffs, max_size=6 if v else 1))) if c}
     cap = draw(st.none() | st.integers(-1, 12))
     return nvars, left, right, cap
 
@@ -196,7 +195,6 @@ def test_packed_kernel_matches_dict_kernel(case):
     assert a.terms == left and b.terms == right
     prod = a.mul(b, max_total_degree=cap)
     assert prod.terms == dict_mul(left, right, cap)
-    assert b.mul(a, max_total_degree=cap) == prod
     total = multipoly_sum(nvars, (a, b, prod, -b))
     assert total.terms == dict_sum([left, prod.terms])
     assert (-a).terms == {e: -c for e, c in left.items()}
@@ -261,12 +259,55 @@ def chain_steps(draw):
 @settings(max_examples=200, deadline=None)
 def test_chain_step_matches_the_reference_step(case):
     a, b, cap = case
-    got, want = _matmul(a, b, cap), matmul_reference(a, b, cap)
+    got, want = multipoly_chain_step(a, b, cap), matmul_reference(a, b, cap)
     for got_row, want_row in zip(got, want):
         for g, w in zip(got_row, want_row):
             # the step's bound also counts products that the cap empties
             assert g == w and g.bound >= w.bound
             _certified(g)
+
+
+CHAIN = MultiPoly(3, {(2, 1, 0): 3, (0, 0, 0): 1})      # 3 u_0^2 u_1 + 1
+
+
+@pytest.mark.parametrize("slot, breach", [
+    (MultiPoly(3, {(0, 1, 1): 1}), "not univariate"),               # u_1 u_2
+    (MultiPoly(3, {(0, 0, 1): 1, (0, 1, 0): 1}), "not univariate"),  # u_1 + u_2
+    (MultiPoly(3, {(1, 0, 2): 1}), "holds u_0"),                     # u_0 u_2^2
+    (MultiPoly(3, {(1, 0, 0): 1, (0, 0, 0): 1}), "holds u_0"),       # u_0 + 1
+    (MultiPoly(3, {(0, 2, 0): 5}), "slot's variable"),               # u_1^2, and CHAIN holds u_1
+    (MultiPoly.pair_difference(3, 0, 2), "holds u_0"),
+    (MultiPoly.pair_difference(3, 1, 2), "not univariate"),
+])
+def test_a_product_that_breaks_the_apart_rule_raises(slot, breach):
+    """The bound a[i][k].bound * b[k][j].bound counts one term pair per monomial,
+    so every breach of the apart rule raises instead of packing too narrow."""
+    zero = MultiPoly.zero(3)
+    with pytest.raises(ValueError, match=breach):
+        CHAIN.mul(slot, max_total_degree=6)
+    with pytest.raises(ValueError, match=breach):
+        multipoly_chain_step([[zero, CHAIN], [CHAIN, zero]], [[slot, zero], [zero, zero]], 6)
+
+
+def test_slots_in_two_variables_raise_across_entries():
+    u1, u2 = (MultiPoly.from_univariate(3, v, [1, 2]) for v in (1, 2))
+    chain = MultiPoly.from_univariate(3, 0, [1, 1])
+    with pytest.raises(ValueError, match="not univariate"):
+        multipoly_chain_step([[chain, chain], [chain, chain]], [[u1, u2], [u2, u1]], 4)
+
+
+def test_a_slot_of_constants_stays_apart():
+    """A constant meets one term per monomial whatever the chain holds."""
+    seven = MultiPoly.constant(3, 7)
+    assert CHAIN.mul(seven).terms == {(2, 1, 0): 21, (0, 0, 0): 7}
+    full = MultiPoly(3, {(1, 1, 1): 2, (0, 2, 3): -1})
+    zero = MultiPoly.zero(3)
+    got = multipoly_chain_step([[CHAIN, full], [zero, full]], [[seven, zero], [seven, seven]], 8)
+    assert got[0][0].terms == {e: 7 * c for e, c in dict_sum([CHAIN.terms, full.terms]).items()}
+    assert got[0][1].terms == {e: 7 * c for e, c in full.terms.items()}
+    assert got[1][1].terms == got[0][1].terms
+    assert MultiPoly(1, {(3,): 2}).mul(MultiPoly.constant(1, -5)).terms == {(3,): -10}
+    assert CHAIN.mul(zero) == zero and zero.mul(seven) == zero
 
 
 @given(st.integers(2, 4).flatmap(lambda nvars: st.tuples(
@@ -277,8 +318,9 @@ def test_times_pair_moves_rows(case):
     nvars, terms, (i, j) = case
     f = MultiPoly(nvars, terms)
     pair = MultiPoly.pair_difference(nvars, i, j)
-    got, want = multipoly_times_pair(f, i, j), f.mul(pair)
-    assert got == want and (got.bound, got.width) == (want.bound, want.width)
+    got = multipoly_times_pair(f, i, j)
+    assert got.terms == dict_mul(f.terms, pair.terms)
+    assert (got.bound, got.width) == (2 * f.bound, max(f.width, packing_width(2 * f.bound)))
     _certified(got)
     if f.rows:
         assert multipoly_exact_divide(got, pair, total_degree(got)) == f
@@ -301,9 +343,8 @@ def test_bound_past_the_width_widens():
     assert (f.width, f.bound) == (16, edge)
     for result, expected in (
         (f.mul(g), dict_mul(f.terms, g.terms)),           # one product per term
-        (f.mul(f), dict_mul(f.terms, f.terms)),           # convolution sums of three
         (f + f, dict_sum([f.terms, f.terms])),
-        (multipoly_exact_divide(f.mul(MultiPoly.pair_difference(2, 0, 1)),
+        (multipoly_exact_divide(multipoly_times_pair(f, 0, 1),
                                 MultiPoly.pair_difference(2, 0, 1), 10), f.terms),
     ):
         assert result.width > 16
@@ -332,7 +373,7 @@ def test_pair_division_at_the_width_edge():
     for i, j in ((0, 1), (1, 2), (0, 2)):
         d = MultiPoly.pair_difference(3, i, j)
         f = MultiPoly(3, {(3, 0, 0): edge, (0, 2, 1): -edge, (1, 1, 1): edge, (0, 0, 0): 1})
-        prod = f * d
+        prod = multipoly_times_pair(f, i, j)
         assert multipoly_exact_divide(prod, d, total_degree(prod)) == f
         assert multipoly_exact_divide(prod, d, 0).terms == dict_divide(prod.terms, d.terms, 0)
 
