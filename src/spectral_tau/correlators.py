@@ -10,12 +10,13 @@ its one pair twice, so the formula is tr[Pi_a(z1) Pi_b(z2)] / (z1 - z2)^2,
 and the term -delta_ab / (z1 - z2)^2 regularizes the diagonal: the kernel
 subtracts delta_ab from the trace before it divides.
 
-The expansion runs in Python integers.  Substituting u = c*t makes every
-projector coefficient a_k c^k an integer; each table derives c from exactly
-the coefficients it walks (per prime of the denominators, the least exponent
-that clears them all; a cofactor left after trial division enters whole, as
-in the lcm of the denominators), so c does not depend on the orders an
-engine has cached.  The polynomials in t are MultiPoly's
+The expansion runs in Python integers.  The projector series hold their
+certified numerators Q_k over Delta^k, and substituting u = c*t makes every
+Q_k c^k / Delta^k an integer.  Each table derives c from exactly the
+numerators it walks: per prime p of Delta, the least exponent that clears
+them all, read off the gcd of each order's numerators (a cofactor left after
+trial division enters as one prime).  So c divides Delta and does not depend
+on the orders an engine has cached.  The polynomials in t are MultiPoly's
 packed rows: the t_0-coefficients of a row share one Python int, at a digit
 width each table derives once, next to c, from a certified bound on every
 coefficient it computes (the slots' largest coefficient, n products per chain
@@ -77,8 +78,10 @@ matrix-resolvent normal form of Bertola, Dubrovin & Yang, Physica D 327,
 2016).  The numerator over the Vandermonde is then prod_i s(u_i), a
 symmetric unit series, times the one built from M, so the kernel walks M
 and divides its numerator alone, and the box of the quotient is multiplied
-by prod_i s afterwards, in integers.  M s must equal the certified
-projector difference through u^kmax, the orders the box reads.  The engine
+by prod_i s afterwards, in integers.  M_l and s_k are kept as integer
+numerators over (4 Delta^2)^l and (4 Delta^2)^k, and M s must equal the
+certified projector difference through u^kmax, the orders the box reads,
+compared as integers.  The engine
 builds M and s and runs that certificate once per order it is asked for
 beyond the last, so the N of one verify share one normal form.  At N = 2
 the table carries the regularizing -2, and with D = Pi_1 - Pi_2,
@@ -93,6 +96,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import sub
 from typing import Mapping, Sequence
 
 from .curve import MatrixPolynomial, characteristic_data
@@ -142,46 +147,60 @@ class CorrelatorEngine:
         self._normal_order = -1
 
     def projector(self, sheet: int, order: int) -> tuple:
-        """Pi_sheet, an n x n grid of series trusted through at least u^order, built per sheet."""
+        """Pi_sheet, an n x n grid of series trusted through at least u^order, built per sheet.
+
+        Once the engine holds every other sheet through u^order, Pi_sheet is
+        1 minus their sum, exactly (see ``projector_series``); else it is built.
+        """
         cached = self._projectors.get(sheet)
         if cached is None or cached[0] < order:
-            cached = self._projectors[sheet] = (order, projector_series(self.w, sheet, order))
+            held = [p for a, (o, p) in self._projectors.items() if a != sheet and o >= order]
+            if len(held) == self.w.n - 1:
+                one = [USeries(0, [x] + [0] * order, held[0][0][0].scale) for x in (1, 0)]
+                series = tuple(tuple(reduce(sub, (p[i][j] for p in held), one[i != j])
+                                     for j in range(self.w.n)) for i in range(self.w.n))
+            else:
+                series = projector_series(self.w, sheet, order)
+            cached = self._projectors[sheet] = (order, series)
         return cached[1]
 
     def slot_matrix(self, sheet: int, order: int):
-        """Pi_sheet as an n x n grid of coefficient lists of u^0..u^order.
+        """Pi_sheet as an n x n grid of its numerator lists of u^0..u^order over Delta^k.
 
         Each list is exactly order + 1 long, also when the cached projectors
-        were computed at a higher order; the coefficients are read through
+        were computed at a higher order; the numerators are read through
         the series' checked accessor, so a read past a window raises
         TruncationError instead of returning a zero.
         """
-        return [[s.coefficients(0, order + 1) for s in row]
+        return [[s.numerators(0, order + 1) for s in row]
                 for row in self.projector(sheet, order)]
 
     def difference_matrix(self, order: int):
-        """Pi_1 - Pi_2 for n = 2 (the hyperelliptic difference convention)."""
+        """Pi_1 - Pi_2 = 2 Pi_1 - 1 for n = 2, as ``slot_matrix``: Pi_2 is the complement."""
         if self.w.n != 2:
             raise ValueError("difference matrix is a 2-sheet construction")
         p1 = self.projector(1, order)
         p2 = self.projector(2, order)
-        return [[(s1 - s2).coefficients(0, order + 1) for s1, s2 in zip(r1, r2)]
+        return [[(s1 - s2).numerators(0, order + 1) for s1, s2 in zip(r1, r2)]
                 for r1, r2 in zip(p1, p2)]
 
     def normal_form(self, order: int):
-        """(M, s) with Pi_1 - Pi_2 = M(u) s(u) for n = 2, s through u^order.
+        """(M, s) with Pi_1 - Pi_2 = M(u) s(u) for n = 2, s through u^order, as ``_normal_form``.
 
         ``_normal_form`` runs at the largest order asked so far, and s is
-        sliced for smaller ones.  Each such run is certified once: M s must
-        equal ``difference_matrix(order)`` entry by entry through u^order, or
+        sliced for smaller ones.  Each such run is certified once, in
+        integers: (M s)_k Delta^k must equal (4 Delta^2)^k times the numerator
+        of ``difference_matrix(order)`` entry by entry through u^order, or
         ArithmeticError is raised.
         """
         if order > self._normal_order:
             mat, s = _normal_form(self.w, order)
             d = self.difference_matrix(order)
+            delta = characteristic_data(self.w).integer_form[2]
             for i, j in itertools.product(range(2), repeat=2):
                 for k in range(order + 1):
-                    if sum(a * s[k - l] for l, a in enumerate(mat[i][j][: k + 1])) != d[i][j][k]:
+                    if (sum(a * s[k - l] for l, a in enumerate(mat[i][j][: k + 1])) * delta ** k
+                            != d[i][j][k] * (4 * delta * delta) ** k):
                         raise ArithmeticError(
                             f"M s differs from Pi_1 - Pi_2 at entry ({i + 1}, {j + 1}), u^{k}")
             self._normal, self._normal_order = (mat, s), order
@@ -193,63 +212,43 @@ class CorrelatorEngine:
 # core expansions
 # ---------------------------------------------------------------------------
 
-_TRIAL_DIVISORS_BELOW = 1000
-
-
 def _valuation(m: int, p: int) -> int:
-    v = 0
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
+    return next(v for v in itertools.count() if m % p ** (v + 1))
 
 
-def _series_scale(mats) -> int:
-    """A c with a_k * c**k integral for every coefficient a_k, k >= 1.
+def _integer_slots(base: int, mats) -> tuple:
+    """The least c with every x_k c^k / base^k an integer, and those integers.
 
-    Each prime p of the denominators' lcm found by trial division gets the
-    least exponent that works, max over k of ceil(v_p(den a_k) / k), so c is
-    the least such integer whenever trial division factors the lcm.  For
-    each k the largest v_p(den a_k) is that of the lcm of the order-k
-    denominators, so one valuation per order and prime suffices.  A
-    cofactor without small primes enters c whole: every denominator's share
-    of it divides it, so it always suffices (the lcm fallback).
+    ``mats`` are grids of coefficient lists x_0, x_1, ...: the numerators of
+    u^k over base^k.  Each prime p of base found by trial division below
+    1000 gets the least exponent that works, max over k >= 1 of
+    ceil((k v_p(base) - v_p(g_k)) / k) with g_k the gcd of the order-k
+    numerators, so c is the least such integer whenever trial division
+    factors base, and c divides base.  A cofactor without small primes is
+    taken as one prime: it enters c unless every g_k holds its k-th power,
+    which always suffices.  A scaled numerator that is not an integer raises
+    ArithmeticError, so a wrong c can never leak a Fraction into the kernel.
     """
-    dens: dict = {}  # k -> lcm of the denominators of the a_k
-    for series in (series for mat in mats for row in mat for series in row):
-        for k in range(1, len(series)):
-            dens[k] = math.lcm(dens.get(k, 1), series[k].denominator)
-    rest = math.lcm(*dens.values())
-    c, p = 1, 2
-    while rest > 1 and p * p <= rest and p < _TRIAL_DIVISORS_BELOW:
-        if rest % p == 0:
-            while rest % p == 0:
-                rest //= p
-            c *= p ** max(-(-_valuation(d, p) // k) for k, d in dens.items())
+    mats, gcds = list(mats), {}  # gcds: k -> gcd of the order-k numerators
+    entries = [x for mat in mats for row in mat for x in row]
+    for x in entries:
+        for k in range(1, len(x)):
+            gcds[k] = math.gcd(gcds.get(k, 0), x[k])
+    c, rest, p = 1, base, 2
+    while rest > 1:
+        if p * p > rest or p >= 1000:
+            p = rest
+        e = 0
+        while rest % p == 0:
+            rest, e = rest // p, e + 1
+        if e:
+            c *= p ** max([0] + [-((_valuation(g, p) - k * e) // k) for k, g in gcds.items() if g])
         p += 1
-    return c * rest
-
-
-def _integer_slot(mat, c: int):
-    """Matrix of the coefficient lists a_k c^k of sum_k a_k (c t)^k.
-
-    Raises ArithmeticError when some a_k c^k is not an integer, so a wrong
-    scale can never leak a Fraction into the integer kernel.
-    """
-    out = []
-    for row in mat:
-        out_row = []
-        for series in row:
-            coeffs = []
-            for k, a in enumerate(series):
-                scale = c ** k
-                if scale % a.denominator:
-                    raise ArithmeticError(
-                        f"u = {c}*t leaves the u^{k} coefficient {a} non-integral")
-                coeffs.append(a.numerator * (scale // a.denominator))
-            out_row.append(coeffs)
-        out.append(out_row)
-    return out
+    powers = [(base // c) ** k for k in range(max(map(len, entries)))]
+    if any(x % f for x_k in entries for x, f in zip(x_k, powers)):
+        raise ArithmeticError(f"u = {c}*t leaves a coefficient non-integral")
+    return c, [[[[x // f for x, f in zip(x_k, powers)] for x_k in row] for row in mat]
+               for mat in mats]
 
 
 def _largest(ints) -> int:
@@ -314,9 +313,8 @@ def _times_missing(groups: dict, npts: int) -> MultiPoly:
     return q
 
 
-def _npoint_values(mats: Mapping, sheets: Sequence, kmax: int, c: int,
-                   subtract: int) -> dict:
-    """The t-quotient for slot i carrying ``mats[sheets[i]]``, scaled by c; len(sheets) >= 2.
+def _npoint_values(ints: Mapping, sheets: Sequence, kmax: int, subtract: int) -> dict:
+    """The t-quotient for slot i carrying the integer slot ``ints[sheets[i]]``; len(sheets) >= 2.
 
     ``subtract`` (delta_ab at N = 2) is taken from each class's trace before
     it is signed.  Returns {(k_1..k_N): q[k]}, the integer quotient
@@ -330,10 +328,9 @@ def _npoint_values(mats: Mapping, sheets: Sequence, kmax: int, c: int,
     K = npts * (kmax + 1)
     n_missing = len(divisors) - npts
     cap_dividend = K + n_missing
-    if any(len(mat[0][0]) < K + 1 for mat in mats.values()):
+    if any(len(mat[0][0]) < K + 1 for mat in ints.values()):
         raise ValueError("slot matrices carry fewer trusted orders than required")
-    ints = {a: _integer_slot([[series[: K + 1] for series in row] for row in mat], c)
-            for a, mat in mats.items()}
+    ints = {a: [[x[: K + 1] for x in row] for row in mat] for a, mat in ints.items()}
     # canonical slot order: a least-repeated sheet in slot 0, then equal
     # sheets in contiguous blocks; slot p expands in u_p
     order = sorted(range(npts), key=lambda i: (sheets.count(sheets[i]), sheets[i], i))
@@ -377,6 +374,7 @@ def _npoint_values(mats: Mapping, sheets: Sequence, kmax: int, c: int,
             visit(prefix + (s,), multipoly_chain_step(acc, slots[s], K))
 
     visit((0,), slots[0])
+    del visit  # empties its own cell: the closure cycle would keep the walk until a gc pass
     q = _times_missing(by_missing, npts)
     # the rest of each orbit: sum over sigma of sgn(sigma) sigma, one coset
     # factor (1 - sum_{i<m} (b_i b_m)) per slot b_m of a block b_1 < b_2 < ...
@@ -430,9 +428,9 @@ def correlator_n(w: MatrixPolynomial, sheets: Sequence[int], kmax: int,
     npts = len(sheets)
     K = npts * (kmax + 1)
     mats = {a: engine.slot_matrix(a, K) for a in sheets}
-    delta = int(npts == 2 and sheets[0] == sheets[1])
-    c = _series_scale(mats.values())
-    vals = _values(_npoint_values(mats, sheets, kmax, c, delta), c)
+    c, ints = _integer_slots(characteristic_data(w).integer_form[2], mats.values())
+    subtract = int(npts == 2 and sheets[0] == sheets[1])
+    vals = _values(_npoint_values(dict(zip(mats, ints)), sheets, kmax, subtract), c)
     entries = {
         tuple((sheets[i], ks[i]) for i in range(npts)): v for ks, v in vals.items()
     }
@@ -447,18 +445,21 @@ def _normal_form(w: MatrixPolynomial, order: int):
     """(M, s) with Pi_1 - Pi_2 = M(u) s(u) for n = 2: M's m + 1 coefficients, s through u^order.
 
     M = (2B - tr B) / (b_1 - b_2) and s = qt^(-1/2), as in the module
-    docstring, from the integer matrices L B_l of the curve's integer form.
+    docstring, from the curve's integer form, as numerators of u^k over
+    (4 Delta^2)^k.  They are integers: Delta = |L b_1 - L b_2| divides M_0 and
+    4 Delta^2, and in s = sum_j binom(-1/2, j) (qt - 1)^j each (qt - 1)_k
+    (4 Delta^2)^k is a multiple of 4 and 4^j binom(-1/2, j) an integer.
     """
-    _, lb, _ = characteristic_data(w).integer_form
-    m, gap = w.m, lb[0][0][0] - lb[0][1][1]
-    mat = [[[Fraction(2 * b[i][j] - (b[0][0] + b[1][1]) * (i == j), gap) for b in lb]
-            for j in range(2)] for i in range(2)]
+    _, lb, delta = characteristic_data(w).integer_form
+    m, gap, base = w.m, lb[0][0][0] - lb[0][1][1], 4 * delta * delta
+    mat = [[[(2 * b[i][j] - (b[0][0] + b[1][1]) * (i == j)) * base ** l // gap
+             for l, b in enumerate(lb)] for j in range(2)] for i in range(2)]
     # (tr B)^2 - 4 det B = (B_11 - B_22)^2 + 4 B_12 B_21
     diff = [b[0][0] - b[1][1] for b in lb]
-    disc = [Fraction(sum(diff[l] * diff[k - l] + 4 * lb[l][0][1] * lb[k - l][1][0]
-                         for l in range(max(0, k - m), min(k, m) + 1)), gap * gap)
+    disc = [sum(diff[l] * diff[k - l] + 4 * lb[l][0][1] * lb[k - l][1][0]
+                for l in range(max(0, k - m), min(k, m) + 1)) * base ** k // (gap * gap)
             for k in range(order + 1)]
-    return mat, list(USeries(0, disc).inv_sqrt().coeffs)
+    return mat, [y.numerator for y in USeries(0, disc, base).inv_sqrt().coeffs]
 
 
 def hyperelliptic_combination(w: MatrixPolynomial, n_points: int, kmax: int,
@@ -473,7 +474,7 @@ def hyperelliptic_combination(w: MatrixPolynomial, n_points: int, kmax: int,
     For N >= 3 the kernel walks M of Pi_1 - Pi_2 = M s (see the module
     docstring), zero-padded to the K + 1 orders its window guard asks for,
     and the box of its integer quotient is multiplied by prod_i s(c t_i) one
-    axis at a time; M and s share one scale c.  M and s come
+    axis at a time on the flat box; M and s share one scale c.  M and s come
     from ``engine.normal_form(kmax)``, which builds and certifies the normal
     form once per engine and order (ArithmeticError when M s is not
     Pi_1 - Pi_2 through u^kmax), so the N of one verify share it.  N = 2
@@ -486,22 +487,22 @@ def hyperelliptic_combination(w: MatrixPolynomial, n_points: int, kmax: int,
     if w.n != 2:
         raise ValueError("hyperelliptic combination needs n = 2")
     engine = engine or CorrelatorEngine(w)
+    delta = characteristic_data(w).integer_form[2]
     if n_points == 2:
-        d = engine.difference_matrix(2 * (kmax + 1))
-        c = _series_scale([d])
-        return _values(_npoint_values({0: d}, (0, 0), kmax, c, 2), c)
+        c, (d,) = _integer_slots(delta, [engine.difference_matrix(2 * (kmax + 1))])
+        return _values(_npoint_values({0: d}, (0, 0), kmax, 2), c)
     mat, s = engine.normal_form(kmax)
     K = n_points * (kmax + 1)
     mat = [[(entry + [0] * K)[: K + 1] for entry in row] for row in mat]
-    c = _series_scale([mat, [[s]]])
-    s_ints = _integer_slot([[s]], c)[0][0]
-    q = _npoint_values({0: mat}, (0,) * n_points, kmax, c, 0)
-    # times prod_i s(c t_i), one axis at a time
+    c, (mat, ((s,),)) = _integer_slots(4 * delta * delta, [mat, [[s]]])
+    q = _npoint_values({0: mat}, (0,) * n_points, kmax, 0)
+    # times prod_i s(c t_i), one axis at a time on the row-major box
+    flat, size = list(q.values()), kmax + 1
     for axis in range(n_points):
-        q = {ks: sum(q[ks[:axis] + (j,) + ks[axis + 1:]] * s_ints[ks[axis] - j]
-                     for j in range(ks[axis] + 1))
-             for ks in q}
-    return _values(q, c)
+        stride = size ** axis
+        flat = [sum(flat[i - j * stride] * s[j] for j in range(i // stride % size + 1))
+                for i in range(len(flat))]
+    return _values(dict(zip(q, flat)), c)
 
 
 # Kept only for the --record cross-check of perfbench/workloads.py, which imports it by name.

@@ -115,14 +115,11 @@ class MultiPoly:
     __slots__ = ("nvars", "rows", "width", "bound")
 
     def __init__(self, nvars: int, terms: Dict[Exponent, int] | None = None):
-        self._set_terms(nvars, terms or {}, 2)
-
-    def _set_terms(self, nvars: int, terms: Dict[Exponent, int], width: int) -> None:
-        """Validate {exponent: int} and pack it at least ``width`` bits wide."""
+        """Validate {exponent: int} and pack it at the least width that fits."""
         if nvars < 1:
             raise ValueError("a MultiPoly needs at least one variable")
         digits: Dict[Exponent, Dict[int, int]] = {}
-        for e, c in terms.items():
+        for e, c in (terms or {}).items():
             if type(c) is not int:
                 raise ValueError(f"coefficient {c!r} is not an int")
             if c == 0:
@@ -132,7 +129,7 @@ class MultiPoly:
                 raise ValueError(f"bad exponent tuple {e} for {nvars} variables")
             digits.setdefault(e[1:], {})[e[0]] = c
         bound = max((abs(c) for row in digits.values() for c in row.values()), default=0)
-        width = max(width, packing_width(bound))
+        width = packing_width(bound)
         self.nvars = nvars
         self.rows = {e: _pack(row, width) for e, row in digits.items()}
         self.width = width

@@ -13,8 +13,10 @@ Theory for Linear Operators, ch. II 1-2) without the branch: at order k,
 
 from [B, Pi_a] = 0 and Pi_a^2 = Pi_a.  With L the lcm of W's denominators and
 Delta the lcm of the |L b_i - L b_j|, P_k = Q_k / Delta^k with integer Q_k,
-so the recursion divides only by the integers L b_i - L b_j, exactly, and one
-Fraction is made per output coefficient.  L, the L B_l and Delta are the
+so the recursion divides only by the integers L b_i - L b_j, exactly, and the
+series store the Q_k as numerators over Delta^k (the ``scale`` of
+:class:`~spectral_tau.series.USeries`): a Fraction is made only where a
+coefficient is read.  L, the L B_l and Delta are the
 curve's ``integer_form``, built once per W.  Every result is certified exactly
 (see :func:`projector_series`); a failed certificate raises
 :class:`BranchError`.  The certificate checks all orders at once by
@@ -28,7 +30,6 @@ u^order are a few big-int products whose low digits must vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .curve import MatrixPolynomial, SpectralCurveData, characteristic_data
 from .multipoly import _low, _pack, _unpack, packing_width
@@ -127,8 +128,9 @@ def _first_defect(lb, q, delta: int):
 def projector_series(w: MatrixPolynomial, sheet: int, order: int) -> tuple:
     """Pi_sheet(z) as an n x n grid of series, each trusted through u^order exactly.
 
-    Reading u^(order + 1) raises.  The coefficients are exact rationals from
-    the integer recursion of the module docstring, and they are certified
+    Reading u^(order + 1) raises.  The coefficients are exact rationals
+    Q_k / Delta^k from the integer recursion of the module docstring, stored
+    as the numerators Q_k at scale Delta, and they are certified
     before they are returned: through u^order, every entry of
     sum_l Delta^l [L B_l, Q_(k-l)] vanishes, diag(sum_j Q_j Q_(k-j)) equals
     diag(Q_k), and Q_0 = E_sheet (all orders at once, packed; see
@@ -139,8 +141,11 @@ def projector_series(w: MatrixPolynomial, sheet: int, order: int) -> tuple:
     the unit vectors plus O(u), so a zero diagonal forces
     lambda_c^2 = lambda_c.  The only idempotents of that local ring are 0
     and 1, so P is a sum of eigenprojectors, and P_0 = E_sheet leaves
-    Pi_sheet alone.  A failed check raises :class:`BranchError`, and so does
-    a sheet outside 1..n; W itself was checked when it was built.
+    Pi_sheet alone.  So each certified series is the true eigenprojector
+    through its window, and the true ones sum to 1: the last sheet is also
+    1 - sum of the others, exactly.  A failed check raises
+    :class:`BranchError`, and so does a sheet outside 1..n; W itself was
+    checked when it was built.
     """
     curve = characteristic_data(w)
     _require_valid(curve, sheet)
@@ -152,12 +157,8 @@ def projector_series(w: MatrixPolynomial, sheet: int, order: int) -> tuple:
     k = _first_defect(lb, q, delta)
     if k is not None:
         raise BranchError(f"projector series for sheet {sheet} fails its certificate at u^{k}")
-    powers = [delta ** k for k in range(order + 1)]
-    return tuple(
-        tuple(USeries(0, [Fraction(q[k][i][j], powers[k]) for k in range(order + 1)])
-              for j in range(n))
-        for i in range(n)
-    )
+    return tuple(tuple(USeries(0, [qk[i][j] for qk in q], delta) for j in range(n))
+                 for i in range(n))
 
 
 def all_projectors(w: MatrixPolynomial, order: int) -> list[tuple]:

@@ -11,6 +11,11 @@ Window rule: a sum or difference is trusted up to the smaller of the two
 ends, and :meth:`inv_sqrt` keeps the input's length.  So every result's
 window is a sound certificate of which coefficients are exact.
 
+With a ``scale`` d, coeffs holds numerators: u^k has coefficient
+coeffs[k - val] / d^k.  The projector series store their certified integers
+so; a Fraction is made only where a coefficient is read (``[k]``,
+:meth:`coefficients`), and series of one scale add numerators.
+
 There is no exact mode.  An exact polynomial would need an unbounded window,
 and every operation would then have to special-case it.  Giving each value
 an explicit length when it becomes a series keeps one rule for every value.
@@ -32,11 +37,12 @@ class NotInvertibleError(Exception):
 
 
 class USeries:
-    __slots__ = ("val", "coeffs")
+    __slots__ = ("val", "coeffs", "scale")
 
-    def __init__(self, val: int, coeffs: Iterable[int | Fraction]):
+    def __init__(self, val: int, coeffs: Iterable[int | Fraction], scale: int = 1):
         self.val = val
         self.coeffs = tuple(coeffs)
+        self.scale = scale
 
     @property
     def end(self) -> int:
@@ -49,16 +55,18 @@ class USeries:
                 f"coefficient of u^{k} is past the trusted window (end={self.end})")
 
     def __getitem__(self, k: int):
-        if k < self.val:
-            return 0
-        self._check(k)
-        return self.coeffs[k - self.val]
+        return 0 if k < self.val else self.coefficients(k, k + 1)[0]
 
-    def coefficients(self, start: int, stop: int) -> list:
-        """Coefficients of u^start .. u^(stop - 1); raises past the window."""
+    def numerators(self, start: int, stop: int) -> list:
+        """Numerators over scale^k of u^start .. u^(stop - 1); raises past the window."""
         self._check(stop - 1)
         pad = max(min(self.val, stop) - start, 0)
         return [0] * pad + list(self.coeffs[max(start - self.val, 0):stop - self.val])
+
+    def coefficients(self, start: int, stop: int) -> list:
+        """Coefficients of u^start .. u^(stop - 1); raises past the window."""
+        nums, d = self.numerators(start, stop), self.scale
+        return nums if d == 1 else [q / Fraction(d) ** k for k, q in enumerate(nums, start)]
 
     def is_zero(self) -> bool:
         """True when every trusted coefficient vanishes."""
@@ -67,7 +75,9 @@ class USeries:
     # -- sums and differences ----------------------------------------------
     def _combine(self, other: "USeries", op) -> "USeries":
         val, end = min(self.val, other.val), min(self.end, other.end)
-        return USeries(val, map(op, self.coefficients(val, end), other.coefficients(val, end)))
+        read = USeries.numerators if self.scale == other.scale else USeries.coefficients
+        return USeries(val, map(op, read(self, val, end), read(other, val, end)),
+                       self.scale if read is USeries.numerators else 1)
 
     def __add__(self, other: "USeries") -> "USeries":
         return self._combine(other, add)
@@ -79,7 +89,7 @@ class USeries:
         """Drop leading zeros: the valuation rises, the end stays."""
         for k, c in enumerate(self.coeffs):
             if c:
-                return USeries(self.val + k, self.coeffs[k:])
+                return USeries(self.val + k, self.coeffs[k:], self.scale)
         raise NotInvertibleError("series vanishes on its trusted window")
 
     def inv_sqrt(self) -> "USeries":
@@ -87,7 +97,8 @@ class USeries:
 
         The constant term must be exactly 1: general square roots would leave
         the rationals.  Uses s y' = -(1/2) s' y, which gives
-        y_k = sum_{j=1..k} (j - 2k) s_j y_(k-j) / (2k).
+        y_k = sum_{j=1..k} (j - 2k) s_j y_(k-j) / (2k), homogeneous of degree
+        k at order k, so it runs on numerators and keeps the scale.
         """
         s = self._normalized()
         if s.val != 0 or s.coeffs[0] != 1:
@@ -100,7 +111,7 @@ class USeries:
                 if a[j]:
                     acc += (j - 2 * k) * a[j] * y[k - j]
             y.append(Fraction(acc) / (2 * k))
-        return USeries(0, y)
+        return USeries(0, y, s.scale)
 
     def __eq__(self, other) -> bool:
         """Equality of trusted content on the common trusted window."""
@@ -111,4 +122,4 @@ class USeries:
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"USeries(val={self.val}, coeffs={list(self.coeffs)!r})"
+        return f"USeries(val={self.val}, coeffs={list(self.coeffs)!r}, scale={self.scale})"

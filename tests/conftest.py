@@ -20,7 +20,7 @@ import pytest
 
 from spectral_tau import MatrixPolynomial, characteristic_data, hyperelliptic_combination
 from spectral_tau.correlators import (
-    _cycle_sign_and_missing, _integer_slot, _largest, _packed_slot, _trace_of_product,
+    _cycle_sign_and_missing, _integer_slots, _largest, _packed_slot, _trace_of_product,
 )
 from spectral_tau.divisor import (
     DivisorPoint, _polish_root, _row_sum_value, cofactor_row_sums, d_polynomial, pole_divisor,
@@ -69,6 +69,8 @@ def random_matrix_polynomial(seed, n, m, traceless=False, distinct_range=8):
 # keeps the length.  A product convolves integer numerators over the lcm of
 # each operand's denominators and makes one Fraction per coefficient; a
 # convolution of Fractions makes the projector oracles several times slower.
+# They read coefficients, not stored values, so a scaled series enters as the
+# rationals it stands for, and their results are of scale 1.
 
 def series_from_poly(p, length):
     """p(1/u) with ``length`` coefficients from u^(-deg p) on."""
@@ -85,9 +87,9 @@ def _numerators(coeffs):
 def series_mul(a, b):
     """a*b for series a and b, or a times the scalar b."""
     if isinstance(b, (int, Fraction)):
-        return USeries(a.val, [b * c for c in a.coeffs])
+        return USeries(a.val, [b * c for c in a.coefficients(a.val, a.end)])
     n = min(len(a.coeffs), len(b.coeffs))
-    (x, dx), (y, dy) = (_numerators(s.coeffs[:n]) for s in (a, b))
+    (x, dx), (y, dy) = (_numerators(s.coefficients(s.val, s.val + n)) for s in (a, b))
     return USeries(a.val + b.val, [Fraction(sum(x[i] * y[k - i] for i in range(k + 1)), dx * dy)
                                    for k in range(n)])
 
@@ -95,7 +97,7 @@ def series_mul(a, b):
 def series_inverse(s):
     """1/s, of valuation -val and the same length as s without leading zeros."""
     s = s._normalized()
-    a = s.coeffs
+    a = s.coefficients(s.val, s.end)
     inv0 = 1 / Fraction(a[0])
     out = [inv0]
     for k in range(1, len(a)):
@@ -416,15 +418,19 @@ def dict_divide(numerator: dict, divisor: dict, trusted_total_degree: int) -> di
 # The two-point kernel before every table ran through the cyclic walk: its own
 # bound, one trace, the constant subtracted by hand and two divisions.
 
-def pair_table_values(mat1, mat2, subtract: int, kmax: int, c: int) -> dict:
+def integer_slots(w, mats) -> tuple:
+    """The engine's scale c and integer slots for slot matrices of W (numerators over Delta^k)."""
+    return _integer_slots(characteristic_data(w).integer_form[2], mats)
+
+
+def pair_table_values(ints1, ints2, subtract: int, kmax: int, c: int) -> dict:
     """(tr[M1(u1) M2(u2)] - subtract) / (u2 - u1)^2 in the box k1, k2 <= kmax.
 
-    Runs in t = u / c; the quotient's t-coefficients q[k] give
-    F = q[k] / c^(2 + |k|).
+    Runs in t = u / c on the integer slots (``integer_slots``); the
+    quotient's t-coefficients q[k] give F = q[k] / c^(2 + |k|).
     """
-    K = len(mat1[0][0]) - 1
-    n = len(mat1)
-    ints1, ints2 = _integer_slot(mat1, c), _integer_slot(mat2, c)
+    K = len(ints1[0][0]) - 1
+    n = len(ints1)
     # the trace sums n^2 single products, the two divisions sum anti-diagonals
     # of at most K + 1 and K coefficients
     bound = (n * n * _largest(ints1) * _largest(ints2) + subtract) * (K + 1) * K
@@ -457,14 +463,13 @@ def matmul_reference(a, b, cap: int):
              for j in range(n)] for i in range(n)]
 
 
-def full_walk_values(slot_mats, kmax: int, c: int) -> dict:
-    """{(k_1..k_N): Fraction} for slot i carrying slot_mats[i], over all classes."""
-    npts = len(slot_mats)
+def full_walk_values(slot_ints, kmax: int, c: int) -> dict:
+    """{(k_1..k_N): Fraction} for slot i carrying integer slot slot_ints[i], over all classes."""
+    npts = len(slot_ints)
     K = npts * (kmax + 1)
     n_missing = npts * (npts - 1) // 2 - npts
     cap_dividend = K + n_missing
-    ints = [_integer_slot([[series[: K + 1] for series in row] for row in mat], c)
-            for mat in slot_mats]
+    ints = [[[x[: K + 1] for x in row] for row in mat] for mat in slot_ints]
     n, n_pairs = len(ints[0]), npts * (npts - 1) // 2
     bound = (math.factorial(npts - 1) * n ** npts * math.prod(map(_largest, ints))
              * 2 ** n_missing * math.prod(range(cap_dividend - n_pairs + 2, cap_dividend + 2)))

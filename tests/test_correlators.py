@@ -6,20 +6,21 @@ import pytest
 from spectral_tau import (
     CorrelatorEngine,
     MatrixPolynomial,
+    characteristic_data,
     correlator_n,
     correlator_pair,
     hyperelliptic_combination,
 )
 from spectral_tau import correlators
 from spectral_tau import multipoly
-from spectral_tau.correlators import _series_scale, hyperelliptic_combination_from_tables
+from spectral_tau.correlators import hyperelliptic_combination_from_tables
 from spectral_tau.multipoly import InexactDivisionError
 from spectral_tau.polynomials import Poly
 from spectral_tau.rationals import parse_rational
 from spectral_tau.serialize import correlator_table_to_json
 
 from conftest import (
-    conjugate_diagonal, doc_w, full_walk_values, hyper_coeff, pair_table_values,
+    conjugate_diagonal, doc_w, full_walk_values, hyper_coeff, integer_slots, pair_table_values,
     random_hyperelliptic, random_matrix_polynomial,
 )
 
@@ -71,8 +72,8 @@ class TestPairTable:
         for a in range(1, w.n + 1):
             for b in range(a, w.n + 1):
                 table = correlator_pair(w, a, b, kmax, eng)
-                mats = [eng.slot_matrix(s, 2 * (kmax + 1)) for s in (a, b)]
-                want = pair_table_values(*mats, int(a == b), kmax, _series_scale(mats))
+                c, ints = integer_slots(w, [eng.slot_matrix(s, 2 * (kmax + 1)) for s in (a, b)])
+                want = pair_table_values(*ints, int(a == b), kmax, c)
                 assert {(k1, k2): v for ((_, k1), (_, k2)), v in table.entries.items()} == want
 
     @pytest.mark.parametrize("name", ["hyperelliptic-g1.json", "hyperelliptic-g2.json",
@@ -92,8 +93,8 @@ class TestPairTable:
         w = doc_w(name)
         eng = CorrelatorEngine(w)
         for kmax in range(4):
-            d = eng.difference_matrix(2 * (kmax + 1))
-            want = pair_table_values(d, d, 2, kmax, _series_scale([d]))
+            c, (d,) = integer_slots(w, [eng.difference_matrix(2 * (kmax + 1))])
+            want = pair_table_values(d, d, 2, kmax, c)
             assert hyperelliptic_combination(w, 2, kmax, eng) == want
 
     def test_delta_is_certified(self):
@@ -101,9 +102,9 @@ class TestPairTable:
         # the constant term of tr[Pi_a Pi_a] = 1 is a remainder of the division
         w = doc_w("hyperelliptic-g1.json")
         eng = CorrelatorEngine(w)
-        mats = {1: eng.slot_matrix(1, 2)}
+        _, (ints,) = integer_slots(w, [eng.slot_matrix(1, 2)])
         with pytest.raises(InexactDivisionError):
-            correlators._npoint_values(mats, (1, 1), 0, _series_scale(mats.values()), 0)
+            correlators._npoint_values({1: ints}, (1, 1), 0, 0)
 
     @pytest.mark.parametrize("name, sheets, message", [
         ("hyperelliptic-g2.json", (1, 3), "sheet 3 outside 1..2"),
@@ -343,7 +344,8 @@ class TestNormalForm:
 
         monkeypatch.setattr(correlators, "projector_series", recorded)
         hyperelliptic_combination(doc_w("hyperelliptic-g2.json"), 5, 1)
-        assert orders == [1, 1]
+        # sheet 2 is the complement 1 - Pi_1
+        assert orders == [1]
 
 
 @pytest.mark.parametrize("kmax", [-1, -2, True, 1.0, "1", None])
@@ -378,7 +380,29 @@ class TestIntegerEngine:
         mats = [eng.slot_matrix(a, 12) for a in range(1, w.n + 1)]
         if w.n == 2:
             mats.append(eng.difference_matrix(12))
-        assert _series_scale(mats) == expected
+        assert integer_slots(w, mats)[0] == expected
+
+    @pytest.mark.parametrize("n, m, seed", [(n, m, seed) for n in (2, 3, 4) for m in (1, 2)
+                                            for seed in (100, 101)])
+    def test_scale_is_the_least_that_clears_every_slot(self, n, m, seed):
+        # c makes every Q_k c^k / Delta^k an integer, the one the engine walks,
+        # and c / p does not for any prime p of c: checked on the rationals
+        w = random_matrix_polynomial(seed, n, m)
+        delta = characteristic_data(w).integer_form[2]
+        eng = CorrelatorEngine(w)
+        mats = [eng.slot_matrix(a, 8) for a in range(1, n + 1)]
+        c, ints = integer_slots(w, mats)
+        coeffs = [(Fraction(x, delta ** k), k) for mat in mats for row in mat for entry in row
+                  for k, x in enumerate(entry)]
+        assert [a * c ** k for a, k in coeffs] == [
+            x for mat in ints for row in mat for entry in row for x in entry]
+        rest, p = c, 2
+        while rest > 1:
+            if rest % p == 0:
+                assert any((a * (c // p) ** k).denominator != 1 for a, k in coeffs)
+                while rest % p == 0:
+                    rest //= p
+            p += 1
 
     @pytest.mark.parametrize("name", ["hyperelliptic-g2.json", "three-sheet-m1.json"])
     def test_warm_engine_matches_fresh(self, name):
@@ -402,19 +426,23 @@ class TestIntegerEngine:
         # so the (1, 1) table at kmax 0 (u^0..u^2) takes 90, not 180.
         w = random_matrix_polynomial(100, 3, 1)
         scales = []
-        npoint_values = correlators._npoint_values
-        monkeypatch.setattr(correlators, "_npoint_values",
-                            lambda mats, sheets, kmax, c, subtract:
-                            scales.append(c) or npoint_values(mats, sheets, kmax, c, subtract))
+        integer_slots_of = correlators._integer_slots
+
+        def recorded(base, mats):
+            c, ints = integer_slots_of(base, mats)
+            scales.append(c)
+            return c, ints
+
+        monkeypatch.setattr(correlators, "_integer_slots", recorded)
         warm = CorrelatorEngine(w)
         warm.projector(1, 12)
-        assert _series_scale([warm.slot_matrix(1, 3)]) == 90
-        assert _series_scale([warm.slot_matrix(1, 4)]) == 180
+        assert integer_slots(w, [warm.slot_matrix(1, 3)])[0] == 90
+        assert integer_slots(w, [warm.slot_matrix(1, 4)])[0] == 180
         for sheets, kmax, c in (((1, 1), 0, 90), ((1, 2, 3), 1, 1260)):
             scales.clear()
             assert correlator_n(w, sheets, kmax, warm) == correlator_n(w, sheets, kmax)
             window = len(sheets) * (kmax + 1)
-            assert _series_scale([warm.slot_matrix(a, window) for a in set(sheets)]) == c
+            assert integer_slots(w, [warm.slot_matrix(a, window) for a in set(sheets)])[0] == c
             assert scales == [c, c]
 
     def test_wrong_scale_raises(self, monkeypatch):
@@ -423,7 +451,8 @@ class TestIntegerEngine:
         w = doc_w("hyperelliptic-g2.json")
         w_random = random_hyperelliptic(100, 2)[0]
         eng = CorrelatorEngine(w)
-        monkeypatch.setattr(correlators, "_series_scale", lambda mats: 1)
+        # a valuation past every order's need leaves c = 1
+        monkeypatch.setattr(correlators, "_valuation", lambda m, p: 10 ** 6)
         with pytest.raises(ArithmeticError, match="non-integral"):
             hyperelliptic_combination(w_random, 3, 1)
         with pytest.raises(ArithmeticError):
@@ -466,8 +495,8 @@ class TestOrbitWalk:
         w = doc_w(name)
         eng = CorrelatorEngine(w)
         got = hyperelliptic_combination(w, npts, kmax, eng)
-        mats = [eng.difference_matrix(npts * (kmax + 1))] * npts
-        assert got == full_walk_values(mats, kmax, _series_scale(mats))
+        c, ints = integer_slots(w, [eng.difference_matrix(npts * (kmax + 1))] * npts)
+        assert got == full_walk_values(ints, kmax, c)
 
     @pytest.mark.parametrize("make_w, sheets, kmax", [
         (lambda: random_matrix_polynomial(100, 3, 1), (1, 1, 2, 3), 1),
@@ -480,8 +509,8 @@ class TestOrbitWalk:
         eng = CorrelatorEngine(w)
         table = correlator_n(w, sheets, kmax, eng)
         got = {tuple(k for _, k in key): v for key, v in table.entries.items()}
-        mats = [eng.slot_matrix(a, len(sheets) * (kmax + 1)) for a in sheets]
-        assert got == full_walk_values(mats, kmax, _series_scale(mats))
+        c, ints = integer_slots(w, [eng.slot_matrix(a, len(sheets) * (kmax + 1)) for a in sheets])
+        assert got == full_walk_values(ints, kmax, c)
 
     @staticmethod
     def count_walk(monkeypatch) -> dict:

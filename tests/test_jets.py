@@ -146,7 +146,7 @@ class TestJetRejectsInconsistentProjectors:
         """A copy of the projector grids with 1 added to u^k of sheet a's entry (i, j)."""
         grids = [[list(row) for row in grid] for grid in projectors]
         entry = grids[a - 1][i - 1][j - 1]
-        coeffs = list(entry.coeffs)
+        coeffs = entry.coefficients(entry.val, entry.end)
         coeffs[k - entry.val] += 1
         grids[a - 1][i - 1][j - 1] = USeries(entry.val, coeffs)
         return [tuple(map(tuple, grid)) for grid in grids]

@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+import spectral_tau.correlators as correlators_module
 import spectral_tau.projectors as projectors_module
 from spectral_tau.multipoly import packing_width
-from spectral_tau import MatrixPolynomial, characteristic_data, projector_series
+from spectral_tau import (
+    CorrelatorEngine, MatrixPolynomial, characteristic_data, projector_series,
+)
 from spectral_tau.curve import InvalidMatrixPolynomial
 from spectral_tau.polynomials import Poly
 from spectral_tau.projectors import BranchError, all_projectors, phi_coefficients
@@ -17,6 +20,7 @@ from conftest import (
     coeff_matrix,
     conjugate_diagonal,
     defects_first_failure,
+    doc_w,
     grid_add,
     grid_mul,
     grid_scale,
@@ -347,3 +351,52 @@ class TestPackedCertificate:
                 assert defects_first_failure(lb, bad, delta) == k
         pi = projector_series(w, 2, 10)
         assert coeff_matrix(pi, 0) == ((0, 0, 0), (0, 1, 0), (0, 0, 0))
+
+
+class TestScaledSeries:
+    """Projector series store their certified numerators Q_k at scale Delta."""
+
+    @pytest.mark.parametrize("name", ["hyperelliptic-g1.json", "hyperelliptic-g2.json",
+                                      "three-sheet-m1.json"])
+    def test_reads_are_the_certified_rationals(self, name):
+        w, order = doc_w(name), 9
+        _, lb, delta = characteristic_data(w).integer_form
+        for a in range(1, w.n + 1):
+            q = projectors_module._projector_numerators(lb, delta, a - 1, order)
+            for i, row in enumerate(projector_series(w, a, order)):
+                for j, s in enumerate(row):
+                    want = [Fraction(qk[i][j], delta ** k) for k, qk in enumerate(q)]
+                    assert s.scale == delta and list(s.coeffs) == [qk[i][j] for qk in q]
+                    assert s.coefficients(0, order + 1) == want
+                    assert [s[k] for k in range(order + 1)] == want
+                    with pytest.raises(TruncationError):
+                        s[order + 1]
+                    with pytest.raises(TruncationError):
+                        s.coefficients(0, order + 2)
+
+
+class TestComplement:
+    """The engine's last sheet, 1 minus the n - 1 projectors it holds, is the
+    certified projector of that sheet: the recursion's own numerators."""
+
+    @pytest.mark.parametrize("n, m, seed", [(n, m, seed) for n in (2, 3, 4) for m in (1, 2)
+                                            for seed in range(100, 106)])
+    def test_complement_is_the_certified_projector(self, n, m, seed, monkeypatch):
+        w = random_matrix_polynomial(seed, n, m)
+        _, lb, delta = characteristic_data(w).integer_form
+        b = 1 + seed % n
+        built = []
+        recorded = correlators_module.projector_series
+        monkeypatch.setattr(correlators_module, "projector_series",
+                            lambda w, sheet, order: built.append(sheet)
+                            or recorded(w, sheet, order))
+        for order in range(13):
+            engine = CorrelatorEngine(w)
+            for a in range(1, n + 1):
+                if a != b:
+                    engine.projector(a, order)
+            grid = engine.slot_matrix(b, order)
+            assert b not in built
+            q = [[[grid[i][j][k] for j in range(n)] for i in range(n)] for k in range(order + 1)]
+            assert q == projectors_module._projector_numerators(lb, delta, b - 1, order)
+            assert projectors_module._first_defect(lb, q, delta) is None

@@ -174,3 +174,47 @@ class TestMatrixSeries:
         assert p[0][0][0] == 1
         with pytest.raises(TruncationError):
             p[0][1][3]
+
+
+class TestScale:
+    """A series of scale d stores numerators: u^k has coefficient coeffs[k - val] / d^k."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=6),
+           st.lists(st.integers(-50, 50), min_size=1, max_size=6),
+           st.integers(1, 12), st.integers(0, 2))
+    def test_sum_and_difference_match_the_rationals(self, xs, ys, d, val):
+        a, b = USeries(val, xs, d), USeries(val, ys, d)
+        end = val + min(len(xs), len(ys))
+        for got, op in ((a + b, lambda x, y: x + y), (a - b, lambda x, y: x - y)):
+            assert got.scale == d and got.end == end
+            assert got.coefficients(0, end) == list(map(op, a.coefficients(0, end),
+                                                        b.coefficients(0, end)))
+        assert a.coefficients(val, val + len(xs)) == [Fraction(x, d ** k)
+                                                       for k, x in enumerate(xs, val)]
+
+    def test_negative_exponents_read_exactly(self):
+        s = USeries(-1, [3, 1, 2], 2)   # 3 * 2/u + 1 + 2u/2
+        assert s.coefficients(-2, 2) == [0, 6, 1, 1]
+        assert s[-3] == 0 and s[-1] == 6
+
+    def test_mixed_scales_add_rationals(self):
+        a, b = USeries(0, [1, 3, 5], 2), USeries(0, [Fraction(1, 3), 1, 0])
+        total = a + b
+        assert total.scale == 1
+        assert total.coefficients(0, 3) == [Fraction(4, 3), Fraction(5, 2), Fraction(5, 4)]
+
+    def test_scale_one_is_the_unscaled_series(self):
+        cs = [Fraction(1), Fraction(-2, 3), Fraction(5, 7), Fraction(0), Fraction(1, 2)]
+        s = USeries(0, cs, 1)
+        assert s.coefficients(0, 5) == cs and s[-1] == 0 and s[2] is cs[2]
+        assert s.inv_sqrt().coefficients(0, 5) == USeries(0, cs).inv_sqrt().coefficients(0, 5)
+        with pytest.raises(TruncationError):
+            s[5]
+
+    def test_inv_sqrt_keeps_the_scale(self):
+        # 1 + u/2 + u^2/4 stored at scale 2 as 1, 1, 1
+        scaled = USeries(0, [1, 1, 1, 0, 0], 2).inv_sqrt()
+        plain = ser(0, [1, Fraction(1, 2), Fraction(1, 4)], 5).inv_sqrt()
+        assert scaled.scale == 2
+        assert scaled.coefficients(0, 5) == plain.coefficients(0, 5)
